@@ -104,6 +104,14 @@ class Literal:
 _Z = FgAbGroup(1)
 _TRIVIAL = FgAbGroup()
 
+# Deepest parenthesis nesting the parser accepts: each level costs the
+# recursive-descent parser three stack frames, so this keeps far below
+# Python's recursion limit.
+MAX_NESTING = 100
+# Longest decimal index (O_n, M_n, C^k) accepted; Python refuses to
+# convert strings beyond 4300 digits, and no algebra here needs more.
+MAX_INDEX_DIGITS = 1000
+
 
 def builtin(kind: str, param: int | None = None) -> KInvariant:
     """The invariant table for the named algebra.
@@ -232,7 +240,7 @@ def _lex_atom(name: str, text: str, j: int, pos: int):
     part of the atom (M_n(Oinf), C(T), C([0,1]))."""
     m = _ATOM_M.match(name)
     if m:
-        k = int(m.group(1))
+        k = _index(m, pos)
         suf = _SUFFIX_OINF.match(text, j)
         if suf:
             _check_range(k >= 1, "matrix size must be >= 1", pos)
@@ -251,12 +259,12 @@ def _lex_atom(name: str, text: str, j: int, pos: int):
         return Atom("Oinf"), j
     m = _ATOM_O.match(name)
     if m:
-        k = int(m.group(1))
+        k = _index(m, pos)
         _check_range(k >= 2, "Cuntz index must be >= 2", pos)
         return Atom("O", k), j
     m = _ATOM_CPOW.match(name)
     if m:
-        k = int(m.group(1))
+        k = _index(m, pos)
         _check_range(k >= 1, "power of C must be >= 1", pos)
         return Atom("Cpow", k), j
     if name == "CT":
@@ -266,6 +274,16 @@ def _lex_atom(name: str, text: str, j: int, pos: int):
     if name == "CAR":
         return Atom("CAR"), j
     raise ParseError(f"unknown algebra name {name!r}", pos)
+
+
+def _index(match, pos):
+    digits = match.group(1)
+    _check_range(
+        len(digits) <= MAX_INDEX_DIGITS,
+        f"index has {len(digits)} digits, more than the {MAX_INDEX_DIGITS} accepted",
+        pos,
+    )
+    return int(digits)
 
 
 def _check_range(ok, message, pos):
@@ -281,6 +299,7 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -317,7 +336,13 @@ class _Parser:
         tok = self.next()
         kind, value, pos = tok
         if kind == "lparen":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", pos
+                )
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             closing = self.next()
             if closing[0] != "rparen":
                 raise ParseError("expected ')'", closing[2])
@@ -398,9 +423,16 @@ def eval_expr(expr, root: bool = True):
     if isinstance(expr, Literal):
         return expr.invariant
     if isinstance(expr, Tensor):
-        return kunneth_invariant(
-            eval_expr(expr.left, root=False), eval_expr(expr.right, root=False)
-        )
+        # A chain A (x) B (x) C ... parses left-deep; walk its spine
+        # with a stack instead of one recursion per factor.
+        rights = []
+        while isinstance(expr, Tensor):
+            rights.append(expr.right)
+            expr = expr.left
+        value = eval_expr(expr, root=False)
+        for right in reversed(rights):
+            value = kunneth_invariant(value, eval_expr(right, root=False))
+        return value
     if isinstance(expr, (FreeProd, UnitalFreeProd)):
         if not root:
             raise UnsupportedNestingError(

@@ -15,6 +15,7 @@ input.  Output is deterministic; JSON output is key-sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from math import gcd
@@ -27,13 +28,14 @@ from .catalog import (
     evaluate,
 )
 from .fgab import FgAbGroup, GroupHom, cokernel, compose
-from .kinv import KInvariant, KPair, kunneth, pi_star, unital_free_product_k
+from .kinv import KInvariant, KPair, PairAnalysis, kunneth, unital_free_product_k
 from .obstruct import (
     OBSTRUCTED,
     classify,
+    classify_analysis,
     ex4_no_scaled_section,
     m_oo_unit_divisibility,
-    section_exists_k,
+    section_exists_analysis,
 )
 
 EXIT_OK = 0
@@ -103,13 +105,20 @@ def _section_lines(report) -> list[str]:
     return lines
 
 
+def _analysis(args) -> PairAnalysis:
+    return PairAnalysis(
+        _require_invariant(evaluate(args.expr_a), "the first expression"),
+        _require_invariant(evaluate(args.expr_b), "the second expression"),
+    )
+
+
 def _cmd_classify(args, out) -> int:
-    a = _require_invariant(evaluate(args.expr_a), "the first expression")
-    b = _require_invariant(evaluate(args.expr_b), "the second expression")
-    verdict = classify(a, b)
-    ufp = unital_free_product_k(a, b)
-    kun = kunneth(a, b)
-    pi0, pi1, _ = pi_star(a, b)
+    an = _analysis(args)
+    a, b = an.a, an.b
+    verdict = classify_analysis(an)
+    ufp = an.unital_free_product
+    kun = an.tensor
+    pi0, pi1 = an.pi0, an.pi1
     payload = {
         "command": "classify",
         "expr_a": args.expr_a,
@@ -140,7 +149,7 @@ def _cmd_classify(args, out) -> int:
         lines.append(f"witness: {verdict.witness.clause}")
         lines.append(f"  {verdict.witness.explanation}")
     if args.mode:
-        report = section_exists_k(a, b, args.mode)
+        report = section_exists_analysis(an, args.mode)
         payload["sections"] = {"mode": args.mode, **_section_payload(report)}
         lines.append(f"sections ({args.mode} mode):")
         lines.extend("  " + s for s in _section_lines(report))
@@ -153,9 +162,9 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_section(args, out) -> int:
-    a = _require_invariant(evaluate(args.expr_a), "the first expression")
-    b = _require_invariant(evaluate(args.expr_b), "the second expression")
-    report = section_exists_k(a, b, args.mode or "unital")
+    an = _analysis(args)
+    a, b = an.a, an.b
+    report = section_exists_analysis(an, args.mode or "unital")
     payload = {
         "command": "section",
         "expr_a": args.expr_a,
@@ -188,10 +197,9 @@ def _ex_mn_same():
     details = []
     ok = True
     for n in (2, 3, 4, 6):
-        mn = evaluate(f"M_{n}")
-        v = classify(mn, mn)
-        pi0, _, _ = pi_star(mn, mn)
-        coker = cokernel(pi0)
+        an = PairAnalysis(evaluate(f"M_{n}"), evaluate(f"M_{n}"))
+        v = classify_analysis(an)
+        coker = cokernel(an.pi0)
         good = (
             v.outcome == OBSTRUCTED
             and v.witness.clause == obstruct.PI0_NOT_SURJECTIVE
@@ -203,11 +211,10 @@ def _ex_mn_same():
 
 
 def _ex_m2_m3():
-    a, b = evaluate("M_2"), evaluate("M_3")
-    v = classify(a, b)
-    report = section_exists_k(a, b, "unital")
-    pi0, _, _ = pi_star(a, b)
-    s = report.deg0
+    an = PairAnalysis(evaluate("M_2"), evaluate("M_3"))
+    v = classify_analysis(an)
+    s = section_exists_analysis(an, "unital").deg0
+    pi0 = an.pi0
     ok = (
         v.outcome == obstruct.POSSIBLE_CASE_III
         and s is not None
@@ -314,7 +321,11 @@ def _cmd_paper_examples(args, out) -> int:
     return EXIT_OK if payload["passed"] else EXIT_OBSTRUCTED
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    ``parse_args`` fills a fresh namespace each time, so no state
+    carries from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="kobstruct",
         description=(

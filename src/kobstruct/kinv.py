@@ -12,6 +12,7 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf
 
 from .fgab import (
@@ -36,6 +37,7 @@ __all__ = [
     "unital_free_product_k",
     "pi_star",
     "pi_star_full",
+    "PairAnalysis",
     "K0A_K0B",
     "K1A_K1B",
     "TOR_K0A_K1B",
@@ -211,14 +213,6 @@ def free_product_k(a: KInvariant, b: KInvariant) -> KPair:
     return KPair(k0=k0, k1=k1, summands=summands, unit=None, extra_z=False)
 
 
-def _unital_k0_data(a: KInvariant, b: KInvariant):
-    """Shared quotient structure of K0 of the unital free product."""
-    s0, (inj_a, inj_b), (proj_a, proj_b) = direct_sum_many((a.k0, b.k0))
-    rel = inj_a(a.unit) - inj_b(b.unit)
-    q, proj_q, lift = _quotient_full(s0, rel)
-    return s0, inj_a, inj_b, proj_a, proj_b, rel, q, proj_q, lift
-
-
 def unital_free_product_k(a: KInvariant, b: KInvariant) -> KPair:
     """K-theory of the unital free product.
 
@@ -227,47 +221,7 @@ def unital_free_product_k(a: KInvariant, b: KInvariant) -> KPair:
     an extra Z summand exactly when both unit classes have finite
     order; that summand is flagged indeterminate.
     """
-    _, inj_a, _, _, _, _, q, proj_q, _ = _unital_k0_data(a, b)
-    unit = proj_q(inj_a(a.unit))
-    extra = a.unit.order() != inf and b.unit.order() != inf
-    if extra:
-        k1, injs1, _ = direct_sum_many((a.k1, b.k1, FgAbGroup(1)))
-        summands = {K1A: injs1[0], K1B: injs1[1], EXTRA_Z: injs1[2]}
-    else:
-        k1, injs1, _ = direct_sum_many((a.k1, b.k1))
-        summands = {K1A: injs1[0], K1B: injs1[1]}
-    return KPair(k0=q, k1=k1, summands=summands, unit=unit, extra_z=extra)
-
-
-def _lifted_pi0(a, b, kun, proj_a, proj_b):
-    """The degree-0 induced map before the quotient: on K0A + K0B it is
-    (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the K0A (x) K0B
-    summand of the tensor K0."""
-    inj00 = kun.summands[K0A_K0B]
-    fa = GroupHom.from_images(
-        a.k0, kun.k0, [inj00(tensor_elem(g, b.unit)) for g in a.k0.generators()]
-    )
-    fb = GroupHom.from_images(
-        b.k0, kun.k0, [inj00(tensor_elem(a.unit, g)) for g in b.k0.generators()]
-    )
-    return compose(proj_a, fa) + compose(proj_b, fb)
-
-
-def _pi1(a, b, kun):
-    """Degree-1 induced map on the well-defined part K1A + K1B:
-    (x, y) |-> ([1_A] (x) y) + (x (x) [1_B])."""
-    _, _, (proj_a1, proj_b1) = direct_sum_many((a.k1, b.k1))
-    ga = GroupHom.from_images(
-        a.k1,
-        kun.k1,
-        [kun.summands[K1A_K0B](tensor_elem(g, b.unit)) for g in a.k1.generators()],
-    )
-    gb = GroupHom.from_images(
-        b.k1,
-        kun.k1,
-        [kun.summands[K0A_K1B](tensor_elem(a.unit, g)) for g in b.k1.generators()],
-    )
-    return compose(proj_a1, ga) + compose(proj_b1, gb)
+    return PairAnalysis(a, b).unital_free_product
 
 
 def pi_star(a: KInvariant, b: KInvariant):
@@ -279,23 +233,125 @@ def pi_star(a: KInvariant, b: KInvariant):
     K1A + K1B part of K1.  The extra Z summand, when present, carries
     no matrix: only its receiving group Tor(K0A, K0B) is returned.
     """
-    kun = kunneth(a, b)
-    s0, _, _, proj_a, proj_b, rel, q, _, lift = _unital_k0_data(a, b)
-    lifted = _lifted_pi0(a, b, kun, proj_a, proj_b)
-    if not lifted(rel).is_zero:
-        raise AssertionError("induced map does not kill the unit relation")
-    cols = [lifted(GroupElement(s0, lift.column(k))).coords for k in range(q.ngens)]
-    pi0 = GroupHom(q, kun.k0, IntMatrix.from_columns(cols, kun.k0.ngens))
-    pi1 = _pi1(a, b, kun)
-    return pi0, pi1, tor(a.k0, b.k0)
+    an = PairAnalysis(a, b)
+    return an.pi0, an.pi1, an.tor00
 
 
 def pi_star_full(a: KInvariant, b: KInvariant):
     """Maps induced by the quotient of the full free product onto the
     tensor product: same formulas, but degree 0 acts on the un-quotiented
     sum K0A + K0B."""
-    kun = kunneth(a, b)
-    _, _, _, proj_a, proj_b, _, _, _, _ = _unital_k0_data(a, b)
-    pi0 = _lifted_pi0(a, b, kun, proj_a, proj_b)
-    pi1 = _pi1(a, b, kun)
-    return pi0, pi1
+    an = PairAnalysis(a, b)
+    return an.lifted_pi0, an.pi1
+
+
+class PairAnalysis:
+    """The K-theory of one pair (A, B), each piece computed on first use.
+
+    Callers that need more than one answer about a pair (groups, maps,
+    verdict, sections) build one analysis and read them all from it;
+    nothing is computed that no caller reads.
+
+    >>> from .fgab import FgAbGroup
+    >>> z = FgAbGroup(1)
+    >>> an = PairAnalysis(KInvariant(z, FgAbGroup(), z.element((2,))),
+    ...                   KInvariant(z, FgAbGroup(), z.element((3,))))
+    >>> an.pi0.matrix.to_json(), an.unital_free_product.k0
+    ([[1]], FgAbGroup(1, ()))
+    """
+
+    def __init__(self, a: KInvariant, b: KInvariant):
+        self.a = a
+        self.b = b
+
+    @cached_property
+    def tensor(self) -> KPair:
+        """The tensor K-pair, by the Kunneth formula."""
+        return kunneth(self.a, self.b)
+
+    @cached_property
+    def k0_sum(self):
+        """(K0A + K0B, (inj_a, inj_b), (proj_a, proj_b))."""
+        return direct_sum_many((self.a.k0, self.b.k0))
+
+    @cached_property
+    def unit_relation(self) -> GroupElement:
+        """([1_A], -[1_B]) in K0A + K0B."""
+        _, (inj_a, inj_b), _ = self.k0_sum
+        return inj_a(self.a.unit) - inj_b(self.b.unit)
+
+    @cached_property
+    def unital_quotient(self):
+        """(q, proj_q, lift): K0 of the unital free product as the
+        quotient of K0A + K0B by the unit relation, its projection, and
+        a lift of each generator of q back to K0A + K0B."""
+        return _quotient_full(self.k0_sum[0], self.unit_relation)
+
+    @cached_property
+    def extra_z(self) -> bool:
+        """Both unit classes have finite order."""
+        return self.a.unit.order() != inf and self.b.unit.order() != inf
+
+    @cached_property
+    def unital_free_product(self) -> KPair:
+        a, b = self.a, self.b
+        _, (inj_a, _), _ = self.k0_sum
+        q, proj_q, _ = self.unital_quotient
+        unit = proj_q(inj_a(a.unit))
+        if self.extra_z:
+            k1, injs1, _ = direct_sum_many((a.k1, b.k1, FgAbGroup(1)))
+            summands = {K1A: injs1[0], K1B: injs1[1], EXTRA_Z: injs1[2]}
+        else:
+            k1, injs1, _ = direct_sum_many((a.k1, b.k1))
+            summands = {K1A: injs1[0], K1B: injs1[1]}
+        return KPair(k0=q, k1=k1, summands=summands, unit=unit, extra_z=self.extra_z)
+
+    @cached_property
+    def lifted_pi0(self) -> GroupHom:
+        """The degree-0 induced map before the quotient: on K0A + K0B it
+        is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
+        K0A (x) K0B summand of the tensor K0."""
+        a, b, kun = self.a, self.b, self.tensor
+        _, _, (proj_a, proj_b) = self.k0_sum
+        inj00 = kun.summands[K0A_K0B]
+        fa = GroupHom.from_images(
+            a.k0, kun.k0, [inj00(tensor_elem(g, b.unit)) for g in a.k0.generators()]
+        )
+        fb = GroupHom.from_images(
+            b.k0, kun.k0, [inj00(tensor_elem(a.unit, g)) for g in b.k0.generators()]
+        )
+        return compose(proj_a, fa) + compose(proj_b, fb)
+
+    @cached_property
+    def pi0(self) -> GroupHom:
+        """The degree-0 induced map on the unital quotient."""
+        lifted, kun = self.lifted_pi0, self.tensor
+        if not lifted(self.unit_relation).is_zero:
+            raise AssertionError("induced map does not kill the unit relation")
+        s0 = self.k0_sum[0]
+        q, _, lift = self.unital_quotient
+        cols = [lifted(GroupElement(s0, lift.column(k))).coords for k in range(q.ngens)]
+        return GroupHom(q, kun.k0, IntMatrix.from_columns(cols, kun.k0.ngens))
+
+    @cached_property
+    def pi1(self) -> GroupHom:
+        """Degree-1 induced map on the well-defined part K1A + K1B:
+        (x, y) |-> ([1_A] (x) y) + (x (x) [1_B])."""
+        a, b, kun = self.a, self.b, self.tensor
+        _, _, (proj_a1, proj_b1) = direct_sum_many((a.k1, b.k1))
+        ga = GroupHom.from_images(
+            a.k1,
+            kun.k1,
+            [kun.summands[K1A_K0B](tensor_elem(g, b.unit)) for g in a.k1.generators()],
+        )
+        gb = GroupHom.from_images(
+            b.k1,
+            kun.k1,
+            [kun.summands[K0A_K1B](tensor_elem(a.unit, g)) for g in b.k1.generators()],
+        )
+        return compose(proj_a1, ga) + compose(proj_b1, gb)
+
+    @cached_property
+    def tor00(self) -> FgAbGroup:
+        """Tor(K0A, K0B), the receiving group of the extra Z summand."""
+        return tor(self.a.k0, self.b.k0)

@@ -40,7 +40,7 @@ from .fgab import (
     tensor,
     tor,
 )
-from .kinv import KInvariant, pi_star, pi_star_full, unital_free_product_k
+from .kinv import KInvariant, PairAnalysis, unital_free_product_k
 
 __all__ = [
     "ObstructionWitness",
@@ -48,7 +48,9 @@ __all__ = [
     "SectionReport",
     "basic_obstructions",
     "classify",
+    "classify_analysis",
     "section_exists_k",
+    "section_exists_analysis",
     "iso_remark_check",
     "case_ii_k_check",
     "ex4_no_scaled_section",
@@ -66,7 +68,6 @@ __all__ = [
     "PI1_NOT_SURJECTIVE",
     "NO_SECTION_0",
     "NO_SECTION_1",
-    "EXTRA_Z_BLOCKED",
 ]
 
 POSSIBLE_CASE_I = "PossibleCaseI"
@@ -83,7 +84,6 @@ PI0_NOT_SURJECTIVE = "Pi0NotSurjective"
 PI1_NOT_SURJECTIVE = "Pi1NotSurjective"
 NO_SECTION_0 = "NoSection0"
 NO_SECTION_1 = "NoSection1"
-EXTRA_Z_BLOCKED = "ExtraZBlocked"
 
 _POSSIBLE = frozenset(
     {POSSIBLE_CASE_I, POSSIBLE_CASE_II, POSSIBLE_CASE_III, POSSIBLE_CASE_IV}
@@ -240,56 +240,40 @@ def basic_obstructions(a: KInvariant, b: KInvariant):
     return found
 
 
-def _map_level_witness(a: KInvariant, b: KInvariant):
-    """Surjectivity and section failures of the induced maps, or None."""
-    pi0, pi1, tor00 = pi_star(a, b)
-    if not is_surjective(pi0):
-        return ObstructionWitness(
-            PI0_NOT_SURJECTIVE,
-            (("cokernel", str(cokernel(pi0))), ("matrix", pi0.matrix.to_json())),
-            f"the induced map on K0 has cokernel {cokernel(pi0)}, so it is "
-            "not surjective and admits no section.",
-        )
-    if not is_surjective(pi1):
-        return ObstructionWitness(
-            PI1_NOT_SURJECTIVE,
-            (("cokernel", str(cokernel(pi1))), ("matrix", pi1.matrix.to_json())),
-            f"the induced map on K1 has cokernel {cokernel(pi1)}, so it is "
-            "not surjective and admits no section.",
-        )
-    if right_inverse_exists(pi0) is None:
-        return ObstructionWitness(
-            NO_SECTION_0,
-            (("matrix", pi0.matrix.to_json()),),
-            "the induced map on K0 is surjective but has no group-theoretic "
-            "right inverse.",
-        )
-    if right_inverse_exists(pi1) is None:
-        return ObstructionWitness(
-            NO_SECTION_1,
-            (("matrix", pi1.matrix.to_json()),),
-            "the induced map on K1 is surjective but has no group-theoretic "
-            "right inverse.",
-        )
-    extra = a.unit.order() != inf and b.unit.order() != inf
-    if extra and not tor00.is_trivial:
-        # unreachable after the Tor clause above; kept as a safety net
-        return ObstructionWitness(
-            EXTRA_Z_BLOCKED,
-            (("tor_k0a_k0b", str(tor00)),),
-            "the extra Z summand of K1 of the unital free product maps into "
-            f"the nonzero torsion group {tor00} and can only split if that "
-            "restriction vanishes.",
-        )
+def _map_level_witness(an: PairAnalysis):
+    """Surjectivity and section failures of the induced maps, or None.
+
+    The extra Z summand needs no check here: it maps into
+    Tor(K0A, K0B), and the Tor clause of ``basic_obstructions`` has
+    already fired whenever that group is nonzero.
+    """
+    pi0, pi1 = an.pi0, an.pi1
+    for pi, degree, clause in ((pi0, 0, PI0_NOT_SURJECTIVE), (pi1, 1, PI1_NOT_SURJECTIVE)):
+        coker = cokernel(pi)
+        if not coker.is_trivial:
+            return ObstructionWitness(
+                clause,
+                (("cokernel", str(coker)), ("matrix", pi.matrix.to_json())),
+                f"the induced map on K{degree} has cokernel {coker}, so it is "
+                "not surjective and admits no section.",
+            )
+    for pi, degree, clause in ((pi0, 0, NO_SECTION_0), (pi1, 1, NO_SECTION_1)):
+        if right_inverse_exists(pi) is None:
+            return ObstructionWitness(
+                clause,
+                (("matrix", pi.matrix.to_json()),),
+                f"the induced map on K{degree} is surjective but has no "
+                "group-theoretic right inverse.",
+            )
     return None
 
 
-def first_witness(a: KInvariant, b: KInvariant):
+def first_witness(an: PairAnalysis):
     """The first obstruction in reporting order, or None if all checks pass."""
-    ws = basic_obstructions(a, b)
+    ws = basic_obstructions(an.a, an.b)
     if ws:
         return ws[0]
-    return _map_level_witness(a, b)
+    return _map_level_witness(an)
 
 
 def _group_params(a: KInvariant, b: KInvariant):
@@ -376,6 +360,13 @@ def classify(a: KInvariant, b: KInvariant) -> Verdict:
     >>> classify(m2, m3).outcome
     'PossibleCaseIII'
     """
+    return classify_analysis(PairAnalysis(a, b))
+
+
+def classify_analysis(an: PairAnalysis) -> Verdict:
+    """:func:`classify` on the pair of ``an``, reading the induced maps
+    from it; the maps are built only when a map-level check runs."""
+    a, b = an.a, an.b
     if not (a.finitely_generated and b.finitely_generated):
         return Verdict(
             NOT_APPLICABLE,
@@ -395,7 +386,7 @@ def classify(a: KInvariant, b: KInvariant) -> Verdict:
                 ("variant", "both_finite"),
             )
             return Verdict(POSSIBLE_CASE_II, parameters=params)
-        w = first_witness(a, b)
+        w = first_witness(an)
         if w is None:
             raise AssertionError("finite non-coprime pair without a witness")
         return Verdict(OBSTRUCTED, witness=w)
@@ -411,7 +402,7 @@ def classify(a: KInvariant, b: KInvariant) -> Verdict:
         # One side has wholly finite K-theory (possibly trivial) while
         # the other does not.  The coarse case patterns do not separate
         # these, so the verdict follows the full obstruction battery.
-        w = first_witness(a, b)
+        w = first_witness(an)
         if w is not None:
             return Verdict(OBSTRUCTED, witness=w)
         params = _group_params(a, b) + (
@@ -435,7 +426,7 @@ def classify(a: KInvariant, b: KInvariant) -> Verdict:
             iv_params = m + _group_params(x, y) + (("role_a", role),)
             break
 
-    w = first_witness(a, b)
+    w = first_witness(an)
     if w is not None:
         return Verdict(OBSTRUCTED, witness=w)
     if iv_params is not None:
@@ -454,12 +445,16 @@ def section_exists_k(a: KInvariant, b: KInvariant, mode: str = "unital"):
     group Tor(K0A, K0B) vanishes, which forces the restriction to be
     zero.
     """
+    return section_exists_analysis(PairAnalysis(a, b), mode)
+
+
+def section_exists_analysis(an: PairAnalysis, mode: str = "unital"):
+    """:func:`section_exists_k` on the pair of ``an``."""
     if mode == "unital":
-        pi0, pi1, tor00 = pi_star(a, b)
-        extra = a.unit.order() != inf and b.unit.order() != inf
-        extra_ok = (not extra) or tor00.is_trivial
+        pi0, pi1 = an.pi0, an.pi1
+        extra_ok = (not an.extra_z) or an.tor00.is_trivial
     elif mode == "full":
-        pi0, pi1 = pi_star_full(a, b)
+        pi0, pi1 = an.lifted_pi0, an.pi1
         extra_ok = True
     else:
         raise ValueError(f"mode must be 'unital' or 'full', got {mode!r}")
@@ -471,12 +466,13 @@ def section_exists_k(a: KInvariant, b: KInvariant, mode: str = "unital"):
 def iso_remark_check(a: KInvariant, b: KInvariant) -> bool:
     """For a pair classified PossibleCaseI/III/IV: are both induced maps
     bijective?  Raises if the precondition fails."""
-    v = classify(a, b)
+    an = PairAnalysis(a, b)
+    v = classify_analysis(an)
     if v.outcome not in (POSSIBLE_CASE_I, POSSIBLE_CASE_III, POSSIBLE_CASE_IV):
         raise ValueError(
             f"isomorphism check applies to case I/III/IV verdicts, got {v.outcome}"
         )
-    pi0, pi1, _ = pi_star(a, b)
+    pi0, pi1 = an.pi0, an.pi1
     return (
         is_surjective(pi0)
         and is_injective(pi0)

@@ -3,6 +3,19 @@
 import io
 import json
 
+import pytest
+
+from kobstruct import (
+    GroupHom,
+    classify,
+    compose,
+    kunneth,
+    pi_star,
+    pi_star_full,
+    section_exists_k,
+    unital_free_product_k,
+)
+from kobstruct.catalog import MAX_INDEX_DIGITS, MAX_NESTING
 from kobstruct.cli import (
     EXIT_ERROR,
     EXIT_NOT_FG,
@@ -152,3 +165,94 @@ def test_output_determinism():
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+def test_deep_parenthesis_nest_is_an_expression_error():
+    deep = "(" * 2000 + "C" + ")" * 2000
+    code, out, err = run_cli("kgroups", deep)
+    assert code == EXIT_ERROR and not out
+    assert "position" in err and f"deeper than {MAX_NESTING}" in err
+    limit = "(" * MAX_NESTING + "C" + ")" * MAX_NESTING
+    code, out, _ = run_cli("kgroups", limit)
+    assert code == EXIT_OK and "L = (Z, 0, [1])" in out
+
+
+def test_long_tensor_chain_evaluates():
+    code, out, err = run_cli("kgroups", " (x) ".join(["C"] * 3000))
+    assert code == EXIT_OK and not err
+    assert out.endswith("L = (Z, 0, [1])\n")
+
+
+def test_over_long_index_is_an_expression_error():
+    code, out, err = run_cli("kgroups", "O_2 (x) M_" + "7" * 5000)
+    assert code == EXIT_ERROR and not out
+    assert "at position 8" in err
+    assert "set_int_max_str_digits" not in err
+    code, out, _ = run_cli("kgroups", "M_" + "7" * MAX_INDEX_DIGITS)
+    assert code == EXIT_OK
+
+
+def test_shared_parser_keeps_no_state_between_calls():
+    code, out, _ = run_cli("classify", "M_2", "M_3", "--mode", "full", "--format", "json")
+    assert code == EXIT_OK and "sections" in json.loads(out)
+    code, out, _ = run_cli("classify", "M_2", "M_3", "--format", "json")
+    assert code == EXIT_OK and "sections" not in json.loads(out)
+    assert run_cli("classify", "M_2")[0] == EXIT_ERROR
+    assert run_cli("section", "M_2", "M_3", "--mode", "half")[0] == EXIT_ERROR
+    code, out, _ = run_cli("section", "M_2", "M_3")
+    assert code == EXIT_OK and "mode: unital" in out
+
+
+def _sections_json(report):
+    return {
+        "deg0": report.deg0.to_json() if report.deg0 else None,
+        "deg1": report.deg1.to_json() if report.deg1 else None,
+        "extra_z_ok": report.extra_z_ok,
+    }
+
+
+def _json(value):
+    return json.loads(json.dumps(value))
+
+
+@pytest.mark.parametrize("mode", ["unital", "full"])
+def test_classify_payload_matches_separate_public_calls(catalog, mode):
+    for name_a, a in catalog:
+        for name_b, b in catalog:
+            kun = kunneth(a, b)
+            pi0, pi1, _ = pi_star(a, b)
+            expected = {
+                "command": "classify",
+                "expr_a": name_a,
+                "expr_b": name_b,
+                "invariant_a": a.to_json(),
+                "invariant_b": b.to_json(),
+                "groups": {
+                    "unital_free_product": unital_free_product_k(a, b).to_json(),
+                    "tensor": {"k0": kun.k0.to_json(), "k1": kun.k1.to_json()},
+                },
+                "maps": {"pi0": pi0.to_json(), "pi1": pi1.to_json()},
+                "verdict": classify(a, b).to_json(),
+                "sections": {"mode": mode, **_sections_json(section_exists_k(a, b, mode))},
+            }
+            _, out, _ = run_cli("classify", name_a, name_b, "--mode", mode, "--format", "json")
+            assert json.loads(out) == _json(expected), (name_a, name_b)
+
+
+def test_section_full_payload_matches_separate_public_calls(catalog):
+    for name_a, a in catalog:
+        for name_b, b in catalog:
+            report = section_exists_k(a, b, "full")
+            expected = {
+                "command": "section",
+                "expr_a": name_a,
+                "expr_b": name_b,
+                "mode": "full",
+                "sections": _sections_json(report),
+            }
+            code, out, _ = run_cli("section", name_a, name_b, "--mode", "full", "--format", "json")
+            assert json.loads(out) == _json(expected), (name_a, name_b)
+            assert code == (EXIT_OK if report.all_clear else EXIT_OBSTRUCTED)
+            for s, f in zip(report[:2], pi_star_full(a, b)):
+                if s is not None:
+                    assert compose(s, f) == GroupHom.identity(f.target), (name_a, name_b)

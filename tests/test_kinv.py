@@ -26,7 +26,7 @@ from kobstruct.kinv import (
     K0B,
     K1A,
     K1B,
-    _unital_k0_data,
+    PairAnalysis,
 )
 
 Z = FgAbGroup(1)
@@ -216,14 +216,12 @@ def test_pi_star_o2_pair_trivial():
 
 def test_pi_star_kills_unit_relation(catalog):
     # the defining relation ([1_A], -[1_B]) maps to zero, exactly
-    from kobstruct.kinv import _lifted_pi0
-
     for _, a in catalog:
         for _, b in catalog:
-            _, _, _, proj_a, proj_b, rel, q, _, _ = _unital_k0_data(a, b)
-            kun = kunneth(a, b)
-            lifted = _lifted_pi0(a, b, kun, proj_a, proj_b)
-            assert lifted(rel).is_zero
+            an = PairAnalysis(a, b)
+            q, _, _ = an.unital_quotient
+            assert an.lifted_pi0(an.unit_relation).is_zero
+            assert an.tensor == kunneth(a, b)
             pi0, _, _ = pi_star(a, b)
             assert pi0.source == q == unital_free_product_k(a, b).k0
 
@@ -233,7 +231,7 @@ def test_pi_star_full_factorizes(catalog):
         for _, b in catalog[:10]:
             pi0, pi1, _ = pi_star(a, b)
             f0, f1 = pi_star_full(a, b)
-            _, _, _, _, _, _, _, proj_q, _ = _unital_k0_data(a, b)
+            _, proj_q, _ = PairAnalysis(a, b).unital_quotient
             assert compose(proj_q, pi0) == f0
             assert pi1 == f1
 
@@ -257,7 +255,7 @@ def test_pi_star_formula_against_hand_lift():
     # spot check: on (M_2, M_3) the lifted degree-0 map is (x, y) -> 3x + 2y
     a, b = evaluate("M_2"), evaluate("M_3")
     f0, _ = pi_star_full(a, b)
-    s0, inj_a, inj_b, _, _, _, _, _, _ = _unital_k0_data(a, b)
+    _, (inj_a, inj_b), _ = PairAnalysis(a, b).k0_sum
     x = f0(inj_a(a.k0.element((1,))))
     y = f0(inj_b(b.k0.element((1,))))
     assert abs(x.coords[0]) == 3 and abs(y.coords[0]) == 2
