@@ -27,7 +27,7 @@ from .catalog import (
     UnsupportedNestingError,
     evaluate,
 )
-from .fgab import FgAbGroup, GroupHom, cokernel, compose
+from .fgab import FgAbGroup, GroupHom, cokernel, compose, quotient_by
 from .kinv import KInvariant, KPair, PairAnalysis, kunneth, unital_free_product_k
 from .obstruct import (
     OBSTRUCTED,
@@ -67,11 +67,10 @@ def _kpair_lines(kp: KPair) -> list[str]:
 
 def _cmd_kgroups(args, out) -> int:
     result = evaluate(args.expr)
+    payload = {"command": "kgroups", "expr": args.expr, "result": result.to_json()}
     if isinstance(result, KInvariant):
-        payload = {"command": "kgroups", "expr": args.expr, "result": result.to_json()}
         lines = [f"expr: {args.expr}", f"L = {result}"]
     else:
-        payload = {"command": "kgroups", "expr": args.expr, "result": result.to_json()}
         lines = [f"expr: {args.expr}"] + _kpair_lines(result)
     _emit(payload, lines, args.format, out)
     return EXIT_OK
@@ -164,18 +163,18 @@ def _cmd_classify(args, out) -> int:
 def _cmd_section(args, out) -> int:
     an = _analysis(args)
     a, b = an.a, an.b
-    report = section_exists_analysis(an, args.mode or "unital")
+    report = section_exists_analysis(an, args.mode)
     payload = {
         "command": "section",
         "expr_a": args.expr_a,
         "expr_b": args.expr_b,
-        "mode": args.mode or "unital",
+        "mode": args.mode,
         "sections": _section_payload(report),
     }
     lines = (
         _invariant_lines(f"A = {args.expr_a}", a)
         + _invariant_lines(f"B = {args.expr_b}", b)
-        + [f"mode: {args.mode or 'unital'}"]
+        + [f"mode: {args.mode}"]
         + _section_lines(report)
     )
     _emit(payload, lines, args.format, out)
@@ -199,11 +198,14 @@ def _ex_mn_same():
     for n in (2, 3, 4, 6):
         an = PairAnalysis(evaluate(f"M_{n}"), evaluate(f"M_{n}"))
         v = classify_analysis(an)
-        coker = cokernel(an.pi0)
+        pi0 = an.pi0
+        coker = cokernel(pi0)
         good = (
             v.outcome == OBSTRUCTED
             and v.witness.clause == obstruct.PI0_NOT_SURJECTIVE
             and coker == FgAbGroup(0, (n,))
+            and abs(pi0.matrix[0, 0]) == n
+            and pi0.matrix[0, 1] % n == 0
         )
         ok = ok and good
         details.append(f"n={n}: {v.outcome}, coker={coker}")
@@ -215,10 +217,15 @@ def _ex_m2_m3():
     v = classify_analysis(an)
     s = section_exists_analysis(an, "unital").deg0
     pi0 = an.pi0
+    z2 = FgAbGroup(2)
+    _, proj = quotient_by(z2, z2.element((2, -3)))
     ok = (
         v.outcome == obstruct.POSSIBLE_CASE_III
+        and v.parameters_dict()["u"] == 2
+        and v.parameters_dict()["w"] == 3
         and s is not None
         and compose(s, pi0) == GroupHom.identity(pi0.target)
+        and s(pi0.target.element((1,))) == proj(z2.element((1, -1)))
     )
     return ok, f"verdict {v.outcome}, section {s.matrix.to_json() if s else None}"
 
@@ -245,9 +252,8 @@ def _ex_cuntz_gcd():
     for m in range(2, 13):
         for n in range(2, 13):
             v = classify(evaluate(f"O_{m}"), evaluate(f"O_{n}"))
-            want = gcd(m - 1, n - 1) == 1
-            got = v.outcome == obstruct.POSSIBLE_CASE_II
-            if want != got:
+            want = obstruct.POSSIBLE_CASE_II if gcd(m - 1, n - 1) == 1 else OBSTRUCTED
+            if v.outcome != want:
                 ok = False
                 bad.append((m, n))
     return ok, "all pairs 2<=m,n<=12 agree" if ok else f"mismatches: {bad}"

@@ -5,7 +5,8 @@ integer matrix, computed exactly with Python's unbounded integers.  On
 top of it sit canonical invariant-factor forms, group elements with
 reduced coordinates, integer-matrix homomorphisms, tensor and Tor,
 quotients, and solvers for divisibility and section (right inverse)
-problems.
+problems.  The solvers share one routine for integer systems modulo a
+lattice, ``_solve_mod``.
 
 Conventions
 -----------
@@ -333,28 +334,45 @@ def smith_normal_form(m: IntMatrix):
     )
 
 
-def _solve_linear(rows: list[list[int]], rhs: list[int], unknowns: int):
-    """One integer solution x of (rows) @ x = rhs, or None.
+def _solve_mod(a: IntMatrix, rel: IntMatrix, rhs_list):
+    """Solve a @ x = b modulo the column span of ``rel``, for each b.
 
-    ``rows`` is a dense list of equation rows, each of length
-    ``unknowns``; solved exactly through the Smith normal form.
+    One Smith normal form d = u [a | rel] v serves every right-hand
+    side: [a | rel] (x, y) = b has an integer solution exactly when each
+    entry of c = u b is divisible by the matching diagonal entry of d
+    (zero where that entry is zero or absent), and then (x, y) = v c'
+    with c'_i = c_i / d_ii.  Yields one entry per right-hand side, in
+    order and only as far as the caller reads: the a.cols entries of x,
+    or None when there is no solution.
     """
-    m = IntMatrix(rows, cols=unknowns)
+    m = a.hstack(rel)
     u, d, v = smith_normal_form(m)
-    c = u @ tuple(rhs) if m.rows else ()
-    y = [0] * unknowns
-    for i in range(m.rows):
-        di = d[i, i] if i < unknowns else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-    if unknowns == 0:
-        return []
-    return list(v @ tuple(y))
+    for rhs in rhs_list:
+        c = u @ tuple(rhs)
+        y = [0] * m.cols
+        for i in range(m.rows):
+            di = d[i, i] if i < m.cols else 0
+            if (c[i] % di if di else c[i]) != 0:
+                y = None
+                break
+            if di:
+                y[i] = c[i] // di
+        yield None if y is None else list(v @ tuple(y))[: a.cols]
+
+
+def _scalar(d, n):
+    """d times the n x n identity."""
+    return IntMatrix([[d * (r == c) for c in range(n)] for r in range(n)], cols=n)
+
+
+def _block_diag(blocks):
+    """The matrix with ``blocks`` down its diagonal and zeros elsewhere."""
+    cols = sum(b.cols for b in blocks)
+    rows, left = [], 0
+    for b in blocks:
+        rows += [[0] * left + list(row) + [0] * (cols - left - b.cols) for row in b.data]
+        left += b.cols
+    return IntMatrix(rows, cols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +702,6 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 # Presentations and canonical forms
 
 
-@lru_cache(maxsize=None)
 def _canonicalize_full(generators: int, relations: IntMatrix):
     """Canonical form of Z^generators / columnspan(relations).
 
@@ -916,47 +933,22 @@ def is_injective(f: GroupHom) -> bool:
     return True
 
 
-def _section_column(f: GroupHom, j: int):
-    """An admissible image for the j-th target generator under a section
-    of f, or None.  Solves f(x) = e_j together with the torsion
-    condition d_j * x = 0 when generator j has finite order d_j."""
-    g, h = f.source, f.target
-    sg = g.ngens
-    rel_g, rel_h = g.relation_matrix(), h.relation_matrix()
-    kg, kh = rel_g.cols, rel_h.cols
-    d = 0 if j < h.rank else h.torsion[j - h.rank]
-    total = sg + kh + (kg if d else 0)
-    rows = []
-    rhs = []
-    for p in range(h.ngens):
-        row = [0] * total
-        for r in range(sg):
-            row[r] = f.matrix[p, r]
-        for c in range(kh):
-            row[sg + c] = rel_h[p, c]
-        rows.append(row)
-        rhs.append(1 if p == j else 0)
-    if d:
-        for r in range(sg):
-            row = [0] * total
-            row[r] = d
-            for c in range(kg):
-                row[sg + kh + c] = rel_g[r, c]
-            rows.append(row)
-            rhs.append(0)
-    sol = _solve_linear(rows, rhs, total)
-    return None if sol is None else sol[:sg]
-
-
 def constrained_section_exists(f: GroupHom, constraints=()):
     """A right inverse s of f with prescribed extra images, if one exists.
 
     Each constraint is a pair (t, w) with t in f.target and w in
     f.source; the returned hom satisfies f . s = id and s(t) = w for
-    every constraint.  Decided exactly over the integers: without
-    constraints the section conditions decouple and are solved one
-    target generator at a time; constraints tie the columns together
-    into one joint linear system in the unknown matrix entries of s.
+    every constraint.  Decided exactly over the integers by ``_solve_mod``.
+
+    Without constraints the columns of s decouple: column j solves
+    f(x) = e_j modulo the relations of f.target, and, when generator j
+    has finite order d, also d * x = 0 modulo the relations of f.source,
+    i.e. the system [[f, R_h, 0], [d*I, 0, R_g]].  Generators of the same
+    order share that matrix, so each order takes one Smith normal form.
+    Constraints tie the columns together into one joint system whose
+    unknowns are the entries of s column-major, then one relation block
+    per equation: the section equations, the torsion conditions, and
+    the constraints, in that order.
     """
     g, h = f.source, f.target
     pairs = []
@@ -967,75 +959,56 @@ def constrained_section_exists(f: GroupHom, constraints=()):
             raise GroupMismatchError("constraint image lies outside f.source")
         pairs.append((t, w))
 
-    if not pairs:
-        cols = []
-        for j in range(h.ngens):
-            col = _section_column(f, j)
-            if col is None:
-                return None
-            cols.append(col)
-        return GroupHom(h, g, IntMatrix.from_columns(cols, g.ngens))
-
     sg, hg = g.ngens, h.ngens
-    rel_g = g.relation_matrix()
-    rel_h = h.relation_matrix()
-    kg, kh = rel_g.cols, rel_h.cols
+    rel_g, rel_h = g.relation_matrix(), h.relation_matrix()
+    orders = [0] * h.rank + list(h.torsion)
+    basis = _scalar(1, hg).data
+    if not pairs:
+        # orders ascend with j, so the columns come out in generator order
+        cols = []
+        for d in sorted(set(orders)):
+            if d:
+                a = IntMatrix(f.matrix.data + _scalar(d, sg).data, cols=sg)
+                rel = _block_diag([rel_h, rel_g])
+            else:
+                a, rel = f.matrix, rel_h
+            rhs = [basis[j] + (0,) * (a.rows - hg) for j in range(hg) if orders[j] == d]
+            for col in _solve_mod(a, rel, rhs):
+                if col is None:
+                    return None
+                cols.append(col)
+        return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
 
-    # unknowns: s entries column-major, then one relation-multiplier block
-    # per section equation, torsion condition, and constraint
-    off_y = sg * hg
-    off_z = off_y + hg * kh
-    off_w = off_z + len(h.torsion) * kg
-    total = off_w + len(pairs) * kg
-
+    # s(t) = w is row r: sum_j t_j s[r, j] = w_r, the entries s[r, j]
+    # sitting at r, r + sg, ... in the column-major unknowns; the torsion
+    # condition d_j * s(e_j) = 0 is the same with t = d_j e_j and w = 0
+    ties = [([orders[j] * e for e in basis[j]], (0,) * sg) for j in range(h.rank, hg)]
+    ties += [(t.coords, w.coords) for t, w in pairs]
     rows = []
-    rhs = []
-
-    def s_index(row, col):
-        return col * sg + row
-
-    # f(s(e_j)) = e_j in h, for every target generator j
     for j in range(hg):
         for p in range(hg):
-            row = [0] * total
-            for r in range(sg):
-                row[s_index(r, j)] = f.matrix[p, r]
-            for c in range(kh):
-                row[off_y + j * kh + c] = rel_h[p, c]
+            row = [0] * (sg * hg)
+            row[j * sg : (j + 1) * sg] = f.matrix.row(p)
             rows.append(row)
-            rhs.append(1 if p == j else 0)
-
-    # d_j * s(e_j) = 0 in g, for every torsion generator j of h
-    for tix, d in enumerate(h.torsion):
-        j = h.rank + tix
+    for t, _ in ties:
         for r in range(sg):
-            row = [0] * total
-            row[s_index(r, j)] = d
-            for c in range(kg):
-                row[off_z + tix * kg + c] = rel_g[r, c]
+            row = [0] * (sg * hg)
+            row[r::sg] = t
             rows.append(row)
-            rhs.append(0)
-
-    # s(t) = w for every constraint
-    for cix, (t, w) in enumerate(pairs):
-        for r in range(sg):
-            row = [0] * total
-            for j in range(hg):
-                row[s_index(r, j)] = t.coords[j]
-            for c in range(kg):
-                row[off_w + cix * kg + c] = rel_g[r, c]
-            rows.append(row)
-            rhs.append(w.coords[r])
-
-    sol = _solve_linear(rows, rhs, total)
+    rel = _block_diag([rel_h] * hg + [rel_g] * len(ties))
+    rhs = [e for row in basis for e in row] + [e for _, w in ties for e in w]
+    (sol,) = _solve_mod(IntMatrix(rows, cols=sg * hg), rel, [rhs])
     if sol is None:
         return None
-    cols = [[sol[s_index(r, j)] for r in range(sg)] for j in range(hg)]
+    cols = [sol[j * sg : (j + 1) * sg] for j in range(hg)]
     return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
 
 
 def right_inverse_exists(f: GroupHom):
     """A hom s with f . s = id on f.target, or None if none exists.
+
+    The unconstrained case of :func:`constrained_section_exists`: one
+    Smith normal form per distinct order of the target generators.
 
     >>> z = FgAbGroup(1)
     >>> right_inverse_exists(GroupHom(z, FgAbGroup(0, (2,)), IntMatrix([[1]]))) is None
@@ -1047,6 +1020,9 @@ def right_inverse_exists(f: GroupHom):
 def solve_divisibility(g: FgAbGroup, target: GroupElement, n: int):
     """An element x of g with n*x = target, or None.
 
+    Solves n * x = target modulo the relations of g, the system
+    [n*I | R_g], through ``_solve_mod``.
+
     >>> z = FgAbGroup(1)
     >>> solve_divisibility(z, z.element((6,)), 2).coords
     (3,)
@@ -1057,16 +1033,5 @@ def solve_divisibility(g: FgAbGroup, target: GroupElement, n: int):
         raise GroupMismatchError("target element is not in the group")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    rel = g.relation_matrix()
-    sg, kg = g.ngens, rel.cols
-    rows = []
-    for r in range(sg):
-        row = [0] * (sg + kg)
-        row[r] = n
-        for c in range(kg):
-            row[sg + c] = rel[r, c]
-        rows.append(row)
-    sol = _solve_linear(rows, list(target.coords), sg + kg)
-    if sol is None:
-        return None
-    return GroupElement(g, sol[:sg])
+    (sol,) = _solve_mod(_scalar(n, g.ngens), g.relation_matrix(), [target.coords])
+    return None if sol is None else GroupElement(g, sol)

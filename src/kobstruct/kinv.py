@@ -23,6 +23,7 @@ from .fgab import (
     IntMatrix,
     compose,
     direct_sum_many,
+    right_inverse_exists,
     tensor,
     tensor_elem,
     tor,
@@ -350,6 +351,21 @@ class PairAnalysis:
             [kun.summands[K0A_K1B](tensor_elem(a.unit, g)) for g in b.k1.generators()],
         )
         return compose(proj_a1, ga) + compose(proj_b1, gb)
+
+    @cached_property
+    def section0(self):
+        """A section (right inverse) of pi0, or None if it has none."""
+        return right_inverse_exists(self.pi0)
+
+    @cached_property
+    def section1(self):
+        """A section of pi1, or None if it has none."""
+        return right_inverse_exists(self.pi1)
+
+    @cached_property
+    def lifted_section0(self):
+        """A section of lifted_pi0, or None if it has none."""
+        return right_inverse_exists(self.lifted_pi0)
 
     @cached_property
     def tor00(self) -> FgAbGroup:

@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, inf
+from typing import NamedTuple
 
 from .fgab import (
     FgAbGroup,
     GroupElement,
+    GroupHom,
     GroupMismatchError,
     cokernel,
     constrained_section_exists,
@@ -35,7 +37,6 @@ from .fgab import (
     is_injective,
     is_surjective,
     quotient_by,
-    right_inverse_exists,
     solve_divisibility,
     tensor,
     tor,
@@ -159,17 +160,12 @@ class Verdict:
         }
 
 
-class SectionReport(tuple):
+class SectionReport(NamedTuple):
     """Named triple (deg0, deg1, extra_z_ok) from section_exists_k."""
 
-    __slots__ = ()
-
-    def __new__(cls, deg0, deg1, extra_z_ok):
-        return super().__new__(cls, (deg0, deg1, extra_z_ok))
-
-    deg0 = property(lambda self: self[0])
-    deg1 = property(lambda self: self[1])
-    extra_z_ok = property(lambda self: self[2])
+    deg0: GroupHom | None
+    deg1: GroupHom | None
+    extra_z_ok: bool
 
     @property
     def all_clear(self):
@@ -258,7 +254,7 @@ def _map_level_witness(an: PairAnalysis):
                 "not surjective and admits no section.",
             )
     for pi, degree, clause in ((pi0, 0, NO_SECTION_0), (pi1, 1, NO_SECTION_1)):
-        if right_inverse_exists(pi) is None:
+        if getattr(an, f"section{degree}") is None:
             return ObstructionWitness(
                 clause,
                 (("matrix", pi.matrix.to_json()),),
@@ -449,18 +445,14 @@ def section_exists_k(a: KInvariant, b: KInvariant, mode: str = "unital"):
 
 
 def section_exists_analysis(an: PairAnalysis, mode: str = "unital"):
-    """:func:`section_exists_k` on the pair of ``an``."""
+    """:func:`section_exists_k` on the pair of ``an``, reading the
+    sections that :func:`classify_analysis` may already have solved."""
     if mode == "unital":
-        pi0, pi1 = an.pi0, an.pi1
         extra_ok = (not an.extra_z) or an.tor00.is_trivial
-    elif mode == "full":
-        pi0, pi1 = an.lifted_pi0, an.pi1
-        extra_ok = True
-    else:
-        raise ValueError(f"mode must be 'unital' or 'full', got {mode!r}")
-    return SectionReport(
-        right_inverse_exists(pi0), right_inverse_exists(pi1), extra_ok
-    )
+        return SectionReport(an.section0, an.section1, extra_ok)
+    if mode == "full":
+        return SectionReport(an.lifted_section0, an.section1, True)
+    raise ValueError(f"mode must be 'unital' or 'full', got {mode!r}")
 
 
 def iso_remark_check(a: KInvariant, b: KInvariant) -> bool:

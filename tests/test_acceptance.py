@@ -9,7 +9,6 @@ import io
 import itertools
 import json
 import random
-from math import gcd
 
 from kobstruct import (
     FgAbGroup,
@@ -17,32 +16,27 @@ from kobstruct import (
     case_ii_k_check,
     classify,
     compose,
-    ex4_no_scaled_section,
     iso_remark_check,
-    kunneth,
-    m_oo_unit_divisibility,
-    pi_star,
-    quotient_by,
     right_inverse_exists,
     section_exists_k,
     smith_normal_form,
-    unital_free_product_k,
 )
-from kobstruct import cokernel
-from kobstruct.catalog import evaluate
-from kobstruct.cli import EXIT_ERROR, EXIT_NOT_FG, EXIT_OBSTRUCTED, EXIT_OK, main
+from kobstruct.cli import (
+    _EXAMPLES,
+    EXIT_ERROR,
+    EXIT_NOT_FG,
+    EXIT_OBSTRUCTED,
+    EXIT_OK,
+    main,
+)
 from kobstruct.obstruct import (
-    K1_TENSOR_NONZERO,
     NO_SECTION_0,
     NO_SECTION_1,
-    OBSTRUCTED,
     PI0_NOT_SURJECTIVE,
     PI1_NOT_SURJECTIVE,
     POSSIBLE_CASE_I,
-    POSSIBLE_CASE_II,
     POSSIBLE_CASE_III,
     POSSIBLE_CASE_IV,
-    RANK_INEQUALITY,
 )
 from conftest import (
     exhaustive_section_exists,
@@ -58,88 +52,50 @@ def _ok(label, text):
 
 
 # ---------------------------------------------------------------------------
-# Criterion 1: the golden example suite (exact equality everywhere)
+# Criterion 1: the golden example suite (exact equality everywhere).  The
+# checks live in one table, ``cli._EXAMPLES``, which ``kobstruct
+# paper-examples`` replays; each test here runs its items from it.
+
+_RUNNERS = {ident: runner for ident, _, runner in _EXAMPLES}
+
+
+def _golden(*idents):
+    for ident in idents:
+        passed, detail = _RUNNERS[ident]()
+        assert passed, (ident, detail)
+        _ok(ident, detail)
 
 
 def test_1a_two_point_algebras_rank_obstruction():
-    c2 = evaluate("C^2")
-    v = classify(c2, c2)
-    assert v.outcome == OBSTRUCTED
-    assert v.witness.clause == RANK_INEQUALITY
-    _ok("1a", "classify(C^2, C^2) = Obstructed/RankInequality")
+    _golden("c2-rank")
 
 
 def test_1b_equal_matrix_algebras_multiplication_by_n():
-    for n in (2, 3, 4, 6):
-        mn = evaluate(f"M_{n}")
-        v = classify(mn, mn)
-        assert v.outcome == OBSTRUCTED
-        assert v.witness.clause == PI0_NOT_SURJECTIVE
-        pi0, _, _ = pi_star(mn, mn)
-        assert cokernel(pi0) == FgAbGroup(0, (n,))
-        assert abs(pi0.matrix[0, 0]) == n and pi0.matrix[0, 1] % n == 0
-    _ok("1b", "classify(M_n, M_n) obstructed by multiplication-by-n, n in {2,3,4,6}")
+    _golden("mn-same")
 
 
 def test_1c_m2_m3_case_iii_with_section():
-    a, b = evaluate("M_2"), evaluate("M_3")
-    v = classify(a, b)
-    assert v.outcome == POSSIBLE_CASE_III
-    assert v.parameters_dict()["u"] == 2 and v.parameters_dict()["w"] == 3
-    rep = section_exists_k(a, b, "unital")
-    pi0, _, _ = pi_star(a, b)
-    s = rep.deg0
-    assert s is not None
-    assert compose(s, pi0) == GroupHom.identity(pi0.target)
-    z2 = FgAbGroup(2)
-    _, proj = quotient_by(z2, z2.element((2, -3)))
-    assert s(pi0.target.element((1,))) == proj(z2.element((1, -1)))
-    _ok("1c", "classify(M_2, M_3) = PossibleCaseIII; solver recovers n -> [(n, -n)]")
+    _golden("m2-m3")
 
 
 def test_1d_unit_divisibility_witnesses():
-    x = m_oo_unit_divisibility(2, 3)
-    assert x is not None
-    kp = unital_free_product_k(evaluate("M_2(Oinf)"), evaluate("M_3(Oinf)"))
-    assert 6 * x == kp.unit
-    assert m_oo_unit_divisibility(2, 4) is None
-    _ok("1d", "unit divisibility: (2,3) gives 6x = [1]; (2,4) has no witness")
+    _golden("m-oinf-unit")
 
 
 def test_1e_two_projection_scale_example():
-    w = ex4_no_scaled_section()
-    assert w.clause == NO_SECTION_0
-    _ok("1e", "scale-constrained section of Z^4 -> Z^4/<(1,1,-1,-1)> refuted")
+    _golden("ex4")
 
 
 def test_1f_cuntz_gcd_boundary():
-    for m in range(2, 13):
-        for n in range(2, 13):
-            v = classify(evaluate(f"O_{m}"), evaluate(f"O_{n}"))
-            if gcd(m - 1, n - 1) == 1:
-                assert v.outcome == POSSIBLE_CASE_II, (m, n, v.outcome)
-            else:
-                assert v.outcome == OBSTRUCTED, (m, n, v.outcome)
-    _ok("1f", "classify(O_m, O_n) = PossibleCaseII iff gcd(m-1, n-1) = 1, 2 <= m,n <= 12")
+    _golden("cuntz-gcd")
 
 
 def test_1g_torus_pair_k1_tensor():
-    ct = evaluate("CT")
-    v = classify(ct, ct)
-    assert v.outcome == OBSTRUCTED
-    assert v.witness.clause == K1_TENSOR_NONZERO
-    _ok("1g", "classify(C(T), C(T)) = Obstructed/K1TensorNonzero")
+    _golden("torus-k1")
 
 
-def test_1h_tensor_absorption(catalog):
-    kp = kunneth(evaluate("O_2"), evaluate("O_2"))
-    assert kp.k0.is_trivial and kp.k1.is_trivial and kp.unit.is_zero
-    oinf = evaluate("Oinf")
-    for name, x in catalog:
-        for left, right in ((oinf, x), (x, oinf)):
-            kp = kunneth(left, right)
-            assert kp.k0 == x.k0 and kp.k1 == x.k1 and kp.unit == x.unit, name
-    _ok("1h", "L(O_2 (x) O_2) = (0,0,0); L(Oinf (x) X) = L(X) across the catalog")
+def test_1h_tensor_absorption():
+    _golden("o2-absorb", "oinf-absorb")
 
 
 # ---------------------------------------------------------------------------

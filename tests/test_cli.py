@@ -15,6 +15,7 @@ from kobstruct import (
     section_exists_k,
     unital_free_product_k,
 )
+from kobstruct import fgab, kinv, obstruct
 from kobstruct.catalog import MAX_INDEX_DIGITS, MAX_NESTING
 from kobstruct.cli import (
     EXIT_ERROR,
@@ -256,3 +257,25 @@ def test_section_full_payload_matches_separate_public_calls(catalog):
             for s, f in zip(report[:2], pi_star_full(a, b)):
                 if s is not None:
                     assert compose(s, f) == GroupHom.identity(f.target), (name_a, name_b)
+
+
+@pytest.mark.parametrize("mode", ["unital", "full"])
+def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
+    # classify's map-level checks and the section report read the same
+    # sections, so no induced map of a command reaches the solver twice
+    solve = fgab.right_inverse_exists
+    solved = []
+
+    def counting(f):
+        solved.append(f)
+        return solve(f)
+
+    for module in (fgab, kinv, obstruct):
+        if hasattr(module, "right_inverse_exists"):
+            monkeypatch.setattr(module, "right_inverse_exists", counting)
+    for name_a, _ in catalog:
+        for name_b, _ in catalog:
+            solved.clear()
+            run_cli("classify", name_a, name_b, "--mode", mode)
+            assert solved, (name_a, name_b)
+            assert len({id(f) for f in solved}) == len(solved), (name_a, name_b)

@@ -30,6 +30,7 @@ from conftest import (
     is_unimodular,
     minors_gcd_diagonal,
     random_element,
+    random_hom,
     random_unimodular,
 )
 
@@ -219,13 +220,11 @@ def test_quotient_kernel_is_generated_by_x():
 
 def _solve_multiple(g, x, target):
     """Find k with k * x = target, via a one-unknown linear system."""
-    rel = g.relation_matrix()
-    rows = []
-    for r in range(g.ngens):
-        rows.append([x.coords[r]] + list(rel.row(r)))
-    from kobstruct.fgab import _solve_linear
+    from kobstruct.fgab import _solve_mod
 
-    return _solve_linear(rows, list(target.coords), 1 + rel.cols)
+    column = IntMatrix.from_columns([x.coords], g.ngens)
+    (sol,) = _solve_mod(column, g.relation_matrix(), [target.coords])
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +410,27 @@ def test_constrained_section_examples():
 
     with pytest.raises(GroupMismatchError):
         constrained_section_exists(proj, [(Z.element((1,)), z4.generator(0))])
+
+
+def test_joint_and_grouped_section_paths_agree():
+    # With no constraint the section is solved one group of same-order
+    # target generators at a time; the trivial constraint s(0) = 0 sends
+    # it through the joint system instead.  The enumeration oracles cover
+    # finite groups only, so both sides here have free rank.
+    rng = random.Random(31)
+    found = 0
+    for _ in range(300):
+        g = FgAbGroup(rng.randint(1, 3), [rng.choice((2, 3, 4, 6)) for _ in range(rng.randrange(0, 3))])
+        h = FgAbGroup(rng.randint(1, 2), [rng.choice((2, 3, 4, 6)) for _ in range(rng.randrange(0, 2))])
+        f = random_hom(rng, g, h)
+        grouped = right_inverse_exists(f)
+        joint = constrained_section_exists(f, [(h.zero(), g.zero())])
+        assert (grouped is None) == (joint is None), (g, h, f.matrix)
+        for s in (grouped, joint):
+            if s is not None:
+                assert compose(s, f) == GroupHom.identity(h), (g, h, f.matrix)
+        found += grouped is not None
+    assert found >= 30
 
 
 def test_solve_divisibility_examples():
