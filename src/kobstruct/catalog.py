@@ -378,33 +378,55 @@ _ATOM_NAMES = {
 }
 
 
+# Binding strength for printing: leaves, then (x), then (*) and (*C).
+_OPS = {Tensor: ("(x)", 2), FreeProd: ("(*)", 1), UnitalFreeProd: ("(*C)", 1)}
+_LEAF = 3
+
+
+def _print_leaf(expr) -> str:
+    if isinstance(expr, Literal):
+        return json.dumps(expr.invariant.to_json(), sort_keys=True, separators=(",", ":"))
+    if expr.kind == "O":
+        return f"O_{expr.param}"
+    if expr.kind == "M":
+        return f"M_{expr.param}"
+    if expr.kind == "MOinf":
+        return f"M_{expr.param}(Oinf)"
+    if expr.kind == "Cpow":
+        return f"C^{expr.param}"
+    return _ATOM_NAMES[expr.kind]
+
+
+def _binding(expr) -> int:
+    return _OPS[type(expr)][1] if type(expr) in _OPS else _LEAF
+
+
 def print_expr(expr) -> str:
     """Deterministic textual form; parse(print_expr(t)) == t.
 
-    Compound operands are always parenthesized, so associativity never
-    has to be reconstructed from precedence.
+    Operands are parenthesized only where the parser needs it: a left
+    operand that binds more loosely than its operator, a right operand
+    that does not bind tighter.  So a left-deep chain of one precedence
+    level, which is how the parser reads ``A (x) B (x) C``, prints flat.
+    Works with an explicit stack, so chains of any length print.
     """
-    if isinstance(expr, Atom):
-        if expr.kind == "O":
-            return f"O_{expr.param}"
-        if expr.kind == "M":
-            return f"M_{expr.param}"
-        if expr.kind == "MOinf":
-            return f"M_{expr.param}(Oinf)"
-        if expr.kind == "Cpow":
-            return f"C^{expr.param}"
-        return _ATOM_NAMES[expr.kind]
-    if isinstance(expr, Literal):
-        return json.dumps(expr.invariant.to_json(), sort_keys=True, separators=(",", ":"))
-    ops = {Tensor: "(x)", FreeProd: "(*)", UnitalFreeProd: "(*C)"}
-    op = ops[type(expr)]
-    left = print_expr(expr.left)
-    right = print_expr(expr.right)
-    if not isinstance(expr.left, (Atom, Literal)):
-        left = f"({left})"
-    if not isinstance(expr.right, (Atom, Literal)):
-        right = f"({right})"
-    return f"{left} {op} {right}"
+    parts = []
+    todo = [expr]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif type(item) in _OPS:
+            op, strength = _OPS[type(item)]
+            left, right = [item.left], [item.right]
+            if _binding(item.left) < strength:
+                left = ["(", item.left, ")"]
+            if _binding(item.right) <= strength:
+                right = ["(", item.right, ")"]
+            todo.extend(reversed(left + [f" {op} "] + right))
+        else:
+            parts.append(_print_leaf(item))
+    return "".join(parts)
 
 
 def eval_expr(expr, root: bool = True):

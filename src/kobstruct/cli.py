@@ -9,7 +9,8 @@ Subcommands
 
 Exit codes: 0 success / splitting possible, 1 obstructed or a failing
 regression item, 2 usage or expression errors, 3 non-finitely-generated
-input.  Output is deterministic; JSON output is key-sorted.
+input, 4 an internal error (a fault of the program, not of its input).
+Output is deterministic; JSON output is key-sorted.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ EXIT_OK = 0
 EXIT_OBSTRUCTED = 1
 EXIT_ERROR = 2
 EXIT_NOT_FG = 3
+EXIT_INTERNAL = 4
+
+
+class UsageError(ValueError):
+    """A command-line argument that argparse cannot check itself."""
 
 
 def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
@@ -306,7 +312,7 @@ def _cmd_paper_examples(args, out) -> int:
         selected = tuple(e for e in _EXAMPLES if e[0] == args.only)
         if not selected:
             known = ", ".join(e[0] for e in _EXAMPLES)
-            raise ValueError(f"unknown example id {args.only!r}; known ids: {known}")
+            raise UsageError(f"unknown example id {args.only!r}; known ids: {known}")
     results = []
     for ident, description, runner in selected:
         passed, detail = runner()
@@ -391,9 +397,13 @@ def main(argv=None, out=None, err=None) -> int:
     except NonFinitelyGeneratedError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_NOT_FG
-    except (ParseError, UnsupportedNestingError, ValueError) as exc:
+    except (ParseError, UnsupportedNestingError, UsageError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
+    except Exception as exc:
+        # anything else is a fault of the program, whatever the input
+        err.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

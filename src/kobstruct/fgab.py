@@ -8,6 +8,13 @@ quotients, and solvers for divisibility and section (right inverse)
 problems.  The solvers share one routine for integer systems modulo a
 lattice, ``_solve_mod``.
 
+Direct sums and the Kronecker presentation of a tensor product are
+sums of cyclic groups, so they skip the Smith normal form:
+``_cyclic_canonical`` merges their orders into a divisibility chain with
+2x2 Bezout steps and never factors an integer.  The Smith normal form
+handles the general presentations: quotients, cokernels and the
+solvers' systems.
+
 Conventions
 -----------
 * A group is stored as ``Z^rank  (+)  Z/d1 (+) ... (+) Z/dk`` with the
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, inf, lcm
+from operator import itemgetter, mul
 
 __all__ = [
     "GroupMismatchError",
@@ -70,11 +78,11 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(int(e) for e in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         rows = len(data)
         if rows:
             width = len(data[0])
-            if any(len(row) != width for row in data):
+            if any(map(width.__ne__, map(len, data))):
                 raise ValueError("ragged rows in matrix")
             if cols is not None and cols != width:
                 raise ValueError("cols does not match row width")
@@ -102,7 +110,7 @@ class IntMatrix:
         columns = [tuple(c) for c in columns]
         if any(len(c) != rows for c in columns):
             raise ValueError("column of wrong length")
-        return cls([[c[i] for c in columns] for i in range(rows)], cols=len(columns))
+        return cls(zip(*columns) if columns else [()] * rows, cols=len(columns))
 
     def __getitem__(self, key):
         i, j = key
@@ -112,7 +120,7 @@ class IntMatrix:
         return self.data[i]
 
     def column(self, j):
-        return tuple(row[j] for row in self.data)
+        return [row[j] for row in self.data]
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -127,19 +135,13 @@ class IntMatrix:
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
             ot = list(zip(*other.data)) if other.data else [()] * other.cols
-            out = []
-            for row in self.data:
-                out.append(
-                    [sum(a * b for a, b in zip(row, col)) for col in ot]
-                    if other.cols
-                    else []
-                )
-            return IntMatrix(out or [[] for _ in range(self.rows)], cols=other.cols)
+            out = [[sum(map(mul, row, col)) for col in ot] for row in self.data]
+            return IntMatrix(out, cols=other.cols)
         # matrix @ vector
         vec = tuple(other)
         if self.cols != len(vec):
             raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -201,64 +203,53 @@ def determinant(m: IntMatrix) -> int:
 # Smith normal form
 
 
-def _snf_engine(m: IntMatrix):
-    """Diagonalize m, returning (u, uinv, d, v) with d = u m v.
+def _snf_engine(m: IntMatrix, inverse: bool = False, right: bool = False):
+    """Diagonalize m, returning (u, uinv_t, d, v_t) with d = u m v.
 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
-    form a divisibility chain.  The pivot strategy is deterministic:
-    smallest nonzero absolute value, ties broken row-major, moved into
-    place by cyclic rotation so untouched generators keep their relative
-    order.
+    form a divisibility chain.  Only u and d are always tracked: uinv_t,
+    the transpose of u^-1, only when ``inverse`` is set and v_t, the
+    transpose of v, only when ``right`` is set; the other is None.
+    Keeping both transposed makes every update a whole-row operation.
+    The pivot strategy is deterministic: smallest nonzero absolute
+    value, ties broken row-major, moved into place by cyclic rotation so
+    untouched generators keep their relative order.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    uinv = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    u = _identity_rows(nrows)
+    uinv_t = _identity_rows(nrows) if inverse else None
+    v_t = _identity_rows(ncols) if right else None
+    # the matrices whose rows follow the row swaps, negations and rotations
+    row_sides = (a, u, uinv_t) if inverse else (a, u)
 
     def row_add(i, t, q):
-        # row_i += q * row_t; keep uinv = u^{-1} via the inverse column op
-        ai, at = a[i], a[t]
-        for c in range(ncols):
-            ai[c] += q * at[c]
-        ui, ut = u[i], u[t]
-        for c in range(nrows):
-            ui[c] += q * ut[c]
-        for r in range(nrows):
-            uinv[r][t] -= q * uinv[r][i]
+        # row_i += q * row_t; u^-1 takes the inverse column operation
+        a[i] = [x + q * y for x, y in zip(a[i], a[t])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[t])]
+        if inverse:
+            uinv_t[t] = [x - q * y for x, y in zip(uinv_t[t], uinv_t[i])]
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(nrows):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+        for rows in row_sides:
+            rows[i], rows[j] = rows[j], rows[i]
 
     def row_negate(t):
-        a[t] = [-e for e in a[t]]
-        u[t] = [-e for e in u[t]]
-        for r in range(nrows):
-            uinv[r][t] = -uinv[r][t]
+        for rows in row_sides:
+            rows[t] = [-e for e in rows[t]]
 
     def col_add(j, k, q):
         # col_j += q * col_k
-        for r in range(nrows):
-            a[r][j] += q * a[r][k]
-        for r in range(ncols):
-            v[r][j] += q * v[r][k]
+        for row in a:
+            row[j] += q * row[k]
+        if right:
+            v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
 
     def col_swap(j, k):
-        for r in range(nrows):
-            a[r][j], a[r][k] = a[r][k], a[r][j]
-        for r in range(ncols):
-            v[r][j], v[r][k] = v[r][k], v[r][j]
-
-    def rotate_row_to(t, i):
-        for k in range(i, t, -1):
-            row_swap(k, k - 1)
-
-    def rotate_col_to(t, j):
-        for k in range(j, t, -1):
-            col_swap(k, k - 1)
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        if right:
+            v_t[j], v_t[k] = v_t[k], v_t[j]
 
     t = 0
     limit = min(nrows, ncols)
@@ -273,8 +264,14 @@ def _snf_engine(m: IntMatrix):
                     best_abs = abs(e)
         if best is None:
             break
-        rotate_row_to(t, best[0])
-        rotate_col_to(t, best[1])
+        # rotate the pivot's row and column into place
+        i, j = best
+        for rows in row_sides:
+            rows.insert(t, rows.pop(i))
+        for row in a:
+            row.insert(t, row.pop(j))
+        if right:
+            v_t.insert(t, v_t.pop(j))
         while True:
             dirty = False
             for i in range(nrows):
@@ -313,7 +310,11 @@ def _snf_engine(m: IntMatrix):
         if a[t][t] < 0:
             row_negate(t)
         t += 1
-    return u, uinv, a, v
+    return u, uinv_t, a, v_t
+
+
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(m: IntMatrix):
@@ -326,11 +327,11 @@ def smith_normal_form(m: IntMatrix):
     >>> [d[0, 0], d[1, 1]]
     [2, 4]
     """
-    u, _, d, v = _snf_engine(m)
+    u, _, d, v_t = _snf_engine(m, right=True)
     return (
         IntMatrix(u, cols=m.rows),
         IntMatrix(d, cols=m.cols),
-        IntMatrix(v, cols=m.cols),
+        IntMatrix.from_columns(v_t, m.cols),
     )
 
 
@@ -454,13 +455,13 @@ class FgAbGroup:
         return IntMatrix.from_columns(cols, self.ngens)
 
     def reduce(self, coords):
-        coords = [int(c) for c in coords]
+        coords = list(map(int, coords))
         if len(coords) != self.ngens:
             raise GroupMismatchError(
                 f"expected {self.ngens} coordinates, got {len(coords)}"
             )
-        for i, d in enumerate(self.torsion):
-            coords[self.rank + i] %= d
+        for i, d in enumerate(self.torsion, self.rank):
+            coords[i] %= d
         return tuple(coords)
 
     def element(self, coords):
@@ -620,13 +621,16 @@ class GroupHom:
                 f"hom matrix must be {target.ngens} x {source.ngens}, "
                 f"got {matrix.rows} x {matrix.cols}"
             )
-        reduced = IntMatrix.from_columns(
-            [target.reduce(matrix.column(j)) for j in range(matrix.cols)],
-            target.ngens,
+        # reduce row by row: the row of a generator of order d mod d
+        rank = target.rank
+        reduced = IntMatrix(
+            matrix.data[:rank]
+            + tuple([e % d for e in row] for row, d in zip(matrix.data[rank:], target.torsion)),
+            cols=matrix.cols,
         )
-        for i, d in enumerate(source.torsion):
-            col = reduced.column(source.rank + i)
-            if any(target.reduce([d * c for c in col])):
+        orders = _orders(target)
+        for j, d in enumerate(source.torsion, source.rank):
+            if any(d * row[j] % t if t else row[j] for row, t in zip(reduced.data, orders)):
                 raise ValueError(
                     f"not a well-defined hom: generator of order {d} maps to "
                     f"an element not killed by {d}"
@@ -715,7 +719,7 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
             "relation matrix must have one row per generator "
             f"({generators}), got {relations.rows}"
         )
-    u, uinv, d, _ = _snf_engine(relations)
+    u, uinv_t, d, _ = _snf_engine(relations, inverse=True)
     diag = [d[i][i] for i in range(min(generators, relations.cols))]
     free_pos = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
     tors_pos = [i for i in range(len(diag)) if diag[i] > 1]
@@ -725,12 +729,11 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
         lead = next((e for e in u[p] if e), 0)
         if lead < 0:
             u[p] = [-e for e in u[p]]
-            for r in range(generators):
-                uinv[r][p] = -uinv[r][p]
+            uinv_t[p] = [-e for e in uinv_t[p]]
     group = FgAbGroup(len(free_pos), tuple(diag[i] for i in tors_pos))
     order = free_pos + tors_pos
-    to_canon = IntMatrix([u[p] for p in order] or [], cols=generators)
-    lift = IntMatrix.from_columns([[uinv[r][p] for r in range(generators)] for p in order], generators)
+    to_canon = IntMatrix([u[p] for p in order], cols=generators)
+    lift = IntMatrix.from_columns([uinv_t[p] for p in order], generators)
     return group, to_canon, lift
 
 
@@ -753,22 +756,74 @@ def canonicalize(generators: int, relations: IntMatrix):
     return group, GroupHom(free, group, to_canon)
 
 
+def _orders(g: FgAbGroup):
+    """The order of each canonical generator of g, 0 for a free one."""
+    return [0] * g.rank + list(g.torsion)
+
+
+def _bezout(x, y):
+    """(g, s, t) with g = gcd(x, y) = s*x + t*y, for positive x and y."""
+    g = gcd(x, y)
+    s = pow(x // g, -1, y // g)
+    return g, s, (g - s * x) // y
+
+
+def _cyclic_canonical(orders):
+    """Canonical form of (+)_k Z/c_k, where c_k = 0 stands for Z.
+
+    Returns (group, to_canon, lift) as ``_canonicalize_full`` does for
+    the diagonal presentation, without a Smith normal form.  Free
+    generators come first in their given order.  The torsion orders are
+    merged into a divisibility chain as in ``FgAbGroup``: sort, and
+    replace each adjacent pair x, y with y % x by gcd g = s*x + t*y and
+    lcm(x, y), rows r_i, r_j of to_canon by s*r_i + t*r_j and
+    (x/g)*r_j - (y/g)*r_i, and columns c_i, c_j of lift by
+    (x/g)*c_i + (y/g)*c_j and s*c_j - t*c_i.  Each step is unimodular
+    with its inverse applied to lift, so to_canon @ lift stays the
+    identity; no integer is ever factored.
+    """
+    n = len(orders)
+
+    def unit(k):
+        e = [0] * n
+        e[k] = 1
+        return e
+
+    free = [unit(k) for k, c in enumerate(orders) if c == 0]
+    # one [order, to_canon row, lift column] per torsion generator
+    tors = [[c, unit(k), unit(k)] for k, c in enumerate(orders) if c > 1]
+    changed = True
+    while changed:
+        tors.sort(key=itemgetter(0))
+        changed = False
+        for i in range(len(tors) - 1):
+            (x, ri, ci), (y, rj, cj) = tors[i], tors[i + 1]
+            if y % x:
+                g, s, t = _bezout(x, y)
+                xg, yg = x // g, y // g
+                tors[i] = [
+                    g,
+                    [s * p + t * q for p, q in zip(ri, rj)],
+                    [xg * p + yg * q for p, q in zip(ci, cj)],
+                ]
+                tors[i + 1] = [
+                    x * yg,
+                    [xg * q - yg * p for p, q in zip(ri, rj)],
+                    [s * q - t * p for p, q in zip(ci, cj)],
+                ]
+                changed = True
+        tors = [e for e in tors if e[0] > 1]
+    group = FgAbGroup(len(free), [c for c, _, _ in tors])
+    to_canon = IntMatrix(free + [r for _, r, _ in tors], cols=n)
+    lift = IntMatrix.from_columns(free + [c for _, _, c in tors], n)
+    return group, to_canon, lift
+
+
 @lru_cache(maxsize=None)
 def _direct_sum_structure(groups: tuple):
     """Canonical direct sum with injection and projection homs."""
-    total = sum(g.ngens for g in groups)
-    cols = []
-    offset = 0
-    for g in groups:
-        rel = g.relation_matrix()
-        for j in range(rel.cols):
-            col = [0] * total
-            for r, e in enumerate(rel.column(j)):
-                col[offset + r] = e
-            cols.append(col)
-        offset += g.ngens
-    sum_group, to_canon, lift = _canonicalize_full(
-        total, IntMatrix.from_columns(cols, total)
+    sum_group, to_canon, lift = _cyclic_canonical(
+        [c for g in groups for c in _orders(g)]
     )
     injections = []
     projections = []
@@ -778,10 +833,8 @@ def _direct_sum_structure(groups: tuple):
         injections.append(
             GroupHom(g, sum_group, IntMatrix.from_columns(inj_cols, sum_group.ngens))
         )
-        proj_rows = [lift.row(offset + r) for r in range(g.ngens)]
-        projections.append(
-            GroupHom(sum_group, g, IntMatrix(proj_rows or [], cols=sum_group.ngens))
-        )
+        proj_rows = lift.data[offset : offset + g.ngens]
+        projections.append(GroupHom(sum_group, g, IntMatrix(proj_rows, cols=sum_group.ngens)))
         offset += g.ngens
     return sum_group, tuple(injections), tuple(projections)
 
@@ -858,24 +911,13 @@ def _tensor_structure(g: FgAbGroup, h: FgAbGroup):
     """Canonicalized Kronecker presentation of g (x) h.
 
     Generator (i, j) of the presentation is u_i (x) v_j at flat index
-    i * h.ngens + j; the returned matrix maps those Kronecker
-    coordinates onto canonical coordinates of tensor(g, h).
+    i * h.ngens + j, of order gcd(c_i, c_j) for generator orders c_i of
+    g and c_j of h (0 for free); the returned matrix maps those
+    Kronecker coordinates onto canonical coordinates of tensor(g, h).
     """
-    n = g.ngens * h.ngens
-    cols = []
-    for i, d in enumerate(g.torsion):
-        p = g.rank + i
-        for j in range(h.ngens):
-            col = [0] * n
-            col[p * h.ngens + j] = d
-            cols.append(col)
-    for j, e in enumerate(h.torsion):
-        q = h.rank + j
-        for i in range(g.ngens):
-            col = [0] * n
-            col[i * h.ngens + q] = e
-            cols.append(col)
-    group, to_canon, _ = _canonicalize_full(n, IntMatrix.from_columns(cols, n))
+    group, to_canon, _ = _cyclic_canonical(
+        [gcd(c, e) for c in _orders(g) for e in _orders(h)]
+    )
     return group, to_canon
 
 
@@ -961,7 +1003,7 @@ def constrained_section_exists(f: GroupHom, constraints=()):
 
     sg, hg = g.ngens, h.ngens
     rel_g, rel_h = g.relation_matrix(), h.relation_matrix()
-    orders = [0] * h.rank + list(h.torsion)
+    orders = _orders(h)
     basis = _scalar(1, hg).data
     if not pairs:
         # orders ascend with j, so the columns come out in generator order

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kobstruct import FgAbGroup, KInvariant, KPair
 from kobstruct.catalog import (
@@ -164,6 +165,49 @@ def test_print_parse_round_trip_with_literal():
     lit = Literal(builtin("O", 5))
     tree = Tensor(lit, Atom("M", 2))
     assert parse(print_expr(tree)) == tree
+
+
+leaves = st.one_of(
+    st.builds(Atom, st.just("O"), st.integers(2, 10**12)),
+    st.builds(Atom, st.sampled_from(["M", "MOinf", "Cpow"]), st.integers(1, 99)),
+    st.builds(Atom, st.sampled_from(["Oinf", "C", "CT", "C01", "CAR"])),
+    st.just(Literal(builtin("O", 5))),
+)
+trees = st.recursive(
+    leaves,
+    lambda sub: st.tuples(st.sampled_from([Tensor, FreeProd, UnitalFreeProd]), sub, sub).map(
+        lambda t: t[0](t[1], t[2])
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_print_parse_round_trip_property(tree):
+    # operators of every precedence, nested anywhere: parse does not
+    # evaluate, so free products below a tensor are fine here
+    assert parse(print_expr(tree)) == tree
+
+
+def _left_spine(tree):
+    """A left-deep tree as its innermost left leaf and the (operator,
+    right operand) pairs above it, read without recursion."""
+    steps = []
+    while not isinstance(tree, (Atom, Literal)):
+        steps.append((type(tree), tree.right))
+        tree = tree.left
+    return tree, steps[::-1]
+
+
+def test_print_parse_round_trip_long_chain():
+    # 3000 factors: printing must not recurse, and a flat chain must not
+    # print as 2998 nested parentheses, which parse refuses
+    for op in (" (x) ", " (*) ", " (*C) "):
+        text = op.join(["C", "M_2", "O_3"] * 1000)
+        tree = parse(text)
+        assert print_expr(tree) == text
+        assert _left_spine(parse(print_expr(tree))) == _left_spine(tree)
 
 
 # ---------------------------------------------------------------------------

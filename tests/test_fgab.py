@@ -1,5 +1,6 @@
 """Unit and property tests for the abelian-group engine."""
 
+import hashlib
 import random
 from math import inf
 
@@ -26,6 +27,7 @@ from kobstruct import (
     tensor_elem,
     tor,
 )
+from kobstruct.fgab import _canonicalize_full, _cyclic_canonical
 from conftest import (
     is_unimodular,
     minors_gcd_diagonal,
@@ -102,6 +104,55 @@ def test_snf_soundness(m):
 def test_snf_matches_minor_gcds(m):
     _, d, _ = smith_normal_form(m)
     assert _diag(d) == minors_gcd_diagonal(m)
+
+
+DENSE_8X8 = [
+    [-6, 3, 4, -12, -8, -18, -15, -12],
+    [-5, 12, -7, 5, -19, 9, 11, 9],
+    [4, 11, 16, -8, 5, -15, 11, -6],
+    [-19, -3, 13, 6, 10, 4, -13, -4],
+    [-14, -16, 4, 19, 4, -14, -17, 1],
+    [-5, -15, 11, 13, -7, 17, -11, 18],
+    [-16, 14, -18, 11, -8, -11, 17, 9],
+    [17, 8, -2, 15, 2, 7, -12, -10],
+]
+
+
+def _engine_outputs(rows):
+    """(u, d, v) of smith_normal_form and (group, to_canon, lift) of
+    _canonicalize_full, as plain tuples."""
+    m = IntMatrix(rows)
+    u, d, v = smith_normal_form(m)
+    group, to_canon, lift = _canonicalize_full(m.rows, m)
+    return u.data, d.data, v.data, group, to_canon.data, lift.data
+
+
+def test_generic_engine_outputs_pinned():
+    # Exact transforms of the generic engine, recorded from the
+    # full-tracking implementation: dropping the transforms a caller
+    # does not read must not move the pivot sequence.
+    assert _engine_outputs([[2, 4], [6, 8]]) == (
+        ((1, 0), (3, -1)), ((2, 0), (0, 4)), ((1, -2), (0, 1)),
+        FgAbGroup(0, (2, 4)), ((1, 0), (3, -1)), ((1, 0), (3, -1)),
+    )
+    assert _engine_outputs([[4, 6, 0, 2, 8], [0, 3, 9, 0, 6], [2, 0, 5, 1, 7]]) == (
+        ((0, 0, 1), (1, -1, -2), (27, -26, -54)),
+        ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 6, 0, 0)),
+        ((0, 0, 0, 1, 0), (0, -6, 1, 0, 1), (0, -1, -3, 0, 9), (1, 5, -20, -2, 53), (0, 0, 5, 0, -14)),
+        FgAbGroup(0, (6,)), ((27, -26, -54),), ((1,), (1,), (0,)),
+    )
+    assert _engine_outputs([[0, 6], [9, -3], [2, 2], [4, 0]]) == (
+        ((0, 1, -4, 0), (-7, -4, 16, 1), (-4, -2, 9, 0), (22, 12, -48, -3)),
+        ((1, 0), (0, 2), (0, 0), (0, 0)),
+        ((1, 11), (0, 1)),
+        FgAbGroup(2, (2,)),
+        ((4, 2, -9, 0), (22, 12, -48, -3), (-7, -4, 16, 1)),
+        ((0, 1, 3), (-4, 16, 48), (-1, 4, 12), (0, 7, 22)),
+    )
+    dense = repr(_engine_outputs(DENSE_8X8)).encode()
+    assert hashlib.sha256(dense).hexdigest() == (
+        "08d5701e5a4ad58516a0c5362dc6a6542bbda23dff4774072b4b5c7888038dec"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +289,96 @@ def test_tensor_examples():
     assert tensor(FgAbGroup(1, (2,)), FgAbGroup(1, (4,))) == FgAbGroup(1, (2, 2, 4))
 
 
+def _kronecker_presentation(g, h):
+    """Relations of g (x) h on the generators u_i (x) v_j, flat index
+    i * h.ngens + j: d * (u_i (x) v_j) for each u_i of order d, and
+    e * (u_i (x) v_j) for each v_j of order e."""
+    n = g.ngens * h.ngens
+    cols = []
+    for i, d in enumerate(g.torsion):
+        for j in range(h.ngens):
+            col = [0] * n
+            col[(g.rank + i) * h.ngens + j] = d
+            cols.append(col)
+    for j, e in enumerate(h.torsion):
+        for i in range(g.ngens):
+            col = [0] * n
+            col[i * h.ngens + h.rank + j] = e
+            cols.append(col)
+    return n, IntMatrix.from_columns(cols, n)
+
+
 def test_tensor_against_presentation_oracle():
     rng = random.Random(5)
     for _ in range(30):
         g = FgAbGroup(rng.randrange(0, 3), [rng.choice([2, 3, 4, 6]) for _ in range(rng.randrange(0, 3))])
         h = FgAbGroup(rng.randrange(0, 3), [rng.choice([2, 5, 9]) for _ in range(rng.randrange(0, 2))])
         # oracle: canonicalize the Kronecker-product presentation directly
-        n = g.ngens * h.ngens
-        cols = []
-        for i, d in enumerate(g.torsion):
-            for j in range(h.ngens):
-                col = [0] * n
-                col[(g.rank + i) * h.ngens + j] = d
-                cols.append(col)
-        for j, e in enumerate(h.torsion):
-            for i in range(g.ngens):
-                col = [0] * n
-                col[i * h.ngens + h.rank + j] = e
-                cols.append(col)
-        oracle, _ = canonicalize(n, IntMatrix.from_columns(cols, n))
+        oracle, _ = canonicalize(*_kronecker_presentation(g, h))
         assert tensor(g, h) == oracle
+
+
+# A 1000-digit prime-free-looking order and multiples of it, so that
+# gcds between huge orders are nontrivial; none of these is factored.
+BIG = 10**999 + 7
+CYCLIC_ORDERS = [0, 1, 2, 2, 3, 3, 4, 8, 9, 5, 25, 6, 12, BIG, 2 * BIG, 3 * BIG, BIG * BIG]
+
+
+def _diagonal_presentation(orders):
+    """Z/c_0 (+) Z/c_1 (+) ... as one relation column c_k * e_k each."""
+    n = len(orders)
+    return n, IntMatrix([[c * (r == k) for k in range(n)] for r, c in enumerate(orders)], cols=n)
+
+
+def _check_cyclic_contract(orders):
+    """_cyclic_canonical(orders) against the generic engine on the
+    diagonal presentation; returns the canonical group."""
+    group, to_canon, lift = _cyclic_canonical(orders)
+    assert group == canonicalize(*_diagonal_presentation(orders))[0]
+    assert to_canon @ lift == IntMatrix.identity(group.ngens)
+    canon_orders = [0] * group.rank + list(group.torsion)
+    for k, c in enumerate(orders):
+        # to_canon kills the relation column c * e_k
+        image = [c * e for e in to_canon.column(k)]
+        assert all((x % d == 0) if d else x == 0 for x, d in zip(image, canon_orders))
+    return group
+
+
+def test_cyclic_path_contract():
+    rng = random.Random(23)
+    for _ in range(200):
+        _check_cyclic_contract([rng.choice(CYCLIC_ORDERS) for _ in range(rng.randrange(0, 8))])
+    # a long run of repeated primes that must all merge
+    assert _check_cyclic_contract([2] * 12 + [3] * 12 + [1, 0]) == FgAbGroup(1, (6,) * 12)
+    assert _check_cyclic_contract([BIG * 2, BIG * 3, 4, 9]) == FgAbGroup(0, (6 * BIG, 36 * BIG))
+
+
+def test_cyclic_path_direct_sum_and_tensor_identities():
+    rng = random.Random(29)
+
+    def group():
+        return FgAbGroup(rng.randrange(0, 2), [rng.choice(CYCLIC_ORDERS[2:]) for _ in range(rng.randrange(0, 3))])
+
+    for _ in range(40):
+        g, h = group(), group()
+        s, inj_g, inj_h, proj_g, proj_h = direct_sum(g, h)
+        orders = [0] * g.rank + list(g.torsion) + [0] * h.rank + list(h.torsion)
+        assert s == canonicalize(*_diagonal_presentation(orders))[0]
+        assert compose(inj_g, proj_g) == GroupHom.identity(g)
+        assert compose(inj_h, proj_h) == GroupHom.identity(h)
+        assert compose(inj_g, proj_h) == GroupHom.zero(g, h)
+        joint = inj_g.matrix.hstack(inj_h.matrix)
+        assert canonicalize(s.ngens, joint.hstack(s.relation_matrix()))[0].is_trivial
+        assert tensor(g, h) == canonicalize(*_kronecker_presentation(g, h))[0]
+        x, x2 = random_element(rng, g), random_element(rng, g)
+        y, y2 = random_element(rng, h), random_element(rng, h)
+        assert tensor_elem(x + x2, y) == tensor_elem(x, y) + tensor_elem(x2, y)
+        assert tensor_elem(x, y + y2) == tensor_elem(x, y) + tensor_elem(x, y2)
+        # the generators' tensors generate g (x) h
+        t = tensor(g, h)
+        images = [tensor_elem(a, b).coords for a in g.generators() for b in h.generators()]
+        gens = IntMatrix.from_columns(images, t.ngens) if images else IntMatrix.zeros(t.ngens, 0)
+        assert canonicalize(t.ngens, gens.hstack(t.relation_matrix()))[0].is_trivial
 
 
 def test_tor_examples():
