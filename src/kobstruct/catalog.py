@@ -1,20 +1,16 @@
 """Builtin invariants and the textual algebra-expression language.
 
-Atoms
------
-    O_2, O_3, ...      Cuntz algebras           (Z/(n-1), 0, 1)
-    Oinf               infinite Cuntz algebra   (Z, 0, 1)
-    M_1, M_2, ...      matrix algebras          (Z, 0, n)
-    M_n(Oinf)          stabilized matrix units  (Z, 0, n)
-    C                  the scalars              (Z, 0, 1)
-    C^k                k-point diagonals        (Z^k, 0, (1, ..., 1))
-    C(T) or CT         circle functions         (Z, Z, 1)
-    C([0,1]) or C01    interval functions       (Z, 0, 1)
-    {...}              a literal JSON triple {"k0": ..., "k1": ..., "unit": [...]}
-
-``CAR`` is recognized and rejected: its K0 is the dyadic rationals,
-which are not finitely generated, and everything here requires
-finitely generated K-theory.
+Atoms, in the order the lexer tries them; each spells a whole name:
+    O_inf or Oinf        infinite Cuntz algebra   (Z, 0, 1)
+    O_n, n >= 2          Cuntz algebras           (Z/(n-1), 0, 1)
+    M_n(Oinf), n >= 1    stabilized matrix units  (Z, 0, n)
+    M_n, n >= 1          matrix algebras          (Z, 0, n)
+    C(T) or CT           circle functions         (Z, Z, 1)
+    C([0,1]) or C01      interval functions       (Z, 0, 1)
+    C^k, k >= 1          k-point diagonals        (Z^k, 0, (1, ..., 1))
+    C                    the scalars              (Z, 0, 1)
+    CAR                  rejected: its K0 = Z[1/2] is not finitely generated
+    {...}                a literal JSON triple {"k0": ..., "k1": ..., "unit": [...]}
 
 Operators, tightest first, all left-associative, parentheses allowed:
     (x)    tensor product        (may nest; evaluates to a new triple)
@@ -22,7 +18,9 @@ Operators, tightest first, all left-associative, parentheses allowed:
     (*C)   unital free product   (root only; evaluates to a K-pair)
 
 The underscore in atom names is optional ("O2" parses like "O_2") and
-whitespace is ignored between tokens.
+whitespace is ignored between tokens.  The two lists are the tables
+``_ATOMS`` and ``_OPERATORS``; the lexer, the parser, :func:`builtin`
+and :func:`print_expr` all read them.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .fgab import FgAbGroup
 from .kinv import (
@@ -74,7 +73,7 @@ class UnsupportedNestingError(ValueError):
 
 @dataclass(frozen=True)
 class Atom:
-    kind: str  # "O" | "Oinf" | "M" | "MOinf" | "C" | "Cpow" | "CT" | "C01" | "CAR"
+    kind: str  # the kind of a row of the atom table _ATOMS below
     param: int | None = None
 
 
@@ -113,6 +112,70 @@ MAX_NESTING = 100
 MAX_INDEX_DIGITS = 1000
 
 
+def _ones(k0, k1=_TRIVIAL):
+    """The triple whose unit class is the sum of the generators of k0."""
+    return KInvariant(k0, k1, k0.element([1] * k0.ngens))
+
+
+def _matrix(n):
+    return KInvariant(_Z, _TRIVIAL, _Z.element((n,)))
+
+
+def _car(_):
+    raise NonFinitelyGeneratedError(
+        "the CAR algebra has K0 = Z[1/2], which is not finitely "
+        "generated; only finitely generated K-theory is supported"
+    )
+
+
+class _AtomRow(NamedTuple):
+    kind: str
+    written: re.Pattern  # the whole name, with any suffix that belongs to it
+    printed: str  # str.format template of the index
+    least: int | None  # least index, None for an atom without one
+    noun: str | None  # what the index counts, for the range messages
+    invariant: Callable[[int | None], KInvariant]
+
+
+# The atoms in the order the lexer tries them: a form with a suffix
+# before the bare name it starts with.  The index is group 1.
+_ATOMS = tuple(
+    _AtomRow(kind, re.compile(written), printed, least, noun, invariant)
+    for kind, written, printed, least, noun, invariant in (
+        ("Oinf", r"O_?inf", "Oinf", None, None, lambda _: _ones(_Z)),
+        ("O", r"O_?([0-9]+)", "O_{}", 2, "Cuntz index", lambda n: _ones(FgAbGroup(0, (n - 1,)))),
+        ("MOinf", r"M_?([0-9]+)\s*\(\s*O_?inf\s*\)", "M_{}(Oinf)", 1, "matrix size", _matrix),
+        ("M", r"M_?([0-9]+)", "M_{}", 1, "matrix size", _matrix),
+        ("CT", r"C(?:T|\s*\(\s*T\s*\))", "CT", None, None, lambda _: _ones(_Z, _Z)),
+        ("C01", r"C(?:01|\s*\(\s*\[\s*0\s*,\s*1\s*\]\s*\))", "C01", None, None, lambda _: _ones(_Z)),
+        ("Cpow", r"C\^([0-9]+)", "C^{}", 1, "power of C", lambda n: _ones(FgAbGroup(n))),
+        ("C", r"C", "C", None, None, lambda _: _ones(_Z)),
+        ("CAR", r"CAR", "CAR", None, None, _car),
+    )
+)
+_ATOM_OF_KIND = {row.kind: row for row in _ATOMS}
+
+
+class _Operator(NamedTuple):
+    written: str
+    node: type
+    strength: int  # binding strength: higher binds tighter
+
+
+_OPERATORS = (
+    _Operator("(x)", Tensor, 2),
+    _Operator("(*C)", UnitalFreeProd, 1),
+    _Operator("(*)", FreeProd, 1),
+)
+_OPERATOR_OF_NODE = {op.node: op for op in _OPERATORS}
+_LEAF = 1 + max(op.strength for op in _OPERATORS)  # binds tighter than any operator
+# Whitespace may separate the characters of an operator.  One group per
+# row, in table order.
+_OPERATOR_TOKEN = re.compile(
+    "|".join("(" + r"\s*".join(map(re.escape, op.written)) + ")" for op in _OPERATORS)
+)
+
+
 def builtin(kind: str, param: int | None = None) -> KInvariant:
     """The invariant table for the named algebra.
 
@@ -121,55 +184,22 @@ def builtin(kind: str, param: int | None = None) -> KInvariant:
     >>> builtin("O", 2).k0
     FgAbGroup(0, ())
     """
-    if kind == "O":
-        if param is None or param < 2:
-            raise ValueError("Cuntz index must be an integer >= 2")
-        k0 = FgAbGroup(0, (param - 1,))
-        return KInvariant(k0, _TRIVIAL, k0.element([1] * k0.ngens))
-    if kind == "Oinf":
-        return KInvariant(_Z, _TRIVIAL, _Z.element((1,)))
-    if kind in ("M", "MOinf"):
-        if param is None or param < 1:
-            raise ValueError("matrix size must be an integer >= 1")
-        return KInvariant(_Z, _TRIVIAL, _Z.element((param,)))
-    if kind == "C":
-        return KInvariant(_Z, _TRIVIAL, _Z.element((1,)))
-    if kind == "Cpow":
-        if param is None or param < 1:
-            raise ValueError("power of C must be an integer >= 1")
-        zk = FgAbGroup(param)
-        return KInvariant(zk, _TRIVIAL, zk.element([1] * param))
-    if kind == "CT":
-        return KInvariant(_Z, _Z, _Z.element((1,)))
-    if kind == "C01":
-        return KInvariant(_Z, _TRIVIAL, _Z.element((1,)))
-    if kind == "CAR":
-        raise NonFinitelyGeneratedError(
-            "the CAR algebra has K0 = Z[1/2], which is not finitely "
-            "generated; only finitely generated K-theory is supported"
-        )
-    raise ValueError(f"unknown atom kind {kind!r}")
+    row = _ATOM_OF_KIND.get(kind)
+    if row is None:
+        raise ValueError(f"unknown atom kind {kind!r}")
+    if row.least is not None and (param is None or param < row.least):
+        raise ValueError(f"{row.noun} must be an integer >= {row.least}")
+    return row.invariant(param)
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
-_OP_TENSOR = re.compile(r"\(\s*x\s*\)")
-_OP_UFREE = re.compile(r"\(\s*\*\s*C\s*\)")
-_OP_FREE = re.compile(r"\(\s*\*\s*\)")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
-_SUFFIX_OINF = re.compile(r"\s*\(\s*O_?inf\s*\)")
-_SUFFIX_T = re.compile(r"\s*\(\s*T\s*\)")
-_SUFFIX_01 = re.compile(r"\s*\(\s*\[\s*0\s*,\s*1\s*\]\s*\)")
-
-_ATOM_O = re.compile(r"O_?(\d+)$")
-_ATOM_OINF = re.compile(r"O_?inf$|Oinf$")
-_ATOM_M = re.compile(r"M_?(\d+)$")
-_ATOM_CPOW = re.compile(r"C\^(\d+)$")
 
 
 def _tokenize(text: str):
-    """Tokens: ("op", kind), ("lparen",), ("rparen",), ("atom", Atom),
+    """Tokens: ("op", _Operator), ("lparen",), ("rparen",), ("atom", Atom),
     ("literal", KInvariant), each tagged with its source position."""
     tokens = []
     i = 0
@@ -180,23 +210,13 @@ def _tokenize(text: str):
             i += 1
             continue
         if ch == "(":
-            m = _OP_TENSOR.match(text, i)
+            m = _OPERATOR_TOKEN.match(text, i)
             if m:
-                tokens.append(("op", "tensor", i))
+                tokens.append(("op", _OPERATORS[m.lastindex - 1], i))
                 i = m.end()
-                continue
-            m = _OP_UFREE.match(text, i)
-            if m:
-                tokens.append(("op", "ufree", i))
-                i = m.end()
-                continue
-            m = _OP_FREE.match(text, i)
-            if m:
-                tokens.append(("op", "free", i))
-                i = m.end()
-                continue
-            tokens.append(("lparen", None, i))
-            i += 1
+            else:
+                tokens.append(("lparen", None, i))
+                i += 1
             continue
         if ch == ")":
             tokens.append(("rparen", None, i))
@@ -223,76 +243,42 @@ def _tokenize(text: str):
             tokens.append(("literal", inv, i))
             i = j + 1
             continue
-        m = _NAME.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        name = m.group(0)
-        j = m.end()
-        atom, j = _lex_atom(name, text, j, i)
+        atom, j = _lex_atom(text, i)
         tokens.append(("atom", atom, i))
         i = j
-        continue
     return tokens
 
 
-def _lex_atom(name: str, text: str, j: int, pos: int):
-    """Resolve an atom name, consuming a parenthesized suffix if it is
-    part of the atom (M_n(Oinf), C(T), C([0,1]))."""
-    m = _ATOM_M.match(name)
-    if m:
-        k = _index(m, pos)
-        suf = _SUFFIX_OINF.match(text, j)
-        if suf:
-            _check_range(k >= 1, "matrix size must be >= 1", pos)
-            return Atom("MOinf", k), suf.end()
-        _check_range(k >= 1, "matrix size must be >= 1", pos)
-        return Atom("M", k), j
-    if name == "C":
-        suf = _SUFFIX_T.match(text, j)
-        if suf:
-            return Atom("CT"), suf.end()
-        suf = _SUFFIX_01.match(text, j)
-        if suf:
-            return Atom("C01"), suf.end()
-        return Atom("C"), j
-    if _ATOM_OINF.match(name):
-        return Atom("Oinf"), j
-    m = _ATOM_O.match(name)
-    if m:
-        k = _index(m, pos)
-        _check_range(k >= 2, "Cuntz index must be >= 2", pos)
-        return Atom("O", k), j
-    m = _ATOM_CPOW.match(name)
-    if m:
-        k = _index(m, pos)
-        _check_range(k >= 1, "power of C must be >= 1", pos)
-        return Atom("Cpow", k), j
-    if name == "CT":
-        return Atom("CT"), j
-    if name == "C01":
-        return Atom("C01"), j
-    if name == "CAR":
-        return Atom("CAR"), j
-    raise ParseError(f"unknown algebra name {name!r}", pos)
-
-
-def _index(match, pos):
-    digits = match.group(1)
-    _check_range(
-        len(digits) <= MAX_INDEX_DIGITS,
-        f"index has {len(digits)} digits, more than the {MAX_INDEX_DIGITS} accepted",
-        pos,
-    )
-    return int(digits)
-
-
-def _check_range(ok, message, pos):
-    if not ok:
-        raise ParseError(message, pos)
+def _lex_atom(text: str, pos: int):
+    """The atom at ``pos`` and the position after it: the first row of
+    ``_ATOMS`` that spells the whole name there, with its suffix if the
+    row has one (M_n(Oinf), C(T), C([0,1]))."""
+    name = _NAME.match(text, pos)
+    if not name:
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for row in _ATOMS:
+        m = row.written.match(text, pos)
+        # a match that ends inside the name spells only part of it ("CT2")
+        if m is None or m.end() < name.end():
+            continue
+        param = None
+        if row.least is not None:
+            digits = m.group(1)
+            if len(digits) > MAX_INDEX_DIGITS:
+                raise ParseError(
+                    f"index has {len(digits)} digits, more than the {MAX_INDEX_DIGITS} accepted",
+                    pos,
+                )
+            param = int(digits)
+            if param < row.least:
+                raise ParseError(f"{row.noun} must be >= {row.least}", pos)
+        return Atom(row.kind, param), m.end()
+    raise ParseError(f"unknown algebra name {name.group(0)!r}", pos)
 
 
 # ---------------------------------------------------------------------------
-# Parser: expr := product ((*)|(*C) product)*;  product := factor ((x) factor)*
+# Parser: one left-associative chain per binding strength of _OPERATORS,
+# each with operands of the next strength; factors bind tightest.
 
 class _Parser:
     def __init__(self, tokens, text):
@@ -311,26 +297,16 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_expr(self):
-        node = self.parse_product()
+    def parse_expr(self, strength=1):
+        """A left-associative chain of the operators of ``strength``."""
+        op = node = None
         while True:
+            rhs = self.parse_factor() if strength + 1 == _LEAF else self.parse_expr(strength + 1)
+            node = rhs if op is None else op.node(node, rhs)
             tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in ("free", "ufree"):
-                self.next()
-                rhs = self.parse_product()
-                node = (FreeProd if tok[1] == "free" else UnitalFreeProd)(node, rhs)
-            else:
+            if tok is None or tok[0] != "op" or tok[1].strength != strength:
                 return node
-
-    def parse_product(self):
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] == "tensor":
-                self.next()
-                node = Tensor(node, self.parse_factor())
-            else:
-                return node
+            op = self.next()[1]
 
     def parse_factor(self):
         tok = self.next()
@@ -369,36 +345,15 @@ def parse(text: str):
     return node
 
 
-_ATOM_NAMES = {
-    "Oinf": "Oinf",
-    "C": "C",
-    "CT": "CT",
-    "C01": "C01",
-    "CAR": "CAR",
-}
-
-
-# Binding strength for printing: leaves, then (x), then (*) and (*C).
-_OPS = {Tensor: ("(x)", 2), FreeProd: ("(*)", 1), UnitalFreeProd: ("(*C)", 1)}
-_LEAF = 3
-
-
 def _print_leaf(expr) -> str:
     if isinstance(expr, Literal):
         return json.dumps(expr.invariant.to_json(), sort_keys=True, separators=(",", ":"))
-    if expr.kind == "O":
-        return f"O_{expr.param}"
-    if expr.kind == "M":
-        return f"M_{expr.param}"
-    if expr.kind == "MOinf":
-        return f"M_{expr.param}(Oinf)"
-    if expr.kind == "Cpow":
-        return f"C^{expr.param}"
-    return _ATOM_NAMES[expr.kind]
+    return _ATOM_OF_KIND[expr.kind].printed.format(expr.param)
 
 
 def _binding(expr) -> int:
-    return _OPS[type(expr)][1] if type(expr) in _OPS else _LEAF
+    op = _OPERATOR_OF_NODE.get(type(expr))
+    return _LEAF if op is None else op.strength
 
 
 def print_expr(expr) -> str:
@@ -416,14 +371,14 @@ def print_expr(expr) -> str:
         item = todo.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif type(item) in _OPS:
-            op, strength = _OPS[type(item)]
+        elif type(item) in _OPERATOR_OF_NODE:
+            op = _OPERATOR_OF_NODE[type(item)]
             left, right = [item.left], [item.right]
-            if _binding(item.left) < strength:
+            if _binding(item.left) < op.strength:
                 left = ["(", item.left, ")"]
-            if _binding(item.right) <= strength:
+            if _binding(item.right) <= op.strength:
                 right = ["(", item.right, ")"]
-            todo.extend(reversed(left + [f" {op} "] + right))
+            todo.extend(reversed(left + [f" {op.written} "] + right))
         else:
             parts.append(_print_leaf(item))
     return "".join(parts)

@@ -121,32 +121,35 @@ def _cmd_classify(args, out) -> int:
     an = _analysis(args)
     a, b = an.a, an.b
     verdict = classify_analysis(an)
-    ufp = an.unital_free_product
-    kun = an.tensor
-    pi0, pi1 = an.pi0, an.pi1
     payload = {
         "command": "classify",
         "expr_a": args.expr_a,
         "expr_b": args.expr_b,
         "invariant_a": a.to_json(),
         "invariant_b": b.to_json(),
-        "groups": {
-            "unital_free_product": ufp.to_json(),
-            "tensor": {"k0": kun.k0.to_json(), "k1": kun.k1.to_json()},
-        },
-        "maps": {"pi0": pi0.to_json(), "pi1": pi1.to_json()},
         "verdict": verdict.to_json(),
     }
-    lines = (
-        _invariant_lines(f"A = {args.expr_a}", a)
-        + _invariant_lines(f"B = {args.expr_b}", b)
-        + [
-            f"K(unital free product): K0 = {ufp.k0}, K1 = {ufp.k1}"
-            + (" (with extra Z)" if ufp.extra_z else ""),
-            f"K(tensor product): K0 = {kun.k0}, K1 = {kun.k1}",
-            f"verdict: {verdict.outcome}",
-        ]
-    )
+    lines = _invariant_lines(f"A = {args.expr_a}", a)
+    lines += _invariant_lines(f"B = {args.expr_b}", b)
+    if verdict.outcome == obstruct.NOT_APPLICABLE:
+        # a refusal: no group or map of the pair is computed
+        lines += [f"verdict: {verdict.outcome}", f"reason: {verdict.reason}"]
+        _emit(payload, lines, args.format, out)
+        return EXIT_NOT_FG
+    ufp = an.unital_free_product
+    kun = an.tensor
+    pi0, pi1 = an.pi0, an.pi1
+    payload["groups"] = {
+        "unital_free_product": ufp.to_json(),
+        "tensor": {"k0": kun.k0.to_json(), "k1": kun.k1.to_json()},
+    }
+    payload["maps"] = {"pi0": pi0.to_json(), "pi1": pi1.to_json()}
+    lines += [
+        f"K(unital free product): K0 = {ufp.k0}, K1 = {ufp.k1}"
+        + (" (with extra Z)" if ufp.extra_z else ""),
+        f"K(tensor product): K0 = {kun.k0}, K1 = {kun.k1}",
+        f"verdict: {verdict.outcome}",
+    ]
     if verdict.parameters is not None:
         params = ", ".join(f"{k}={v}" for k, v in verdict.parameters)
         lines.append(f"case parameters: {params}")
@@ -159,16 +162,15 @@ def _cmd_classify(args, out) -> int:
         lines.append(f"sections ({args.mode} mode):")
         lines.extend("  " + s for s in _section_lines(report))
     _emit(payload, lines, args.format, out)
-    if verdict.outcome == OBSTRUCTED:
-        return EXIT_OBSTRUCTED
-    if verdict.outcome == obstruct.NOT_APPLICABLE:
-        return EXIT_NOT_FG
-    return EXIT_OK
+    return EXIT_OBSTRUCTED if verdict.outcome == OBSTRUCTED else EXIT_OK
 
 
 def _cmd_section(args, out) -> int:
     an = _analysis(args)
     a, b = an.a, an.b
+    if not (a.finitely_generated and b.finitely_generated):
+        # refuse the pair as classify does, before any solving
+        raise NonFinitelyGeneratedError(classify_analysis(an).reason)
     report = section_exists_analysis(an, args.mode)
     payload = {
         "command": "section",

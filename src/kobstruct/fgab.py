@@ -819,7 +819,10 @@ def _cyclic_canonical(orders):
     return group, to_canon, lift
 
 
-@lru_cache(maxsize=None)
+# The two structure memos are bounded: commands on the same pairs of
+# algebras reuse a few hundred structures, while distinct literal
+# pairs almost never hit, and an unbounded memo only grows.
+@lru_cache(maxsize=256)
 def _direct_sum_structure(groups: tuple):
     """Canonical direct sum with injection and projection homs."""
     sum_group, to_canon, lift = _cyclic_canonical(
@@ -906,7 +909,7 @@ def tor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     return FgAbGroup(0, [gcd(d, e) for d in g.torsion for e in h.torsion])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _tensor_structure(g: FgAbGroup, h: FgAbGroup):
     """Canonicalized Kronecker presentation of g (x) h.
 

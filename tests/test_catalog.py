@@ -135,6 +135,107 @@ def test_parse_errors_carry_positions():
         parse('{"k0": {"rank": 1')
 
 
+# Errors of the expression front end, recorded before the atom and
+# operator tables replaced the lexer's, parser's and builtin's per-kind
+# code: the exception type and the exact message, position included.
+_WRONG_UNIT = '{"k0": {"rank": 1, "torsion": [3]}, "k1": {"rank": 0, "torsion": []}, "unit": [1]}'
+_CAR = (
+    "the CAR algebra has K0 = Z[1/2], which is not finitely generated; "
+    "only finitely generated K-theory is supported"
+)
+_NESTED_FREE = "free products may appear only at the top level of an expression"
+FRONT_END_ERRORS = [
+    ("O_1", ParseError, "Cuntz index must be >= 2 (at position 0)"),
+    ("O_0", ParseError, "Cuntz index must be >= 2 (at position 0)"),
+    ("M_0", ParseError, "matrix size must be >= 1 (at position 0)"),
+    ("M_0(Oinf)", ParseError, "matrix size must be >= 1 (at position 0)"),
+    ("C^0", ParseError, "power of C must be >= 1 (at position 0)"),
+    ("Ofoo", ParseError, "unknown algebra name 'Ofoo' (at position 0)"),
+    ("Cfoo", ParseError, "unknown algebra name 'Cfoo' (at position 0)"),
+    ("CT2", ParseError, "unknown algebra name 'CT2' (at position 0)"),
+    ("O_inf2", ParseError, "unknown algebra name 'O_inf2' (at position 0)"),
+    ("O_inf_2", ParseError, "unknown algebra name 'O_inf_2' (at position 0)"),
+    ("CAR2", ParseError, "unknown algebra name 'CAR2' (at position 0)"),
+    ("O_", ParseError, "unknown algebra name 'O_' (at position 0)"),
+    ("C^", ParseError, "unknown algebra name 'C^' (at position 0)"),
+    ("C^x", ParseError, "unknown algebra name 'C^x' (at position 0)"),
+    ("M(Oinf)", ParseError, "unknown algebra name 'M' (at position 0)"),
+    ("Q_17", ParseError, "unknown algebra name 'Q_17' (at position 0)"),
+    # an index is ASCII digits only
+    ("O_\u0663", ParseError, "unknown algebra name 'O_' (at position 0)"),
+    ("M_\u0663(Oinf)", ParseError, "unknown algebra name 'M_' (at position 0)"),
+    ("C([0,1]", ParseError, "unexpected character '[' (at position 2)"),
+    ("C([1,0])", ParseError, "unexpected character '[' (at position 2)"),
+    ("C (T", ParseError, "unknown algebra name 'T' (at position 3)"),
+    ("C\u00a0(T", ParseError, "unknown algebra name 'T' (at position 3)"),
+    ("M_2 (Oinf", ParseError, "trailing input after expression (at position 4)"),
+    ("M_2(Oinf)abc", ParseError, "unknown algebra name 'abc' (at position 9)"),
+    ("M_2(Oinf)(Oinf)", ParseError, "trailing input after expression (at position 9)"),
+    ("C(T)x", ParseError, "unknown algebra name 'x' (at position 4)"),
+    ("C([0 ,1 ] )x", ParseError, "unknown algebra name 'x' (at position 11)"),
+    ("CT(T)", ParseError, "unknown algebra name 'T' (at position 3)"),
+    ("C01 (T)", ParseError, "unknown algebra name 'T' (at position 5)"),
+    ("C^2(T)", ParseError, "unknown algebra name 'T' (at position 4)"),
+    ("Oinf(Oinf)", ParseError, "trailing input after expression (at position 4)"),
+    ("O_2 (x) (*) M_2", ParseError, "expected an algebra expression (at position 8)"),
+    ("C (x)(x) C", ParseError, "expected an algebra expression (at position 5)"),
+    ("O_2 (x ) (* C) C", ParseError, "expected an algebra expression (at position 9)"),
+    ("O_2 (* C", ParseError, "unexpected character '*' (at position 5)"),
+    ("(\u00a0x) C", ParseError, "expected an algebra expression (at position 0)"),
+    ("O_2 (\u00a0x\u00a0) \u00a0", ParseError, "unexpected end of expression (at position 11)"),
+    ("(", ParseError, "unexpected end of expression (at position 1)"),
+    (")", ParseError, "expected an algebra expression (at position 0)"),
+    ("C)", ParseError, "trailing input after expression (at position 1)"),
+    ("(C (x) M_2", ParseError, "unexpected end of expression (at position 10)"),
+    ("O_2 (x) M_3 (", ParseError, "trailing input after expression (at position 12)"),
+    ("", ParseError, "unexpected end of expression (at position 0)"),
+    ("   ", ParseError, "unexpected end of expression (at position 3)"),
+    ("O_2 (x)", ParseError, "unexpected end of expression (at position 7)"),
+    ("O_2 M_3", ParseError, "trailing input after expression (at position 4)"),
+    ("O_2 # M_3", ParseError, "unexpected character '#' (at position 4)"),
+    ("M_" + "1" * 1001, ParseError, "index has 1001 digits, more than the 1000 accepted (at position 0)"),
+    ("M_" + "1" * 1001 + "(Oinf)", ParseError, "index has 1001 digits, more than the 1000 accepted (at position 0)"),
+    ("(" * 101 + "C" + ")" * 101, ParseError, "parentheses nest deeper than 100 levels (at position 100)"),
+    ("{}", ParseError, "bad literal invariant: 'k0' (at position 0)"),
+    ("{{}", ParseError, "unbalanced braces in literal (at position 0)"),
+    (_WRONG_UNIT, ParseError, "bad literal invariant: expected 2 coordinates, got 1 (at position 0)"),
+    ("CAR", NonFinitelyGeneratedError, _CAR),
+    ("O_2 (x) CAR", NonFinitelyGeneratedError, _CAR),
+    ("(O_2 (*) O_2) (x) O_3", UnsupportedNestingError, _NESTED_FREE),
+    ("O_2 (*) O_2 (*C) O_3", UnsupportedNestingError, _NESTED_FREE),
+]
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    FRONT_END_ERRORS,
+    ids=[ascii(t) if len(t) <= 24 else f"{ascii(t[:12])}...{len(t)}" for t, _, _ in FRONT_END_ERRORS],
+)
+def test_front_end_errors_pinned(text, error, message):
+    with pytest.raises(ValueError) as exc:
+        evaluate(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "kind, param, error, message",
+    [
+        ("O", 1, ValueError, "Cuntz index must be an integer >= 2"),
+        ("O", None, ValueError, "Cuntz index must be an integer >= 2"),
+        ("M", 0, ValueError, "matrix size must be an integer >= 1"),
+        ("MOinf", 0, ValueError, "matrix size must be an integer >= 1"),
+        ("Cpow", 0, ValueError, "power of C must be an integer >= 1"),
+        ("Cpow", None, ValueError, "power of C must be an integer >= 1"),
+        ("X", None, ValueError, "unknown atom kind 'X'"),
+        ("CAR", None, NonFinitelyGeneratedError, _CAR),
+    ],
+)
+def test_builtin_errors_pinned(kind, param, error, message):
+    with pytest.raises(ValueError) as exc:
+        builtin(kind, param)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def _random_tree(rng, depth, allow_free):
     atoms = [
         Atom("O", rng.randint(2, 9)),

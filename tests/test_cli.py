@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kobstruct import (
     GroupHom,
@@ -110,6 +111,32 @@ def test_flagged_literal_is_not_applicable():
     code, out, _ = run_cli("classify", flagged, "O_2")
     assert code == EXIT_NOT_FG
     assert "NotApplicable" in out
+
+
+_FLAGGED = (
+    '{"k0": {"rank": 1, "torsion": []}, "k1": {"rank": 0, "torsion": []},'
+    ' "unit": [1], "finitely_generated": false}'
+)
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "unital"]])
+def test_classify_stops_at_the_refusal(mode):
+    code, out, err = run_cli("classify", _FLAGGED, "O_2", *mode, "--format", "json")
+    assert code == EXIT_NOT_FG and not err
+    payload = json.loads(out)
+    assert set(payload) == {"command", "expr_a", "expr_b", "invariant_a", "invariant_b", "verdict"}
+    assert payload["verdict"]["outcome"] == "NotApplicable" and payload["verdict"]["reason"]
+    code, out, _ = run_cli("classify", "O_2", _FLAGGED, *mode)
+    assert code == EXIT_NOT_FG
+    assert out.splitlines()[2:] == ["verdict: NotApplicable", "reason: " + payload["verdict"]["reason"]]
+
+
+@pytest.mark.parametrize("mode", ["unital", "full"])
+def test_section_refuses_flagged_literal(mode):
+    for pair in ((_FLAGGED, "M_2"), ("M_2", _FLAGGED)):
+        code, out, err = run_cli("section", *pair, "--mode", mode)
+        assert code == EXIT_NOT_FG and not out
+        assert err.startswith("error: K-theory is not finitely generated")
 
 
 def test_literal_inside_compound_expression():
@@ -220,6 +247,73 @@ def test_shared_parser_keeps_no_state_between_calls():
     assert run_cli("section", "M_2", "M_3", "--mode", "half")[0] == EXIT_ERROR
     code, out, _ = run_cli("section", "M_2", "M_3")
     assert code == EXIT_OK and "mode: unital" in out
+
+
+# Inputs for the property that the command line ends every command with
+# an exit code of 0-3 and never raises.  Indices stay under 50 digits
+# inside (x) chains, so no product reaches Python's 4300-digit limit on
+# printing integers (pinned as exit 4 above), and C^k stays small: its
+# K0 is Z^k, and a large k still ends in exit 4.  Literal triples are as small as the torsion-literals
+# benchmark uses, since larger ones can hit the known growth of the
+# Smith normal form.
+_small_index = st.integers(2, 10**49)
+_atoms = st.one_of(
+    st.sampled_from(
+        ["O_2", "O3", "O_12", "Oinf", "O_inf", "M_1", "M_6", "M2(Oinf)", "C", "C^2",
+         "CT", "C(T)", "C01", "C([0,1])", "CAR"]
+    ),
+    _small_index.map("O_{}".format),
+    _small_index.map("M_{}".format),
+    _small_index.map("M_{}(Oinf)".format),
+)
+_trees = st.recursive(
+    _atoms,
+    lambda sub: st.tuples(sub, st.sampled_from(["(x)", "(*)", "(*C)", " ( x ) "]), sub).map(
+        lambda t: f"({t[0]} {t[1]} {t[2]})"
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _groups(draw):
+    factors = draw(st.lists(st.sampled_from([2, 3, 4, 5, 7, 9, 25, 49]), max_size=4))
+    return {"rank": draw(st.integers(0, 1)), "torsion": sorted(factors)}
+
+
+@st.composite
+def _literals(draw):
+    k0 = draw(_groups())
+    ngens = k0["rank"] + len(k0["torsion"])
+    unit = draw(st.lists(st.integers(-60, 60), min_size=ngens, max_size=ngens))
+    return json.dumps({"k0": k0, "k1": draw(_groups()), "unit": unit})
+
+
+_expressions = st.one_of(
+    _trees,
+    _literals(),
+    st.tuples(st.integers(90, 110), _atoms).map(lambda t: "(" * t[0] + t[1] + ")" * t[0]),
+    st.tuples(st.sampled_from(["O_", "M_", "C^"]), st.integers(1001, 1200)).map(
+        lambda t: t[0] + "7" * t[1]
+    ),
+    _literals().map(lambda text: text[: len(text) // 2]),
+    st.text(alphabet='{}[]:," k0k1unitrankorsion-123', max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["kgroups", "classify", "section"]),
+    _expressions,
+    _expressions,
+    st.sampled_from([[], ["--mode", "unital"], ["--mode", "full"]]),
+    st.sampled_from(["text", "json"]),
+)
+def test_cli_exits_zero_to_three_and_never_raises(command, a, b, mode, fmt):
+    argv = [command, a] if command == "kgroups" else [command, a, b, *mode]
+    code, _, err = run_cli(*argv, "--format", fmt)
+    assert code in (EXIT_OK, EXIT_OBSTRUCTED, EXIT_ERROR, EXIT_NOT_FG), err
+    assert not err or err.startswith("error: ")
 
 
 def _sections_json(report):

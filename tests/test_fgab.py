@@ -27,6 +27,7 @@ from kobstruct import (
     tensor_elem,
     tor,
 )
+from kobstruct import fgab
 from kobstruct.fgab import _canonicalize_full, _cyclic_canonical
 from conftest import (
     is_unimodular,
@@ -226,6 +227,15 @@ def test_direct_sum_structure_maps():
         joint = inj_g.matrix.hstack(inj_h.matrix)
         cover, _ = canonicalize(s.ngens, joint.hstack(s.relation_matrix()))
         assert cover.is_trivial
+
+
+def test_structure_memos_are_bounded():
+    # 300 distinct pairs of cyclic groups: more than either memo keeps
+    for n in range(2, 302):
+        direct_sum(FgAbGroup(0, (n,)), Z)
+        tensor_elem(FgAbGroup(0, (n,)).element((1,)), Z.element((1,)))
+    for memo in (fgab._direct_sum_structure, fgab._tensor_structure):
+        assert 0 < memo.cache_info().currsize <= 256
 
 
 def test_quotient_examples():
