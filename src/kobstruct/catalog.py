@@ -7,7 +7,7 @@ Atoms, in the order the lexer tries them; each spells a whole name:
     M_n, n >= 1          matrix algebras          (Z, 0, n)
     C(T) or CT           circle functions         (Z, Z, 1)
     C([0,1]) or C01      interval functions       (Z, 0, 1)
-    C^k, k >= 1          k-point diagonals        (Z^k, 0, (1, ..., 1))
+    C^k, 1 <= k <= 100   k-point diagonals        (Z^k, 0, (1, ..., 1))
     C                    the scalars              (Z, 0, 1)
     CAR                  rejected: its K0 = Z[1/2] is not finitely generated
     {...}                a literal JSON triple {"k0": ..., "k1": ..., "unit": [...]}
@@ -110,6 +110,9 @@ MAX_NESTING = 100
 # Longest decimal index (O_n, M_n, C^k) accepted; Python refuses to
 # convert strings beyond 4300 digits, and no algebra here needs more.
 MAX_INDEX_DIGITS = 1000
+# Largest k in C^k: its K0 is Z^k, so k sets the number of generators,
+# and a product of two such atoms has k^2 of them.
+MAX_POWER = 100
 
 
 def _ones(k0, k1=_TRIVIAL):
@@ -133,6 +136,7 @@ class _AtomRow(NamedTuple):
     written: re.Pattern  # the whole name, with any suffix that belongs to it
     printed: str  # str.format template of the index
     least: int | None  # least index, None for an atom without one
+    most: int | None  # largest index, None where there is no limit
     noun: str | None  # what the index counts, for the range messages
     invariant: Callable[[int | None], KInvariant]
 
@@ -140,17 +144,17 @@ class _AtomRow(NamedTuple):
 # The atoms in the order the lexer tries them: a form with a suffix
 # before the bare name it starts with.  The index is group 1.
 _ATOMS = tuple(
-    _AtomRow(kind, re.compile(written), printed, least, noun, invariant)
-    for kind, written, printed, least, noun, invariant in (
-        ("Oinf", r"O_?inf", "Oinf", None, None, lambda _: _ones(_Z)),
-        ("O", r"O_?([0-9]+)", "O_{}", 2, "Cuntz index", lambda n: _ones(FgAbGroup(0, (n - 1,)))),
-        ("MOinf", r"M_?([0-9]+)\s*\(\s*O_?inf\s*\)", "M_{}(Oinf)", 1, "matrix size", _matrix),
-        ("M", r"M_?([0-9]+)", "M_{}", 1, "matrix size", _matrix),
-        ("CT", r"C(?:T|\s*\(\s*T\s*\))", "CT", None, None, lambda _: _ones(_Z, _Z)),
-        ("C01", r"C(?:01|\s*\(\s*\[\s*0\s*,\s*1\s*\]\s*\))", "C01", None, None, lambda _: _ones(_Z)),
-        ("Cpow", r"C\^([0-9]+)", "C^{}", 1, "power of C", lambda n: _ones(FgAbGroup(n))),
-        ("C", r"C", "C", None, None, lambda _: _ones(_Z)),
-        ("CAR", r"CAR", "CAR", None, None, _car),
+    _AtomRow(kind, re.compile(written), printed, least, most, noun, invariant)
+    for kind, written, printed, least, most, noun, invariant in (
+        ("Oinf", r"O_?inf", "Oinf", None, None, None, lambda _: _ones(_Z)),
+        ("O", r"O_?([0-9]+)", "O_{}", 2, None, "Cuntz index", lambda n: _ones(FgAbGroup(0, (n - 1,)))),
+        ("MOinf", r"M_?([0-9]+)\s*\(\s*O_?inf\s*\)", "M_{}(Oinf)", 1, None, "matrix size", _matrix),
+        ("M", r"M_?([0-9]+)", "M_{}", 1, None, "matrix size", _matrix),
+        ("CT", r"C(?:T|\s*\(\s*T\s*\))", "CT", None, None, None, lambda _: _ones(_Z, _Z)),
+        ("C01", r"C(?:01|\s*\(\s*\[\s*0\s*,\s*1\s*\]\s*\))", "C01", None, None, None, lambda _: _ones(_Z)),
+        ("Cpow", r"C\^([0-9]+)", "C^{}", 1, MAX_POWER, "power of C", lambda n: _ones(FgAbGroup(n))),
+        ("C", r"C", "C", None, None, None, lambda _: _ones(_Z)),
+        ("CAR", r"CAR", "CAR", None, None, None, _car),
     )
 )
 _ATOM_OF_KIND = {row.kind: row for row in _ATOMS}
@@ -189,6 +193,8 @@ def builtin(kind: str, param: int | None = None) -> KInvariant:
         raise ValueError(f"unknown atom kind {kind!r}")
     if row.least is not None and (param is None or param < row.least):
         raise ValueError(f"{row.noun} must be an integer >= {row.least}")
+    if row.most is not None and param > row.most:
+        raise ValueError(f"{row.noun} must be an integer <= {row.most}")
     return row.invariant(param)
 
 
@@ -272,6 +278,8 @@ def _lex_atom(text: str, pos: int):
             param = int(digits)
             if param < row.least:
                 raise ParseError(f"{row.noun} must be >= {row.least}", pos)
+            if row.most is not None and param > row.most:
+                raise ParseError(f"{row.noun} must be <= {row.most}", pos)
         return Atom(row.kind, param), m.end()
     raise ParseError(f"unknown algebra name {name.group(0)!r}", pos)
 
@@ -390,7 +398,9 @@ def eval_expr(expr, root: bool = True):
 
     Free products may appear only at the root: their K-theory is a
     K-pair, not an invariant triple of an algebra that could be fed
-    back into the tensor formula.
+    back into the tensor formula.  A literal flagged as not finitely
+    generated may stand alone, for the decision layer to refuse, but is
+    refused as an operand, since the formulas would drop the flag.
 
     >>> eval_expr(parse("M_2 (x) M_3")).unit.coords
     (6,)
@@ -398,6 +408,11 @@ def eval_expr(expr, root: bool = True):
     if isinstance(expr, Atom):
         return builtin(expr.kind, expr.param)
     if isinstance(expr, Literal):
+        if not (root or expr.invariant.finitely_generated):
+            raise NonFinitelyGeneratedError(
+                'a literal flagged "finitely_generated": false cannot be an operand; '
+                "the K-theory formulas only cover finitely generated inputs"
+            )
         return expr.invariant
     if isinstance(expr, Tensor):
         # A chain A (x) B (x) C ... parses left-deep; walk its spine

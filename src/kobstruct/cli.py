@@ -16,6 +16,7 @@ Output is deterministic; JSON output is key-sorted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -73,6 +74,11 @@ def _kpair_lines(kp: KPair) -> list[str]:
 
 def _cmd_kgroups(args, out) -> int:
     result = evaluate(args.expr)
+    if isinstance(result, KInvariant) and not result.finitely_generated:
+        raise NonFinitelyGeneratedError(
+            'the literal is flagged "finitely_generated": false; '
+            "K-groups are computed only for finitely generated inputs"
+        )
     payload = {"command": "kgroups", "expr": args.expr, "result": result.to_json()}
     if isinstance(result, KInvariant):
         lines = [f"expr: {args.expr}", f"L = {result}"]
@@ -391,7 +397,10 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes --help to sys.stdout and usage errors to
+        # sys.stderr; send them to this call's streams
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -15,6 +15,16 @@ sums of cyclic groups, so they skip the Smith normal form:
 handles the general presentations: quotients, cokernels and the
 solvers' systems.
 
+Each caller of the Smith normal form engine ``_snf_engine`` tracks only
+the transforms it reads: ``cokernel`` and ``is_surjective`` none (the
+group is read off the diagonal), ``is_injective`` the right transform
+v, ``smith_normal_form`` and so ``_solve_mod`` u and v, and
+``_canonicalize_full`` (quotients, ``canonicalize``) u and u^-1.  The
+pivot sequence depends on the matrix alone, so d and every transform
+are the same whichever are tracked.  Matrices the package builds from
+its own integer tuples skip the public constructor's conversion and
+checks (``IntMatrix._trusted``).
+
 Conventions
 -----------
 * A group is stored as ``Z^rank  (+)  Z/d1 (+) ... (+) Z/dk`` with the
@@ -36,7 +46,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, inf, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, neg
 
 __all__ = [
     "GroupMismatchError",
@@ -93,6 +103,16 @@ class IntMatrix:
         object.__setattr__(self, "cols", int(cols))
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _trusted(cls, data, cols):
+        """The matrix with rows ``data``, a tuple of int tuples of width
+        ``cols`` that the package built itself: no conversion, no checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -106,11 +126,12 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows):
-        """Build a matrix of shape (rows, len(columns)) from column vectors."""
+        """Build a matrix of shape (rows, len(columns)) from column vectors
+        of ints."""
         columns = [tuple(c) for c in columns]
         if any(len(c) != rows for c in columns):
             raise ValueError("column of wrong length")
-        return cls(zip(*columns) if columns else [()] * rows, cols=len(columns))
+        return cls._trusted(tuple(zip(*columns)) if columns else ((),) * rows, len(columns))
 
     def __getitem__(self, key):
         i, j = key
@@ -125,18 +146,15 @@ class IntMatrix:
     def hstack(self, other):
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return IntMatrix(
-            [self.data[i] + other.data[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
-        )
+        return IntMatrix._trusted(tuple(map(add, self.data, other.data)), self.cols + other.cols)
 
     def __matmul__(self, other):
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matrix product")
             ot = list(zip(*other.data)) if other.data else [()] * other.cols
-            out = [[sum(map(mul, row, col)) for col in ot] for row in self.data]
-            return IntMatrix(out, cols=other.cols)
+            out = tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self.data])
+            return IntMatrix._trusted(out, other.cols)
         # matrix @ vector
         vec = tuple(other)
         if self.cols != len(vec):
@@ -146,13 +164,13 @@ class IntMatrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple([tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)]),
+            self.cols,
         )
 
     def __neg__(self):
-        return IntMatrix([[-e for e in row] for row in self.data], cols=self.cols)
+        return IntMatrix._trusted(tuple([tuple(map(neg, row)) for row in self.data]), self.cols)
 
     def __eq__(self, other):
         return (
@@ -203,30 +221,36 @@ def determinant(m: IntMatrix) -> int:
 # Smith normal form
 
 
-def _snf_engine(m: IntMatrix, inverse: bool = False, right: bool = False):
+def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: bool = False):
     """Diagonalize m, returning (u, uinv_t, d, v_t) with d = u m v.
 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
-    form a divisibility chain.  Only u and d are always tracked: uinv_t,
-    the transpose of u^-1, only when ``inverse`` is set and v_t, the
-    transpose of v, only when ``right`` is set; the other is None.
-    Keeping both transposed makes every update a whole-row operation.
-    The pivot strategy is deterministic: smallest nonzero absolute
-    value, ties broken row-major, moved into place by cyclic rotation so
-    untouched generators keep their relative order.
+    form a divisibility chain.  Only d is always computed.  Each
+    transform is tracked only when its caller asks for it, and is None
+    otherwise: u when ``left`` is set (``smith_normal_form``,
+    ``_canonicalize_full``), uinv_t, the transpose of u^-1, when
+    ``inverse`` is set (``_canonicalize_full``), and v_t, the transpose
+    of v, when ``right`` is set (``smith_normal_form``,
+    ``is_injective``); ``cokernel`` asks for none.  Keeping uinv_t and
+    v_t transposed makes every update a whole-row operation.  The pivot
+    strategy reads only the matrix being reduced, so d and each tracked
+    transform are the same whichever others are tracked: smallest
+    nonzero absolute value, ties broken row-major, moved into place by
+    cyclic rotation so untouched generators keep their relative order.
     """
     nrows, ncols = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = _identity_rows(nrows)
+    u = _identity_rows(nrows) if left else None
     uinv_t = _identity_rows(nrows) if inverse else None
     v_t = _identity_rows(ncols) if right else None
     # the matrices whose rows follow the row swaps, negations and rotations
-    row_sides = (a, u, uinv_t) if inverse else (a, u)
+    row_sides = [rows for rows in (a, u, uinv_t) if rows is not None]
 
     def row_add(i, t, q):
         # row_i += q * row_t; u^-1 takes the inverse column operation
         a[i] = [x + q * y for x, y in zip(a[i], a[t])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[t])]
+        if left:
+            u[i] = [x + q * y for x, y in zip(u[i], u[t])]
         if inverse:
             uinv_t[t] = [x - q * y for x, y in zip(uinv_t[t], uinv_t[i])]
 
@@ -327,7 +351,7 @@ def smith_normal_form(m: IntMatrix):
     >>> [d[0, 0], d[1, 1]]
     [2, 4]
     """
-    u, _, d, v_t = _snf_engine(m, right=True)
+    u, _, d, v_t = _snf_engine(m, left=True, right=True)
     return (
         IntMatrix(u, cols=m.rows),
         IntMatrix(d, cols=m.cols),
@@ -403,17 +427,15 @@ class FgAbGroup:
         factors = [abs(int(d)) for d in torsion]
         rank += factors.count(0)
         factors = [d for d in factors if d > 1]
-        while True:
+        # sort and merge until the factors form a divisibility chain,
+        # which is then sorted too
+        while any(y % x for x, y in zip(factors, factors[1:])):
             factors.sort()
-            changed = False
             for i in range(len(factors) - 1):
                 x, y = factors[i], factors[i + 1]
                 if y % x:
                     factors[i], factors[i + 1] = gcd(x, y), lcm(x, y)
-                    changed = True
             factors = [d for d in factors if d > 1]
-            if not changed:
-                break
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tuple(factors))
 
@@ -623,10 +645,10 @@ class GroupHom:
             )
         # reduce row by row: the row of a generator of order d mod d
         rank = target.rank
-        reduced = IntMatrix(
+        reduced = IntMatrix._trusted(
             matrix.data[:rank]
-            + tuple([e % d for e in row] for row, d in zip(matrix.data[rank:], target.torsion)),
-            cols=matrix.cols,
+            + tuple([tuple([e % d for e in row]) for row, d in zip(matrix.data[rank:], target.torsion)]),
+            matrix.cols,
         )
         orders = _orders(target)
         for j, d in enumerate(source.torsion, source.rank):
@@ -719,10 +741,8 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
             "relation matrix must have one row per generator "
             f"({generators}), got {relations.rows}"
         )
-    u, uinv_t, d, _ = _snf_engine(relations, inverse=True)
-    diag = [d[i][i] for i in range(min(generators, relations.cols))]
-    free_pos = [i for i in range(generators) if i >= len(diag) or diag[i] == 0]
-    tors_pos = [i for i in range(len(diag)) if diag[i] > 1]
+    u, uinv_t, d, _ = _snf_engine(relations, left=True, inverse=True)
+    group, free_pos, tors_pos = _diagonal_group(d, relations.cols)
     # orient free generators: first nonzero coefficient positive (the
     # corresponding rows of d are zero, so d = u m v is preserved)
     for p in free_pos:
@@ -730,11 +750,20 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
         if lead < 0:
             u[p] = [-e for e in u[p]]
             uinv_t[p] = [-e for e in uinv_t[p]]
-    group = FgAbGroup(len(free_pos), tuple(diag[i] for i in tors_pos))
     order = free_pos + tors_pos
     to_canon = IntMatrix([u[p] for p in order], cols=generators)
     lift = IntMatrix.from_columns([uinv_t[p] for p in order], generators)
     return group, to_canon, lift
+
+
+def _diagonal_group(d, relations: int):
+    """The group presented by the Smith diagonal ``d`` (the reduced rows
+    of a relation matrix with ``relations`` columns), and the positions
+    of its free and torsion generators: (group, free_pos, tors_pos)."""
+    diag = [d[i][i] for i in range(min(len(d), relations))]
+    free_pos = [i for i in range(len(d)) if i >= len(diag) or diag[i] == 0]
+    tors_pos = [i for i in range(len(diag)) if diag[i] > 1]
+    return FgAbGroup(len(free_pos), [diag[i] for i in tors_pos]), free_pos, tors_pos
 
 
 def canonicalize(generators: int, relations: IntMatrix):
@@ -837,7 +866,7 @@ def _direct_sum_structure(groups: tuple):
             GroupHom(g, sum_group, IntMatrix.from_columns(inj_cols, sum_group.ngens))
         )
         proj_rows = lift.data[offset : offset + g.ngens]
-        projections.append(GroupHom(sum_group, g, IntMatrix(proj_rows, cols=sum_group.ngens)))
+        projections.append(GroupHom(sum_group, g, IntMatrix._trusted(proj_rows, sum_group.ngens)))
         offset += g.ngens
     return sum_group, tuple(injections), tuple(projections)
 
@@ -947,8 +976,8 @@ def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
 def cokernel(f: GroupHom) -> FgAbGroup:
     """Canonical form of target / image."""
     stacked = f.matrix.hstack(f.target.relation_matrix())
-    group, _, _ = _canonicalize_full(f.target.ngens, stacked)
-    return group
+    _, _, d, _ = _snf_engine(stacked)
+    return _diagonal_group(d, stacked.cols)[0]
 
 
 def is_surjective(f: GroupHom) -> bool:
@@ -964,18 +993,11 @@ def is_surjective(f: GroupHom) -> bool:
 def is_injective(f: GroupHom) -> bool:
     """Exact injectivity test: trivial kernel modulo source relations."""
     stacked = f.matrix.hstack(f.target.relation_matrix())
-    _, d, v = smith_normal_form(stacked)
-    rank = sum(
-        1
-        for i in range(min(stacked.rows, stacked.cols))
-        if d[i, i] != 0
-    )
+    _, _, d, v_t = _snf_engine(stacked, right=True)
+    rank = sum(1 for i in range(min(stacked.rows, stacked.cols)) if d[i][i] != 0)
+    # the columns of v past the rank span the kernel of [f | R_h]
     sg = f.source.ngens
-    for j in range(rank, stacked.cols):
-        col = v.column(j)
-        if any(f.source.reduce(col[:sg])):
-            return False
-    return True
+    return not any(any(f.source.reduce(col[:sg])) for col in v_t[rank:])
 
 
 def constrained_section_exists(f: GroupHom, constraints=()):

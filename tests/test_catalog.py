@@ -10,6 +10,7 @@ from kobstruct.catalog import (
     Atom,
     FreeProd,
     Literal,
+    MAX_POWER,
     NonFinitelyGeneratedError,
     ParseError,
     Tensor,
@@ -234,6 +235,17 @@ def test_builtin_errors_pinned(kind, param, error, message):
     with pytest.raises(ValueError) as exc:
         builtin(kind, param)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_power_of_c_is_bounded():
+    assert builtin("Cpow", MAX_POWER).k0 == FgAbGroup(MAX_POWER)
+    with pytest.raises(ValueError, match=f"power of C must be an integer <= {MAX_POWER}"):
+        builtin("Cpow", MAX_POWER + 1)
+    assert parse(f"C^{MAX_POWER}") == Atom("Cpow", MAX_POWER)
+    for text, position in ((f"C^{MAX_POWER + 1}", 0), ("M_2 (x) C^" + "1" * 30, 8)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"power of C must be <= {MAX_POWER} (at position {position})"
 
 
 def _random_tree(rng, depth, allow_free):

@@ -18,7 +18,7 @@ from kobstruct import (
     unital_free_product_k,
 )
 from kobstruct import fgab, kinv, obstruct
-from kobstruct.catalog import MAX_INDEX_DIGITS, MAX_NESTING
+from kobstruct.catalog import MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER
 from kobstruct.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -184,6 +184,46 @@ def test_usage_error_exit_two():
     assert code == EXIT_ERROR
 
 
+def test_argparse_text_goes_to_the_given_streams(capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["classify", "M_2"], out=out, err=err) == EXIT_ERROR
+    assert not out.getvalue()
+    assert err.getvalue().startswith("usage: kobstruct classify")
+    assert "error: the following arguments are required: expr_b" in err.getvalue()
+    for argv in (["--help"], ["section", "--help"]):
+        out, err = io.StringIO(), io.StringIO()
+        assert main(argv, out=out, err=err) == EXIT_OK
+        assert out.getvalue().startswith("usage: kobstruct") and not err.getvalue()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_large_power_of_c_is_an_expression_error():
+    for expr, position in (("C^" + str(MAX_POWER + 1), 0), ("O_2 (x) C^" + "9" * 21, 8)):
+        code, out, err = run_cli("kgroups", expr)
+        assert code == EXIT_ERROR and not out
+        assert err == f"error: power of C must be <= {MAX_POWER} (at position {position})\n"
+    code, out, _ = run_cli("kgroups", f"C^{MAX_POWER}")
+    assert code == EXIT_OK and f"Z^{MAX_POWER}" in out
+
+
+_FLAGGED_OPERANDS = [
+    expr for op in ("(x)", "(*C)", "(*)") for expr in (f"{_FLAGGED} {op} M_2", f"M_2 {op} ({_FLAGGED})")
+]
+
+
+@pytest.mark.parametrize("k", range(1 + len(_FLAGGED_OPERANDS)))
+def test_kgroups_refuses_flagged_literal(k):
+    # the literal alone, then as either operand of each operator
+    expr = ([_FLAGGED] + _FLAGGED_OPERANDS)[k]
+    for fmt in ("text", "json"):
+        code, out, err = run_cli("kgroups", expr, "--format", fmt)
+        assert code == EXIT_NOT_FG and not out
+        assert err.startswith("error: the literal is flagged" if k == 0 else "error: a literal flagged")
+    if k:
+        code, out, err = run_cli("classify", expr, "O_2")
+        assert code == EXIT_NOT_FG and not out and err.startswith("error: a literal flagged")
+
+
 def test_output_determinism():
     for argv in (
         ("classify", "M_2", "M_3", "--mode", "unital"),
@@ -252,10 +292,11 @@ def test_shared_parser_keeps_no_state_between_calls():
 # Inputs for the property that the command line ends every command with
 # an exit code of 0-3 and never raises.  Indices stay under 50 digits
 # inside (x) chains, so no product reaches Python's 4300-digit limit on
-# printing integers (pinned as exit 4 above), and C^k stays small: its
-# K0 is Z^k, and a large k still ends in exit 4.  Literal triples are as small as the torsion-literals
-# benchmark uses, since larger ones can hit the known growth of the
-# Smith normal form.
+# printing integers (pinned as exit 4 above), and C^k is either small
+# or above MAX_POWER, an expression error: C^k within the limit inside
+# (x) chains builds k^2 generators.  Literal triples are as small as the
+# torsion-literals benchmark uses, since larger ones can hit the known
+# growth of the Smith normal form.
 _small_index = st.integers(2, 10**49)
 _atoms = st.one_of(
     st.sampled_from(
@@ -265,6 +306,7 @@ _atoms = st.one_of(
     _small_index.map("O_{}".format),
     _small_index.map("M_{}".format),
     _small_index.map("M_{}(Oinf)".format),
+    st.integers(MAX_POWER + 1, 10**49).map("C^{}".format),
 )
 _trees = st.recursive(
     _atoms,
@@ -313,7 +355,11 @@ def test_cli_exits_zero_to_three_and_never_raises(command, a, b, mode, fmt):
     argv = [command, a] if command == "kgroups" else [command, a, b, *mode]
     code, _, err = run_cli(*argv, "--format", fmt)
     assert code in (EXIT_OK, EXIT_OBSTRUCTED, EXIT_ERROR, EXIT_NOT_FG), err
-    assert not err or err.startswith("error: ")
+    if err.startswith("usage: "):
+        # argparse's own usage error, for an expression that starts with "-"
+        assert code == EXIT_ERROR and err.startswith("usage: kobstruct") and ": error: " in err
+    else:
+        assert not err or err.startswith("error: ")
 
 
 def _sections_json(report):

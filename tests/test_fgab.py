@@ -1,8 +1,9 @@
 """Unit and property tests for the abelian-group engine."""
 
 import hashlib
+import itertools
 import random
-from math import inf
+from math import gcd, inf, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,11 @@ from kobstruct import (
     GroupMismatchError,
     IntMatrix,
     canonicalize,
+    cokernel,
     compose,
     constrained_section_exists,
     direct_sum,
+    direct_sum_many,
     element_order,
     is_injective,
     is_surjective,
@@ -154,6 +157,151 @@ def test_generic_engine_outputs_pinned():
     assert hashlib.sha256(dense).hexdigest() == (
         "08d5701e5a4ad58516a0c5362dc6a6542bbda23dff4774072b4b5c7888038dec"
     )
+
+
+# Shapes the random engine inputs cycle through besides random ones:
+# empty, one entry, one row and one column.
+_EDGE_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]
+
+
+def _engine_matrices(seed, count):
+    """Random matrices up to 7 x 7; every other one has an edge shape, and
+    about one in four is zero."""
+    rng = random.Random(seed)
+    for k in range(count):
+        r, c = _EDGE_SHAPES[k % 6] if k % 2 else (rng.randint(0, 7), rng.randint(0, 7))
+        e = rng.choice([0, 1, 5, 40])
+        yield IntMatrix([[rng.randint(-e, e) for _ in range(c)] for _ in range(r)], cols=c)
+
+
+def test_snf_engine_tracks_each_transform_alike():
+    # The pivot sequence reads only the matrix being reduced, so d and
+    # each tracked transform are the same whichever others are tracked,
+    # and an untracked one is None.
+    for m in _engine_matrices(17, 600):
+        full = fgab._snf_engine(m, left=True, inverse=True, right=True)
+        u, uinv_t, d, v_t = full
+        v = IntMatrix.from_columns(v_t, m.cols)
+        assert IntMatrix(u, cols=m.rows) @ m @ v == IntMatrix(d, cols=m.cols)
+        assert IntMatrix(u, cols=m.rows) @ IntMatrix.from_columns(uinv_t, m.rows) == IntMatrix.identity(m.rows)
+        for flags in itertools.product((False, True), repeat=3):
+            got = fgab._snf_engine(m, *flags)
+            assert got[2] == d
+            for tracked, part, ref in zip(flags, (got[0], got[1], got[3]), (u, uinv_t, v_t)):
+                assert part == (ref if tracked else None)
+
+
+def _is_injective_by_snf(f):
+    """Injectivity read off smith_normal_form of [f | R_h]: every kernel
+    column of v must vanish in the source."""
+    stacked = f.matrix.hstack(f.target.relation_matrix())
+    _, d, v = smith_normal_form(stacked)
+    rank = sum(1 for i in range(min(stacked.rows, stacked.cols)) if d[i, i])
+    sg = f.source.ngens
+    return not any(any(f.source.reduce(v.column(j)[:sg])) for j in range(rank, stacked.cols))
+
+
+def test_transform_free_questions_agree_with_the_full_engine():
+    rng = random.Random(23)
+    orders = [2, 3, 4, 6, 8, 9, 12]
+    for _ in range(400):
+        g = FgAbGroup(rng.randint(0, 2), [rng.choice(orders) for _ in range(rng.randint(0, 3))])
+        h = FgAbGroup(rng.randint(0, 2), [rng.choice(orders) for _ in range(rng.randint(1, 3))])
+        f = random_hom(rng, g, h)
+        stacked = f.matrix.hstack(h.relation_matrix())
+        coker = cokernel(f)
+        assert coker == _canonicalize_full(h.ngens, stacked)[0]
+        assert is_surjective(f) == coker.is_trivial
+        assert is_injective(f) == _is_injective_by_snf(f)
+
+
+def _plain_tuples(m):
+    return type(m.data) is tuple and all(
+        type(row) is tuple and len(row) == m.cols and all(type(e) is int for e in row)
+        for row in m.data
+    )
+
+
+def test_trusted_constructor_matches_the_public_one():
+    rng = random.Random(29)
+    for _ in range(300):
+        r, c, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        a = IntMatrix(rows, cols=c)
+        trusted = IntMatrix._trusted(tuple(map(tuple, rows)), c)
+        assert trusted == a and hash(trusted) == hash(a)
+        assert (trusted.rows, trusted.cols) == (a.rows, a.cols)
+        b = IntMatrix([[rng.randint(-9, 9) for _ in range(k)] for _ in range(c)], cols=k)
+        built = [
+            (a @ b, [[sum(a[i, t] * b[t, j] for t in range(c)) for j in range(k)] for i in range(r)], k),
+            (a.hstack(a), [row + row for row in rows], 2 * c),
+            (a + a, [[2 * e for e in row] for row in rows], c),
+            (-a, [[-e for e in row] for row in rows], c),
+            (IntMatrix.from_columns([a.column(j) for j in range(c)], r), rows, c),
+        ]
+        for got, want_rows, cols in built:
+            want = IntMatrix(want_rows, cols=cols)
+            assert _plain_tuples(got) and got == want and hash(got) == hash(want)
+
+    for _ in range(200):
+        g = FgAbGroup(rng.randint(0, 2), [rng.choice([2, 4, 6]) for _ in range(rng.randint(0, 2))])
+        h = FgAbGroup(rng.randint(0, 2), [rng.choice([2, 4, 6]) for _ in range(rng.randint(0, 2))])
+        f = random_hom(rng, g, h)
+        # an unreduced matrix of the same hom, through the public constructor
+        orders = [0] * h.rank + list(h.torsion)
+        shifted = [[e + t * rng.randint(-3, 3) for e in row] for row, t in zip(f.matrix.to_json(), orders)]
+        again = GroupHom(g, h, IntMatrix(shifted, cols=g.ngens))
+        assert _plain_tuples(f.matrix) and again == f and hash(again) == hash(f)
+        s, injs, projs = direct_sum_many((g, h))
+        for m in injs + projs:
+            public = GroupHom(m.source, m.target, IntMatrix(m.matrix.to_json(), cols=m.source.ngens))
+            assert _plain_tuples(m.matrix) and public == m and hash(public) == hash(m)
+
+
+def test_public_constructors_still_check_their_input():
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="cols does not match"):
+        IntMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="wrong length"):
+        IntMatrix.from_columns([[1, 2], [3]], 2)
+    converted = IntMatrix([["4", 5.0, True]])
+    assert converted.data == ((4, 5, 1),) and _plain_tuples(converted)
+    with pytest.raises(ValueError, match="hom matrix must be 1 x 1"):
+        GroupHom(Z, Z, IntMatrix([[1, 2]]))
+    with pytest.raises(ValueError, match="not a well-defined hom"):
+        GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (6,)), IntMatrix([[1]]))
+    with pytest.raises(ValueError, match="not a well-defined hom"):
+        GroupHom(FgAbGroup(0, (2,)), Z, IntMatrix([[3]]))
+
+
+def _merged_factors(factors):
+    """The invariant factors of (+) Z/d by the sort-and-merge loop run
+    to a fixed point, whether or not its input is already a chain."""
+    factors = [abs(d) for d in factors if abs(d) > 1]
+    while True:
+        factors.sort()
+        changed = False
+        for i in range(len(factors) - 1):
+            x, y = factors[i], factors[i + 1]
+            if y % x:
+                factors[i], factors[i + 1] = gcd(x, y), lcm(x, y)
+                changed = True
+        factors = [d for d in factors if d > 1]
+        if not changed:
+            return tuple(factors)
+
+
+def test_group_normalization_matches_the_merge_loop():
+    rng = random.Random(31)
+    choices = [-6, -2, 0, 1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36]
+    for k in range(1000):
+        factors = [rng.choice(choices) for _ in range(rng.randint(0, 6))]
+        if k % 2:
+            factors = list(_merged_factors(factors))  # already a chain
+        g = FgAbGroup(1, factors)
+        assert g.torsion == _merged_factors(factors)
+        assert g.rank == 1 + factors.count(0)
 
 
 # ---------------------------------------------------------------------------
