@@ -202,6 +202,7 @@ def builtin(kind: str, param: int | None = None) -> KInvariant:
 # Lexer
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
+_JSON = json.JSONDecoder()
 
 
 def _tokenize(text: str):
@@ -229,25 +230,14 @@ def _tokenize(text: str):
             i += 1
             continue
         if ch == "{":
-            depth = 0
-            j = i
-            while j < n:
-                if text[j] == "{":
-                    depth += 1
-                elif text[j] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                j += 1
-            if depth != 0:
-                raise ParseError("unbalanced braces in literal", i)
-            raw = text[i : j + 1]
             try:
-                inv = KInvariant.from_json(json.loads(raw))
-            except (ValueError, KeyError, TypeError) as exc:
+                obj, j = _JSON.raw_decode(text, i)
+                inv = KInvariant.from_json(obj)
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                # RecursionError: an array or object nested too deep to decode
                 raise ParseError(f"bad literal invariant: {exc}", i) from None
             tokens.append(("literal", inv, i))
-            i = j + 1
+            i = j
             continue
         atom, j = _lex_atom(text, i)
         tokens.append(("atom", atom, i))

@@ -541,7 +541,25 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(obj["rank"], obj.get("torsion", ()))
+        return cls(_json_int(obj["rank"], "rank"), _json_ints(obj.get("torsion", ()), "torsion"))
+
+
+def _json_int(value, field):
+    """``value`` if it is an int; otherwise a ValueError naming ``field``.
+
+    A bool (JSON true or false) is refused too, as are floats and
+    strings, which ``int`` would truncate or coerce."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _json_ints(values, field):
+    """``values`` if it is a list or tuple of ints, as ``_json_int``
+    checks each; otherwise a ValueError naming ``field``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{field} must be an array, not {type(values).__name__}")
+    return [_json_int(v, f"{field} entry") for v in values]
 
 
 class GroupElement:

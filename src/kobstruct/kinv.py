@@ -7,6 +7,13 @@ unital free product (a quotient in degree 0 and, when both unit classes
 are torsion, an extra indeterminate Z summand in degree 1).  It also
 constructs the maps induced on K-theory by the quotient onto the tensor
 product.
+
+In both degrees an induced map is (x, y) |-> x (x) [1_B] + [1_A] (x) y,
+built by one rule, ``PairAnalysis._unit_map``: the images of the
+generators of both summands, as columns, times the stacked projections
+of their direct sum, one matrix product checked once as a ``GroupHom``.
+The map on the unital quotient is that matrix times the lift of each
+quotient generator.
 """
 
 from __future__ import annotations
@@ -21,12 +28,12 @@ from .fgab import (
     GroupHom,
     GroupMismatchError,
     IntMatrix,
-    compose,
     direct_sum_many,
     right_inverse_exists,
     tensor,
     tensor_elem,
     tor,
+    _json_ints,
     _quotient_full,
 )
 
@@ -113,12 +120,10 @@ class KInvariant:
     def from_json(cls, obj):
         k0 = FgAbGroup.from_json(obj["k0"])
         k1 = FgAbGroup.from_json(obj["k1"])
-        return cls(
-            k0,
-            k1,
-            k0.element(obj["unit"]),
-            finitely_generated=obj.get("finitely_generated", True),
-        )
+        flag = obj.get("finitely_generated", True)
+        if type(flag) is not bool:
+            raise ValueError(f"finitely_generated must be a boolean, not {type(flag).__name__}")
+        return cls(k0, k1, k0.element(_json_ints(obj["unit"], "unit")), finitely_generated=flag)
 
 
 @dataclass(eq=True)
@@ -299,58 +304,51 @@ class PairAnalysis:
         _, (inj_a, _), _ = self.k0_sum
         q, proj_q, _ = self.unital_quotient
         unit = proj_q(inj_a(a.unit))
+        parts = {K1A: a.k1, K1B: b.k1}
         if self.extra_z:
-            k1, injs1, _ = direct_sum_many((a.k1, b.k1, FgAbGroup(1)))
-            summands = {K1A: injs1[0], K1B: injs1[1], EXTRA_Z: injs1[2]}
-        else:
-            k1, injs1, _ = direct_sum_many((a.k1, b.k1))
-            summands = {K1A: injs1[0], K1B: injs1[1]}
+            parts[EXTRA_Z] = FgAbGroup(1)
+        k1, injs1, _ = direct_sum_many(parts.values())
+        summands = dict(zip(parts, injs1))
         return KPair(k0=q, k1=k1, summands=summands, unit=unit, extra_z=self.extra_z)
+
+    def _unit_map(self, ga, gb, left, right) -> GroupHom:
+        """The hom (x, y) |-> left(x (x) [1_B]) + right([1_A] (x) y) on
+        the canonical sum ga + gb: the images of the generators of ga,
+        then of gb, times the stacked projections of the sum."""
+        s, _, (proj_a, proj_b) = direct_sum_many((ga, gb))
+        cols = [left(tensor_elem(g, self.b.unit)).coords for g in ga.generators()]
+        cols += [right(tensor_elem(self.a.unit, g)).coords for g in gb.generators()]
+        images = IntMatrix.from_columns(cols, left.target.ngens)
+        stacked = IntMatrix._trusted(proj_a.matrix.data + proj_b.matrix.data, s.ngens)
+        return GroupHom(s, left.target, images @ stacked)
 
     @cached_property
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
         K0A (x) K0B summand of the tensor K0."""
-        a, b, kun = self.a, self.b, self.tensor
-        _, _, (proj_a, proj_b) = self.k0_sum
-        inj00 = kun.summands[K0A_K0B]
-        fa = GroupHom.from_images(
-            a.k0, kun.k0, [inj00(tensor_elem(g, b.unit)) for g in a.k0.generators()]
-        )
-        fb = GroupHom.from_images(
-            b.k0, kun.k0, [inj00(tensor_elem(a.unit, g)) for g in b.k0.generators()]
-        )
-        return compose(proj_a, fa) + compose(proj_b, fb)
+        inj00 = self.tensor.summands[K0A_K0B]
+        return self._unit_map(self.a.k0, self.b.k0, inj00, inj00)
 
     @cached_property
     def pi0(self) -> GroupHom:
-        """The degree-0 induced map on the unital quotient."""
-        lifted, kun = self.lifted_pi0, self.tensor
+        """The degree-0 induced map on the unital quotient: lifted_pi0
+        after the lift of each quotient generator."""
+        lifted = self.lifted_pi0
         if not lifted(self.unit_relation).is_zero:
             raise AssertionError("induced map does not kill the unit relation")
-        s0 = self.k0_sum[0]
         q, _, lift = self.unital_quotient
-        cols = [lifted(GroupElement(s0, lift.column(k))).coords for k in range(q.ngens)]
-        return GroupHom(q, kun.k0, IntMatrix.from_columns(cols, kun.k0.ngens))
+        return GroupHom(q, lifted.target, lifted.matrix @ lift)
 
     @cached_property
     def pi1(self) -> GroupHom:
         """Degree-1 induced map on the well-defined part K1A + K1B:
-        (x, y) |-> ([1_A] (x) y) + (x (x) [1_B])."""
-        a, b, kun = self.a, self.b, self.tensor
-        _, _, (proj_a1, proj_b1) = direct_sum_many((a.k1, b.k1))
-        ga = GroupHom.from_images(
-            a.k1,
-            kun.k1,
-            [kun.summands[K1A_K0B](tensor_elem(g, b.unit)) for g in a.k1.generators()],
+        (x, y) |-> (x (x) [1_B]) + ([1_A] (x) y), landing in the
+        K1A (x) K0B and K0A (x) K1B summands of the tensor K1."""
+        kun = self.tensor
+        return self._unit_map(
+            self.a.k1, self.b.k1, kun.summands[K1A_K0B], kun.summands[K0A_K1B]
         )
-        gb = GroupHom.from_images(
-            b.k1,
-            kun.k1,
-            [kun.summands[K0A_K1B](tensor_elem(a.unit, g)) for g in b.k1.generators()],
-        )
-        return compose(proj_a1, ga) + compose(proj_b1, gb)
 
     @cached_property
     def section0(self):

@@ -106,6 +106,15 @@ def test_parse_literal():
     assert node.invariant.unit.coords == (1, 0)
 
 
+def test_literal_ends_where_its_json_ends():
+    # a brace inside a string value belongs to the literal
+    text = '{"k0": {"rank": 1, "note": "}{"}, "k1": {"rank": 0}, "unit": [2]} (x) M_3'
+    node = parse(text)
+    assert isinstance(node, Tensor) and node.right == Atom("M", 3)
+    assert node.left.invariant.unit.coords == (2,)
+    assert evaluate(text).unit.coords == (6,)
+
+
 def test_parse_precedence_and_parens():
     node = parse("O_2 (x) O_3 (*C) M_2")
     assert node == UnitalFreeProd(Tensor(Atom("O", 2), Atom("O", 3)), Atom("M", 2))
@@ -145,6 +154,15 @@ _CAR = (
     "only finitely generated K-theory is supported"
 )
 _NESTED_FREE = "free products may appear only at the top level of an expression"
+
+
+def _literal(k0='{"rank": 1}', k1='{"rank": 0}', unit="[1]", extra=""):
+    return f'{{"k0": {k0}, "k1": {k1}, "unit": {unit}{extra}}}'
+
+
+# nested far past the JSON decoder's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
+
 FRONT_END_ERRORS = [
     ("O_1", ParseError, "Cuntz index must be >= 2 (at position 0)"),
     ("O_0", ParseError, "Cuntz index must be >= 2 (at position 0)"),
@@ -198,7 +216,45 @@ FRONT_END_ERRORS = [
     ("M_" + "1" * 1001 + "(Oinf)", ParseError, "index has 1001 digits, more than the 1000 accepted (at position 0)"),
     ("(" * 101 + "C" + ")" * 101, ParseError, "parentheses nest deeper than 100 levels (at position 100)"),
     ("{}", ParseError, "bad literal invariant: 'k0' (at position 0)"),
-    ("{{}", ParseError, "unbalanced braces in literal (at position 0)"),
+    (
+        "{{}",
+        ParseError,
+        "bad literal invariant: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1) (at position 0)",
+    ),
+    (
+        _literal(unit=_DEEP),
+        ParseError,
+        "bad literal invariant: maximum recursion depth exceeded while decoding "
+        "a JSON array from a unicode string (at position 0)",
+    ),
+    (_literal(k0='{"rank": 1e400}'), ParseError, "bad literal invariant: rank must be an integer, not float (at position 0)"),
+    (_literal(unit="[Infinity]"), ParseError, "bad literal invariant: unit entry must be an integer, not float (at position 0)"),
+    (_literal(k0='{"rank": 1.5}'), ParseError, "bad literal invariant: rank must be an integer, not float (at position 0)"),
+    (
+        _literal(k1='{"rank": 0, "torsion": [2.7]}'),
+        ParseError,
+        "bad literal invariant: torsion entry must be an integer, not float (at position 0)",
+    ),
+    (_literal(unit="[true]"), ParseError, "bad literal invariant: unit entry must be an integer, not bool (at position 0)"),
+    (_literal(k0='{"rank": "1"}'), ParseError, "bad literal invariant: rank must be an integer, not str (at position 0)"),
+    (_literal(unit="1"), ParseError, "bad literal invariant: unit must be an array, not int (at position 0)"),
+    (_literal(k0='{"rank": true}'), ParseError, "bad literal invariant: rank must be an integer, not bool (at position 0)"),
+    (
+        _literal(k1='{"rank": 0, "torsion": 6}'),
+        ParseError,
+        "bad literal invariant: torsion must be an array, not int (at position 0)",
+    ),
+    (
+        _literal(extra=', "finitely_generated": 0'),
+        ParseError,
+        "bad literal invariant: finitely_generated must be a boolean, not int (at position 0)",
+    ),
+    (
+        "M_2 (x) " + _literal(k0='{"rank": [[[]]]}'),
+        ParseError,
+        "bad literal invariant: rank must be an integer, not list (at position 8)",
+    ),
     (_WRONG_UNIT, ParseError, "bad literal invariant: expected 2 coordinates, got 1 (at position 0)"),
     ("CAR", NonFinitelyGeneratedError, _CAR),
     ("O_2 (x) CAR", NonFinitelyGeneratedError, _CAR),

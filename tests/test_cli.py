@@ -278,6 +278,29 @@ def test_bad_literal_is_an_expression_error():
     assert err.startswith("error: bad literal invariant") and "position 0" in err
 
 
+_BAD_LITERALS = {
+    "deep-unit": '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": '
+    + "[" * 100_000
+    + "]" * 100_000
+    + "}",
+    "rank-1e400": '{"k0": {"rank": 1e400}, "k1": {"rank": 0}, "unit": [1]}',
+    "unit-Infinity": '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": [Infinity]}',
+    "rank-1.5": '{"k0": {"rank": 1.5}, "k1": {"rank": 0}, "unit": [1]}',
+    "torsion-2.7": '{"k0": {"rank": 1}, "k1": {"rank": 0, "torsion": [2.7]}, "unit": [1]}',
+    "unit-true": '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": [true]}',
+}
+
+
+@pytest.mark.parametrize("literal", _BAD_LITERALS.values(), ids=_BAD_LITERALS.keys())
+@pytest.mark.parametrize("command", ["kgroups", "classify", "section"])
+def test_bad_literal_values_are_expression_errors(command, literal):
+    # each once ended in exit 4 or was silently truncated to exit 0
+    argv = [command, literal] if command == "kgroups" else [command, "M_2", literal]
+    code, out, err = run_cli(*argv)
+    assert code == EXIT_ERROR and not out
+    assert err.startswith("error: bad literal invariant") and "position 0" in err
+
+
 def test_shared_parser_keeps_no_state_between_calls():
     code, out, _ = run_cli("classify", "M_2", "M_3", "--mode", "full", "--format", "json")
     assert code == EXIT_OK and "sections" in json.loads(out)
@@ -296,7 +319,8 @@ def test_shared_parser_keeps_no_state_between_calls():
 # or above MAX_POWER, an expression error: C^k within the limit inside
 # (x) chains builds k^2 generators.  Literal triples are as small as the
 # torsion-literals benchmark uses, since larger ones can hit the known
-# growth of the Smith normal form.
+# growth of the Smith normal form; one in four has one value swapped
+# for a float, bool, string or deep array.
 _small_index = st.integers(2, 10**49)
 _atoms = st.one_of(
     st.sampled_from(
@@ -323,12 +347,33 @@ def _groups(draw):
     return {"rank": draw(st.integers(0, 1)), "torsion": sorted(factors)}
 
 
+# JSON text that is no integer, for one field of a literal: floats
+# (Infinity and 1e400 among them), booleans, strings and arrays nested
+# past the decoder's recursion limit.
+_bad_values = st.one_of(
+    st.floats().map(json.dumps),
+    st.sampled_from(["1e400", "-Infinity", "NaN", "2.0"]),
+    st.booleans().map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+    st.integers(1, 100_000).map(lambda d: "[" * d + "]" * d),
+)
+_SLOT = "\x00slot"
+
+
 @st.composite
 def _literals(draw):
-    k0 = draw(_groups())
+    k0, k1 = draw(_groups()), draw(_groups())
     ngens = k0["rank"] + len(k0["torsion"])
     unit = draw(st.lists(st.integers(-60, 60), min_size=ngens, max_size=ngens))
-    return json.dumps({"k0": k0, "k1": draw(_groups()), "unit": unit})
+    obj = {"k0": k0, "k1": k1, "unit": unit}
+    if draw(st.integers(0, 3)):
+        return json.dumps(obj)
+    # swap one value for text that is no integer
+    slots = [(k0, "rank"), (k1, "rank"), (obj, "finitely_generated")]
+    slots += [(seq, i) for seq in (k0["torsion"], k1["torsion"], unit) for i in range(len(seq))]
+    seq, key = draw(st.sampled_from(slots))
+    seq[key] = _SLOT
+    return json.dumps(obj).replace(json.dumps(_SLOT), draw(_bad_values))
 
 
 _expressions = st.one_of(

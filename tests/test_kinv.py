@@ -1,14 +1,17 @@
 """Tests for the invariant triples and composite K-theory formulas."""
 
+import random
 from math import inf
 
 import pytest
 
 from kobstruct import (
     FgAbGroup,
+    GroupHom,
     GroupMismatchError,
     KInvariant,
     compose,
+    direct_sum_many,
     element_order,
     free_product_k,
     is_injective,
@@ -16,6 +19,7 @@ from kobstruct import (
     kunneth,
     pi_star,
     pi_star_full,
+    tensor_elem,
     tor,
     unital_free_product_k,
 )
@@ -23,8 +27,11 @@ from kobstruct.catalog import evaluate
 from kobstruct.kinv import (
     EXTRA_Z,
     K0A,
+    K0A_K0B,
+    K0A_K1B,
     K0B,
     K1A,
+    K1A_K0B,
     K1B,
     PairAnalysis,
 )
@@ -251,7 +258,37 @@ def test_pi_star_full_torsion_killed_target():
     assert is_surjective(f0)
 
 
-def test_pi_star_formula_against_hand_lift():
+def _reference_maps(a, b):
+    """lifted_pi0, pi0 and pi1 built generator by generator from public
+    homs: (x, y) |-> x (x) [1_B] + [1_A] (x) y as the sum of the maps of
+    each summand after its projection, and pi0 as lifted_pi0 on a lift
+    of each quotient generator."""
+    kun = kunneth(a, b)
+
+    def unit_map(ga, gb, left, right):
+        _, _, (proj_a, proj_b) = direct_sum_many((ga, gb))
+        fa = GroupHom.from_images(ga, left.target, [left(tensor_elem(g, b.unit)) for g in ga.generators()])
+        fb = GroupHom.from_images(gb, right.target, [right(tensor_elem(a.unit, g)) for g in gb.generators()])
+        return compose(proj_a, fa) + compose(proj_b, fb)
+
+    inj00 = kun.summands[K0A_K0B]
+    lifted = unit_map(a.k0, b.k0, inj00, inj00)
+    pi1 = unit_map(a.k1, b.k1, kun.summands[K1A_K0B], kun.summands[K0A_K1B])
+    q, _, lift = PairAnalysis(a, b).unital_quotient
+    images = [lifted(lifted.source.element(lift.column(k))) for k in range(q.ngens)]
+    return lifted, GroupHom.from_images(q, kun.k0, images), pi1
+
+
+def _torsion_literal(rng):
+    def group():
+        factors = [rng.choice([2, 3, 4, 5, 7, 9, 25, 49]) for _ in range(rng.randint(0, 3))]
+        return FgAbGroup(rng.randint(0, 1), factors)
+
+    k0 = group()
+    return KInvariant(k0, group(), k0.element([rng.randint(-60, 60) for _ in range(k0.ngens)]))
+
+
+def test_pi_star_formula_against_hand_lift(catalog):
     # spot check: on (M_2, M_3) the lifted degree-0 map is (x, y) -> 3x + 2y
     a, b = evaluate("M_2"), evaluate("M_3")
     f0, _ = pi_star_full(a, b)
@@ -259,6 +296,16 @@ def test_pi_star_formula_against_hand_lift():
     x = f0(inj_a(a.k0.element((1,))))
     y = f0(inj_b(b.k0.element((1,))))
     assert abs(x.coords[0]) == 3 and abs(y.coords[0]) == 2
+    # every map against the generator-by-generator construction, on the
+    # catalog pairs and on seeded torsion literals
+    rng = random.Random(8)
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [(_torsion_literal(rng), _torsion_literal(rng)) for _ in range(60)]
+    for a, b in pairs:
+        an = PairAnalysis(a, b)
+        assert (an.lifted_pi0, an.pi0, an.pi1) == _reference_maps(a, b)
+        _, proj_q, _ = an.unital_quotient
+        assert compose(proj_q, an.pi0) == an.lifted_pi0
 
 
 def test_kinvariant_json_round_trip():
