@@ -110,8 +110,8 @@ MAX_NESTING = 100
 # Longest decimal index (O_n, M_n, C^k) accepted; Python refuses to
 # convert strings beyond 4300 digits, and no algebra here needs more.
 MAX_INDEX_DIGITS = 1000
-# Largest k in C^k: its K0 is Z^k, so k sets the number of generators,
-# and a product of two such atoms has k^2 of them.
+# Largest k in C^k (its K0 is Z^k, and a product of two such atoms has
+# k^2 generators), and the most generators a literal's K0 or K1 may have.
 MAX_POWER = 100
 
 
@@ -233,6 +233,9 @@ def _tokenize(text: str):
             try:
                 obj, j = _JSON.raw_decode(text, i)
                 inv = KInvariant.from_json(obj)
+                for name, group in (("K0", inv.k0), ("K1", inv.k1)):
+                    if group.ngens > MAX_POWER:
+                        raise ValueError(f"{name} has {group.ngens} generators, more than the {MAX_POWER} accepted")
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 # RecursionError: an array or object nested too deep to decode
                 raise ParseError(f"bad literal invariant: {exc}", i) from None

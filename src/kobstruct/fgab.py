@@ -6,7 +6,8 @@ top of it sit canonical invariant-factor forms, group elements with
 reduced coordinates, integer-matrix homomorphisms, tensor and Tor,
 quotients, and solvers for divisibility and section (right inverse)
 problems.  The solvers share one routine for integer systems modulo a
-lattice, ``_solve_mod``.
+lattice, ``_solve_mod``.  A section solves the image of a generator of
+order d inside the span of the elements d kills (``_torsion_span``).
 
 Direct sums and the Kronecker presentation of a tensor product are
 sums of cyclic groups, so they skip the Smith normal form:
@@ -1018,6 +1019,17 @@ def is_injective(f: GroupHom) -> bool:
     return not any(any(f.source.reduce(col[:sg])) for col in v_t[rank:])
 
 
+def _torsion_span(g: FgAbGroup, d: int) -> IntMatrix:
+    """Columns spanning g[d] = {x : d*x = 0} modulo the relations of g:
+    the identity for d = 0, otherwise (c / gcd(c, d)) e_i for each
+    torsion generator i of order c, and none for a free generator."""
+    n = g.ngens
+    if not d:
+        return _scalar(1, n)
+    cols = [[c // gcd(c, d) * (r == i) for r in range(n)] for i, c in enumerate(g.torsion, g.rank)]
+    return IntMatrix.from_columns(cols, n)
+
+
 def constrained_section_exists(f: GroupHom, constraints=()):
     """A right inverse s of f with prescribed extra images, if one exists.
 
@@ -1025,15 +1037,14 @@ def constrained_section_exists(f: GroupHom, constraints=()):
     f.source; the returned hom satisfies f . s = id and s(t) = w for
     every constraint.  Decided exactly over the integers by ``_solve_mod``.
 
-    Without constraints the columns of s decouple: column j solves
-    f(x) = e_j modulo the relations of f.target, and, when generator j
-    has finite order d, also d * x = 0 modulo the relations of f.source,
-    i.e. the system [[f, R_h, 0], [d*I, 0, R_g]].  Generators of the same
-    order share that matrix, so each order takes one Smith normal form.
-    Constraints tie the columns together into one joint system whose
-    unknowns are the entries of s column-major, then one relation block
-    per equation: the section equations, the torsion conditions, and
-    the constraints, in that order.
+    A target generator e_j of order d must go to g[d], so s(e_j) = S_d y_j
+    with S_d = ``_torsion_span(f.source, d)``.  Without constraints the
+    columns of s decouple: y_j solves [f S_d | R_h] (y_j, z) = e_j, and
+    generators of the same order share that matrix, so each order takes
+    one Smith normal form.  Constraints tie the columns together into one
+    joint system in the unknowns y_1, y_2, ... in turn: the blocks f S_j
+    down the diagonal with one R_h each, then per constraint s(t) = w the
+    row block [t_1 S_1 | t_2 S_2 | ...] with one R_g.
     """
     g, h = f.source, f.target
     pairs = []
@@ -1045,48 +1056,33 @@ def constrained_section_exists(f: GroupHom, constraints=()):
         pairs.append((t, w))
 
     sg, hg = g.ngens, h.ngens
-    rel_g, rel_h = g.relation_matrix(), h.relation_matrix()
+    rel_h = h.relation_matrix()
     orders = _orders(h)
+    # orders ascend with j, so the columns come out in generator order
+    spans = {d: _torsion_span(g, d) for d in orders}
     basis = _scalar(1, hg).data
     if not pairs:
-        # orders ascend with j, so the columns come out in generator order
         cols = []
-        for d in sorted(set(orders)):
-            if d:
-                a = IntMatrix(f.matrix.data + _scalar(d, sg).data, cols=sg)
-                rel = _block_diag([rel_h, rel_g])
-            else:
-                a, rel = f.matrix, rel_h
-            rhs = [basis[j] + (0,) * (a.rows - hg) for j in range(hg) if orders[j] == d]
-            for col in _solve_mod(a, rel, rhs):
-                if col is None:
+        for d, span in spans.items():
+            rhs = [basis[j] for j in range(hg) if orders[j] == d]
+            for y in _solve_mod(f.matrix @ span, rel_h, rhs):
+                if y is None:
                     return None
-                cols.append(col)
+                cols.append(span @ y)
         return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
 
-    # s(t) = w is row r: sum_j t_j s[r, j] = w_r, the entries s[r, j]
-    # sitting at r, r + sg, ... in the column-major unknowns; the torsion
-    # condition d_j * s(e_j) = 0 is the same with t = d_j e_j and w = 0
-    ties = [([orders[j] * e for e in basis[j]], (0,) * sg) for j in range(h.rank, hg)]
-    ties += [(t.coords, w.coords) for t, w in pairs]
-    rows = []
-    for j in range(hg):
-        for p in range(hg):
-            row = [0] * (sg * hg)
-            row[j * sg : (j + 1) * sg] = f.matrix.row(p)
-            rows.append(row)
-    for t, _ in ties:
-        for r in range(sg):
-            row = [0] * (sg * hg)
-            row[r::sg] = t
-            rows.append(row)
-    rel = _block_diag([rel_h] * hg + [rel_g] * len(ties))
-    rhs = [e for row in basis for e in row] + [e for _, w in ties for e in w]
-    (sol,) = _solve_mod(IntMatrix(rows, cols=sg * hg), rel, [rhs])
+    col_spans = [spans[d] for d in orders]
+    # s(t) = w, row r: sum_j t_j (S_j y_j)_r = w_r
+    ties = [[tj * e for tj, span in zip(t.coords, col_spans) for e in span.row(r)]
+            for t, _ in pairs for r in range(sg)]
+    a = IntMatrix(list(_block_diag([f.matrix @ span for span in col_spans]).data) + ties)
+    rel = _block_diag([rel_h] * hg + [g.relation_matrix()] * len(pairs))
+    rhs = [e for row in basis for e in row] + [e for _, w in pairs for e in w.coords]
+    (sol,) = _solve_mod(a, rel, [rhs])
     if sol is None:
         return None
-    cols = [sol[j * sg : (j + 1) * sg] for j in range(hg)]
-    return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
+    s = _block_diag(col_spans) @ sol
+    return GroupHom(h, g, IntMatrix.from_columns([s[j * sg : (j + 1) * sg] for j in range(hg)], sg))
 
 
 def right_inverse_exists(f: GroupHom):

@@ -162,6 +162,9 @@ def _literal(k0='{"rank": 1}', k1='{"rank": 0}', unit="[1]", extra=""):
 
 # nested far past the JSON decoder's recursion limit
 _DEEP = "[" * 100_000 + "]" * 100_000
+# a literal with as many generators as accepted, and one more
+_AT_LIMIT = _literal(k1=f'{{"rank": {MAX_POWER - 2}, "torsion": [1, 2, 6]}}')
+_OVER_LIMIT = _literal(k0=f'{{"rank": {MAX_POWER + 1}}}', unit=str([1] * (MAX_POWER + 1)))
 
 FRONT_END_ERRORS = [
     ("O_1", ParseError, "Cuntz index must be >= 2 (at position 0)"),
@@ -256,6 +259,13 @@ FRONT_END_ERRORS = [
         "bad literal invariant: rank must be an integer, not list (at position 8)",
     ),
     (_WRONG_UNIT, ParseError, "bad literal invariant: expected 2 coordinates, got 1 (at position 0)"),
+    # the lexer accepts the literal at the limit, so the parser sees the ")"
+    (_AT_LIMIT + ")", ParseError, f"trailing input after expression (at position {len(_AT_LIMIT)})"),
+    (
+        "M_2 (x) " + _OVER_LIMIT,
+        ParseError,
+        f"bad literal invariant: K0 has {MAX_POWER + 1} generators, more than the {MAX_POWER} accepted (at position 8)",
+    ),
     ("CAR", NonFinitelyGeneratedError, _CAR),
     ("O_2 (x) CAR", NonFinitelyGeneratedError, _CAR),
     ("(O_2 (*) O_2) (x) O_3", UnsupportedNestingError, _NESTED_FREE),

@@ -288,6 +288,7 @@ _BAD_LITERALS = {
     "rank-1.5": '{"k0": {"rank": 1.5}, "k1": {"rank": 0}, "unit": [1]}',
     "torsion-2.7": '{"k0": {"rank": 1}, "k1": {"rank": 0, "torsion": [2.7]}, "unit": [1]}',
     "unit-true": '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": [true]}',
+    "rank-1e20": '{"k0": {"rank": 1}, "k1": {"rank": 100000000000000000000}, "unit": [1]}',
 }
 
 

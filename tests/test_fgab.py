@@ -712,6 +712,48 @@ def test_joint_and_grouped_section_paths_agree():
     assert found >= 30
 
 
+def _reference_section(f):
+    """A right inverse of f from the earlier per-column system, or None.
+
+    Column j, of order d, solves [[f, R_h, 0], [d*I, 0, R_g]] (x, y, z) =
+    (e_j, 0): the torsion condition d * s(e_j) = 0 written as equations
+    in s(e_j), not as the span of the source's d-torsion."""
+    g, h = f.source, f.target
+    cols = []
+    for j, d in enumerate(fgab._orders(h)):
+        e_j = [int(i == j) for i in range(h.ngens)]
+        a, rel, rhs = f.matrix, h.relation_matrix(), e_j
+        if d:
+            a = IntMatrix(f.matrix.data + fgab._scalar(d, g.ngens).data, cols=g.ngens)
+            rel = fgab._block_diag([h.relation_matrix(), g.relation_matrix()])
+            rhs = e_j + [0] * g.ngens
+        (x,) = fgab._solve_mod(a, rel, [rhs])
+        if x is None:
+            return None
+        cols.append(x)
+    return GroupHom(h, g, IntMatrix.from_columns(cols, g.ngens))
+
+
+def test_sections_agree_with_the_torsion_equation_reference():
+    # Both section paths against the system that wrote d * s(e_j) = 0 as
+    # equations.  The sections themselves may differ where ker f meets
+    # the source's d-torsion; existence may not.
+    rng = random.Random(37)
+    orders = (2, 3, 4, 6, 8, 9, 12, 18)
+    found = 0
+    for _ in range(300):
+        g = FgAbGroup(rng.randint(0, 2), [rng.choice(orders) for _ in range(rng.randint(2, 4))])
+        h = FgAbGroup(rng.randint(0, 1), [rng.choice(orders) for _ in range(rng.randint(1, 2))])
+        f = random_hom(rng, g, h)
+        want = _reference_section(f)
+        for got in (right_inverse_exists(f), constrained_section_exists(f, [(h.zero(), g.zero())])):
+            assert (got is None) == (want is None), (g, h, f.matrix)
+            if got is not None:
+                assert compose(got, f) == GroupHom.identity(h), (g, h, f.matrix)
+        found += want is not None
+    assert found >= 30
+
+
 def test_solve_divisibility_examples():
     z2 = FgAbGroup(2)
     q, proj = quotient_by(z2, z2.element((2, -3)))

@@ -1,6 +1,7 @@
 """Tests for the invariant triples and composite K-theory formulas."""
 
 import random
+import time
 from math import inf
 
 import pytest
@@ -316,3 +317,19 @@ def test_kinvariant_json_round_trip():
     obj = kp.to_json()
     assert obj["extra_z"] is False
     assert set(obj["summands"]) == {K1A, K1B}
+
+
+def test_torsion_heavy_sections_stay_fast():
+    # section0 once solved a 20x24 system whose Smith normal form ran for
+    # 242 s (u reached 7.8 million bits); in the span of the source's
+    # d-torsion it is 16x20.  No map is surjective, so no section exists.
+    k0a, k0b = FgAbGroup(1, (7, 490)), FgAbGroup(0, (56, 8232))
+    a = KInvariant(k0a, FgAbGroup(0, (343, 343)), k0a.element((-36, 1, 48)))
+    b = KInvariant(k0b, FgAbGroup(1, (1029,)), k0b.element((53, 207)))
+    an = PairAnalysis(a, b)
+    for name, hom in (("section0", "pi0"), ("section1", "pi1"), ("lifted_section0", "lifted_pi0")):
+        getattr(an, hom)  # build the map outside the timed solve
+        start = time.perf_counter()
+        assert getattr(an, name) is None
+        assert time.perf_counter() - start < 1.0, name
+        assert not is_surjective(getattr(an, hom))
