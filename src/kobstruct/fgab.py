@@ -465,9 +465,6 @@ class FgAbGroup:
     def torsion_part(self):
         return FgAbGroup(0, self.torsion)
 
-    def free_part(self):
-        return FgAbGroup(self.rank)
-
     def relation_matrix(self):
         """One column d_i * e_(rank+i) per invariant factor."""
         cols = []
@@ -1045,6 +1042,9 @@ def constrained_section_exists(f: GroupHom, constraints=()):
     joint system in the unknowns y_1, y_2, ... in turn: the blocks f S_j
     down the diagonal with one R_h each, then per constraint s(t) = w the
     row block [t_1 S_1 | t_2 S_2 | ...] with one R_g.
+
+    A source with fewer generators than the target returns None before
+    any system is built: f cannot be onto, so it has no right inverse.
     """
     g, h = f.source, f.target
     pairs = []
@@ -1056,6 +1056,10 @@ def constrained_section_exists(f: GroupHom, constraints=()):
         pairs.append((t, w))
 
     sg, hg = g.ngens, h.ngens
+    # in invariant-factor form ngens is the fewest elements that
+    # generate the group, so f cannot be onto a target with more
+    if sg < hg:
+        return None
     rel_h = h.relation_matrix()
     orders = _orders(h)
     # orders ascend with j, so the columns come out in generator order

@@ -95,10 +95,6 @@ class KInvariant:
         if self.unit.group != self.k0:
             raise GroupMismatchError("unit class must lie in k0")
 
-    @property
-    def unit_order(self):
-        return self.unit.order()
-
     def is_torsion_invariant(self):
         """True when both K-groups are finite."""
         return self.k0.is_finite and self.k1.is_finite

@@ -7,7 +7,7 @@ classification; a negative verdict carries a concrete witness, always
 re-checkable: a nonzero K1 tensor or Tor group, a failed rank count, a
 non-surjective induced map, or a missing section.
 
-Case vocabulary (PossibleCaseI..IV):
+Case vocabulary (PossibleCaseI..III):
   I    one side is (Z, 0, 1): tensoring with it changes nothing.
   II   torsion-dominated: both sides have finite K-theory with coprime
        orders (then the tensor K-theory vanishes); this bucket also
@@ -15,9 +15,6 @@ Case vocabulary (PossibleCaseI..IV):
        K-theory, including (0, 0, 0), and every map-level check passes.
   III  both K0 of rank one with units of infinite order u and w,
        u and w coprime to each other and to the opposite torsion orders.
-  IV   (Z, 0, u) against rank(K0) > 1, with the coprimality pattern of
-       III; candidates are verified against the actual induced maps
-       before the verdict is issued.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ __all__ = [
     "POSSIBLE_CASE_I",
     "POSSIBLE_CASE_II",
     "POSSIBLE_CASE_III",
-    "POSSIBLE_CASE_IV",
     "OBSTRUCTED",
     "NOT_APPLICABLE",
     "K1_TENSOR_NONZERO",
@@ -74,7 +70,6 @@ __all__ = [
 POSSIBLE_CASE_I = "PossibleCaseI"
 POSSIBLE_CASE_II = "PossibleCaseII"
 POSSIBLE_CASE_III = "PossibleCaseIII"
-POSSIBLE_CASE_IV = "PossibleCaseIV"
 OBSTRUCTED = "Obstructed"
 NOT_APPLICABLE = "NotApplicable"
 
@@ -86,9 +81,7 @@ PI1_NOT_SURJECTIVE = "Pi1NotSurjective"
 NO_SECTION_0 = "NoSection0"
 NO_SECTION_1 = "NoSection1"
 
-_POSSIBLE = frozenset(
-    {POSSIBLE_CASE_I, POSSIBLE_CASE_II, POSSIBLE_CASE_III, POSSIBLE_CASE_IV}
-)
+_POSSIBLE = frozenset({POSSIBLE_CASE_I, POSSIBLE_CASE_II, POSSIBLE_CASE_III})
 
 
 @dataclass(frozen=True)
@@ -290,10 +283,6 @@ def _is_z_one(inv: KInvariant):
     )
 
 
-def _free_unit_part(inv: KInvariant):
-    return inv.unit.coords[: inv.k0.rank]
-
-
 def _match_case_iii(x: KInvariant, y: KInvariant):
     """Both K0 of rank one, torsion K1, units of infinite order, and the
     coprimality pattern; returns parameter pairs or None."""
@@ -318,35 +307,12 @@ def _match_case_iii(x: KInvariant, y: KInvariant):
     return (("u", u), ("w", w))
 
 
-def _match_case_iv(x: KInvariant, y: KInvariant):
-    """L(x) = (Z, 0, u) against rank(K0(y)) > 1 with the coprimality
-    pattern; candidates still need map-level validation by the caller."""
-    if x.k0 != FgAbGroup(1) or not x.k1.is_trivial:
-        return None
-    u = abs(x.unit.coords[0])
-    if u == 0:
-        return None
-    bee = y.k0.rank
-    if bee <= 1 or not y.k1.is_finite:
-        return None
-    v = _free_unit_part(y)
-    if not any(v):
-        return None
-    w = 0
-    for c in v:
-        w = gcd(w, c)
-    h0o, h1o = y.k0.torsion_order(), y.k1.torsion_order()
-    if gcd(u, w) != 1 or gcd(u, h0o) != 1 or gcd(u, h1o) != 1:
-        return None
-    return (("u", u), ("w", w), ("b", bee))
-
-
 def classify(a: KInvariant, b: KInvariant) -> Verdict:
     """Decide K-level splittability of the quotient onto the tensor product.
 
     Tries the case patterns (II first, so that pairs of wholly finite
     invariants such as two Cuntz algebras report the torsion case, then
-    I, III, IV); anything else is Obstructed with the first discovered
+    I and III); anything else is Obstructed with the first discovered
     witness, structural clauses before map-level ones.
 
     >>> from .fgab import FgAbGroup
@@ -415,21 +381,12 @@ def classify_analysis(an: PairAnalysis) -> Verdict:
             params = m + _group_params(x, y) + (("role_a", role),)
             return Verdict(POSSIBLE_CASE_III, parameters=params)
 
-    iv_params = None
-    for x, y, role in ((a, b, "left"), (b, a, "right")):
-        m = _match_case_iv(x, y)
-        if m is not None:
-            iv_params = m + _group_params(x, y) + (("role_a", role),)
-            break
-
     w = first_witness(an)
-    if w is not None:
-        return Verdict(OBSTRUCTED, witness=w)
-    if iv_params is not None:
-        return Verdict(POSSIBLE_CASE_IV, parameters=iv_params)
-    raise AssertionError(
-        "no case pattern matched and no obstruction witness was found"
-    )
+    if w is None:
+        raise AssertionError(
+            "no case pattern matched and no obstruction witness was found"
+        )
+    return Verdict(OBSTRUCTED, witness=w)
 
 
 def section_exists_k(a: KInvariant, b: KInvariant, mode: str = "unital"):
@@ -456,13 +413,13 @@ def section_exists_analysis(an: PairAnalysis, mode: str = "unital"):
 
 
 def iso_remark_check(a: KInvariant, b: KInvariant) -> bool:
-    """For a pair classified PossibleCaseI/III/IV: are both induced maps
+    """For a pair classified PossibleCaseI/III: are both induced maps
     bijective?  Raises if the precondition fails."""
     an = PairAnalysis(a, b)
     v = classify_analysis(an)
-    if v.outcome not in (POSSIBLE_CASE_I, POSSIBLE_CASE_III, POSSIBLE_CASE_IV):
+    if v.outcome not in (POSSIBLE_CASE_I, POSSIBLE_CASE_III):
         raise ValueError(
-            f"isomorphism check applies to case I/III/IV verdicts, got {v.outcome}"
+            f"isomorphism check applies to case I/III verdicts, got {v.outcome}"
         )
     pi0, pi1 = an.pi0, an.pi1
     return (

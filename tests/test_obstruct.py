@@ -164,19 +164,35 @@ def test_verdict_field_consistency():
         Verdict(OBSTRUCTED)
     with pytest.raises(ValueError):
         Verdict(POSSIBLE_CASE_I)
-    with pytest.raises(ValueError):
-        Verdict("PossibleCaseV", parameters=())
+    for name in ("PossibleCaseIV", "PossibleCaseV"):
+        with pytest.raises(ValueError, match="unknown outcome"):
+            Verdict(name, parameters=())
     w = ObstructionWitness(TOR_NONZERO, (("tor", "Z/2"),), "nonzero Tor")
     v = Verdict(OBSTRUCTED, witness=w)
     assert v.to_json()["witness"]["clause"] == TOR_NONZERO
 
 
 def test_classify_case_iv_shape_is_validated():
-    # (Z, 0, 2) against rank-2 free K0 matches the coarse case-IV shape,
-    # but the induced degree-0 map misses every second coordinate, so
-    # the honest verdict is an obstruction
+    # The shape x = (Z, 0, u) against y with rank K0(y) = b >= 2 can
+    # never split, so the classifier has no case for it.  |u| = 1 is
+    # case I.  For |u| >= 2, K0(x (x) y) = K0(y) and the image of pi0 is
+    # Z v + u K0(y), with v the unit class of y, so coker(pi0) maps onto
+    # (Z/u)^b / <v mod u>, which is nonzero.  No basic obstruction fires
+    # first: K1(x) = 0, Tor against Z or 0 vanishes, and the rank bound
+    # is 1 + b - 1 = b since u has infinite order.  So the verdict is
+    # always Obstructed at Pi0NotSurjective, as for M_2 against C^2.
     v = classify(evaluate("M_2"), evaluate("C^2"))
     assert v.outcome == OBSTRUCTED and v.witness.clause == PI0_NOT_SURJECTIVE
+    rng = random.Random(4)
+    for _ in range(200):
+        u = rng.choice((-1, 1)) * rng.randint(2, 400)
+        x = KInvariant(Z, TRIVIAL, Z.element((u,)))
+        k0 = FgAbGroup(rng.randint(2, 4), random_finite_group(rng).torsion)
+        y = KInvariant(k0, random_finite_group(rng), random_element(rng, k0))
+        for a, b in ((x, y), (y, x)):
+            v = classify(a, b)
+            assert v.outcome == OBSTRUCTED, (a, b)
+            assert v.witness.clause == PI0_NOT_SURJECTIVE, (a, b)
 
 
 def test_classify_torsion_side_pairs():
