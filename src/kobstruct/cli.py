@@ -144,12 +144,14 @@ def _cmd_classify(args, out) -> int:
         return EXIT_NOT_FG
     ufp = an.unital_free_product
     kun = an.tensor
-    pi0, pi1 = an.pi0, an.pi1
     payload["groups"] = {
         "unital_free_product": ufp.to_json(),
         "tensor": {"k0": kun.k0.to_json(), "k1": kun.k1.to_json()},
     }
-    payload["maps"] = {"pi0": pi0.to_json(), "pi1": pi1.to_json()}
+    if args.format == "json":
+        # text output never prints the maps: build them only for JSON,
+        # or when the verdict or the sections read them
+        payload["maps"] = {"pi0": an.pi0.to_json(), "pi1": an.pi1.to_json()}
     lines += [
         f"K(unital free product): K0 = {ufp.k0}, K1 = {ufp.k1}"
         + (" (with extra Z)" if ufp.extra_z else ""),

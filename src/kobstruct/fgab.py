@@ -16,13 +16,18 @@ sums of cyclic groups, so they skip the Smith normal form:
 handles the general presentations: quotients, cokernels and the
 solvers' systems.
 
-Each caller of the Smith normal form engine ``_snf_engine`` tracks only
+The Smith normal form engine ``_snf_engine`` runs in two stages.  A
+Hermite stage (``_hnf_rows``, after Kannan and Bachem) first brings the
+matrix into Hermite normal form along its shorter side, inserting one
+row at a time and reducing every entry above a pivot, so no entry
+outgrows the pivots.  The smallest-pivot loop then diagonalizes the
+pivot rows that are left.  Each caller of the engine tracks only
 the transforms it reads: ``cokernel`` and ``is_surjective`` none (the
 group is read off the diagonal), ``is_injective`` the right transform
 v, ``smith_normal_form`` and so ``_solve_mod`` u and v, and
-``_canonicalize_full`` (quotients, ``canonicalize``) u and u^-1.  The
-pivot sequence depends on the matrix alone, so d and every transform
-are the same whichever are tracked.  Matrices the package builds from
+``_canonicalize_full`` (quotients, ``canonicalize``) u and u^-1.  Both
+stages read the matrix alone, so d and every transform are the same
+whichever are tracked.  Matrices the package builds from
 its own integer tuples skip the public constructor's conversion and
 checks (``IntMatrix._trusted``).
 
@@ -45,6 +50,7 @@ everything can be shared freely across threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import add, itemgetter, mul, neg
@@ -222,29 +228,152 @@ def determinant(m: IntMatrix) -> int:
 # Smith normal form
 
 
+def _hnf_rows(a, sides, inv_sides):
+    """Bring the rows of ``a`` into Hermite normal form, in place.
+
+    Rows are inserted one at a time (Kannan and Bachem, SIAM J. Comput.
+    8(4), 1979).  A new row is scanned left to right: at a column that
+    already has a pivot it is combined with the pivot row, by a plain
+    subtraction when the pivot divides the entry and by a 2x2 Bezout
+    step otherwise; at the first nonzero column without a pivot it
+    becomes that column's pivot, made positive, and elimination stops.
+    After each insertion every entry above a pivot is reduced into
+    [0, pivot), in ascending pivot-column order, so no entry outgrows
+    the pivots.  At the end the pivot rows come first, by pivot column,
+    and the zero rows last.  Every row operation is applied to each
+    matrix in ``sides`` as well, and its inverse transpose to each in
+    ``inv_sides``.  Returns the rank, the number of pivot rows.
+    """
+    ncols = len(a[0]) if a else 0
+    same = (a, *sides)
+    every = same + tuple(inv_sides)
+    owner = {}  # pivot column -> the row holding that pivot
+    level = {}  # pivot row -> its pivot column
+    cols = []  # the pivot columns, ascending
+    shuffled = False  # whether the rows end out of staircase order
+
+    def sub(i, p, q):
+        # row_i -= q * row_p; the inverse transposes take row_p += q * row_i
+        for rows in same:
+            rows[i] = [e - q * f for e, f in zip(rows[i], rows[p])]
+        for rows in inv_sides:
+            rows[p] = [e + q * f for e, f in zip(rows[p], rows[i])]
+
+    for i in range(len(a)):
+        moved = []  # the pivot columns whose pivot is new or smaller, ascending
+        row = a[i]
+        for j in range(ncols):
+            y = row[j]
+            if not y:
+                continue
+            p = owner.get(j)
+            if p is None:
+                if y < 0:
+                    for rows in every:
+                        rows[i] = [-e for e in rows[i]]
+                if len(cols) < i or cols and j < cols[-1]:
+                    # a zero row or a later pivot column lies above this row
+                    shuffled = True
+                owner[j] = i
+                level[i] = j
+                insort(cols, j)
+                moved.append(j)
+                break
+            x = a[p][j]
+            if y % x == 0:
+                sub(i, p, y // x)
+                row = a[i]
+                continue
+            # (row_p, row_i) <- (s row_p + t row_i, (x/g) row_i - (y/g) row_p)
+            g, s, t = _bezout(x, abs(y))
+            if y < 0:
+                t = -t
+            xg, yg = x // g, y // g
+            for rows in same:
+                rp, ri = rows[p], rows[i]
+                rows[p] = [s * e + t * f for e, f in zip(rp, ri)]
+                rows[i] = [xg * f - yg * e for e, f in zip(rp, ri)]
+            for rows in inv_sides:
+                rp, ri = rows[p], rows[i]
+                rows[p] = [xg * e + yg * f for e, f in zip(rp, ri)]
+                rows[i] = [s * f - t * e for e, f in zip(rp, ri)]
+            row = a[i]
+            moved.append(j)
+        if not moved:
+            continue
+        # An entry can leave [0, pivot) only in the column of a moved pivot
+        # or in a row that changed, and columns left of the first moved
+        # pivot kept their pivots and their entries.
+        if moved[0] == cols[-1]:
+            # only the last pivot moved: reduce its column, nothing right of it
+            r = owner[cols[-1]]
+            pivot = a[r][cols[-1]]
+            for b in cols[:-1]:
+                x = owner[b]
+                e = a[x][cols[-1]]
+                if e < 0 or e >= pivot:
+                    sub(x, r, e // pivot)
+            continue
+        dirty = {owner[c] for c in moved}
+        for k in range(bisect_left(cols, moved[0]), len(cols)):
+            c = cols[k]
+            r = owner[c]
+            pivot = a[r][c]
+            if c in moved:
+                above = [owner[b] for b in cols[:k]]
+            else:
+                above = [x for x in dirty if level[x] < c]
+            for x in above:
+                e = a[x][c]
+                if e < 0 or e >= pivot:
+                    sub(x, r, e // pivot)
+                    dirty.add(x)
+    if shuffled:
+        order = [owner[c] for c in cols] + [i for i in range(len(a)) if i not in level]
+        for rows in every:
+            rows[:] = [rows[i] for i in order]
+    return len(cols)
+
+
 def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: bool = False):
     """Diagonalize m, returning (u, uinv_t, d, v_t) with d = u m v.
 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
-    form a divisibility chain.  Only d is always computed.  Each
+    form a divisibility chain.  The Hermite stage ``_hnf_rows`` runs
+    first, on the shorter side: on the rows of m when it has no more
+    rows than columns (row operations, tracked on u and uinv_t), and
+    otherwise on the rows of its transpose (column operations of m,
+    tracked on v_t).  Its zero rows, or zero columns, take no further
+    part.  The pivot loop then diagonalizes what is left.  Only d is
+    always computed.  Each
     transform is tracked only when its caller asks for it, and is None
     otherwise: u when ``left`` is set (``smith_normal_form``,
     ``_canonicalize_full``), uinv_t, the transpose of u^-1, when
     ``inverse`` is set (``_canonicalize_full``), and v_t, the transpose
     of v, when ``right`` is set (``smith_normal_form``,
     ``is_injective``); ``cokernel`` asks for none.  Keeping uinv_t and
-    v_t transposed makes every update a whole-row operation.  The pivot
-    strategy reads only the matrix being reduced, so d and each tracked
-    transform are the same whichever others are tracked: smallest
-    nonzero absolute value, ties broken row-major, moved into place by
-    cyclic rotation so untouched generators keep their relative order.
+    v_t transposed makes every update a whole-row operation.  Both
+    stages read only the matrix being reduced, so d and each tracked
+    transform are the same whichever others are tracked.  The pivot is
+    the smallest nonzero absolute value, ties broken row-major, moved
+    into place by cyclic rotation so untouched generators keep their
+    relative order.
     """
     nrows, ncols = m.rows, m.cols
-    a = [list(row) for row in m.data]
     u = _identity_rows(nrows) if left else None
     uinv_t = _identity_rows(nrows) if inverse else None
     v_t = _identity_rows(ncols) if right else None
-    # the matrices whose rows follow the row swaps, negations and rotations
+    if nrows <= ncols or not ncols:
+        a = [list(row) for row in m.data]
+        nr, nc = _hnf_rows(a, [u] if left else [], [uinv_t] if inverse else []), ncols
+    else:
+        # column operations on m are row operations on its transpose
+        a = [list(col) for col in zip(*m.data)]
+        nr, nc = nrows, _hnf_rows(a, [v_t] if right else [], [])
+        a = [list(row) for row in zip(*a)]
+    # rows past nr and columns past nc are zero and stay zero, so the
+    # pivot loop never reads them; row_sides are the matrices whose rows
+    # follow the row swaps, negations and rotations
     row_sides = [rows for rows in (a, u, uinv_t) if rows is not None]
 
     def row_add(i, t, q):
@@ -265,41 +394,47 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
 
     def col_add(j, k, q):
         # col_j += q * col_k
-        for row in a:
+        for row in a[:nr]:
             row[j] += q * row[k]
         if right:
             v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
 
     def col_swap(j, k):
-        for row in a:
+        for row in a[:nr]:
             row[j], row[k] = row[k], row[j]
         if right:
             v_t[j], v_t[k] = v_t[k], v_t[j]
 
     t = 0
-    limit = min(nrows, ncols)
+    limit = min(nr, nc)
     while t < limit:
         best = None
-        best_abs = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                e = a[i][j]
-                if e and (best is None or abs(e) < best_abs):
+        best_abs = inf
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                e = row[j]
+                if e and abs(e) < best_abs:
                     best = (i, j)
                     best_abs = abs(e)
+            if best_abs == 1:
+                # nothing later in row-major order can beat it
+                break
         if best is None:
             break
         # rotate the pivot's row and column into place
         i, j = best
-        for rows in row_sides:
-            rows.insert(t, rows.pop(i))
-        for row in a:
-            row.insert(t, row.pop(j))
-        if right:
-            v_t.insert(t, v_t.pop(j))
+        if i != t:
+            for rows in row_sides:
+                rows.insert(t, rows.pop(i))
+        if j != t:
+            for row in a[:nr]:
+                row.insert(t, row.pop(j))
+            if right:
+                v_t.insert(t, v_t.pop(j))
         while True:
             dirty = False
-            for i in range(nrows):
+            for i in range(nr):
                 if i != t and a[i][t]:
                     q = a[i][t] // a[t][t]
                     row_add(i, t, -q)
@@ -310,7 +445,7 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
                         break
             if dirty:
                 continue
-            for j in range(ncols):
+            for j in range(nc):
                 if j != t and a[t][j]:
                     q = a[t][j] // a[t][t]
                     col_add(j, t, -q)
@@ -321,10 +456,14 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
             if dirty:
                 continue
             # pivot must divide the whole remaining submatrix
+            pivot = a[t][t]
+            if pivot in (1, -1):
+                break
             offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
+            for i in range(t + 1, nr):
+                row = a[i]
+                for j in range(t + 1, nc):
+                    if row[j] % pivot:
                         offender = i
                         break
                 if offender is not None:
@@ -339,7 +478,10 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
 
 
 def _identity_rows(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def smith_normal_form(m: IntMatrix):
@@ -354,8 +496,8 @@ def smith_normal_form(m: IntMatrix):
     """
     u, _, d, v_t = _snf_engine(m, left=True, right=True)
     return (
-        IntMatrix(u, cols=m.rows),
-        IntMatrix(d, cols=m.cols),
+        IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
+        IntMatrix._trusted(tuple(map(tuple, d)), m.cols),
         IntMatrix.from_columns(v_t, m.cols),
     )
 
@@ -388,7 +530,8 @@ def _solve_mod(a: IntMatrix, rel: IntMatrix, rhs_list):
 
 def _scalar(d, n):
     """d times the n x n identity."""
-    return IntMatrix([[d * (r == c) for c in range(n)] for r in range(n)], cols=n)
+    zeros = (0,) * n
+    return IntMatrix._trusted(tuple(zeros[:r] + (d,) + zeros[r + 1 :] for r in range(n)), n)
 
 
 def _block_diag(blocks):
@@ -396,9 +539,10 @@ def _block_diag(blocks):
     cols = sum(b.cols for b in blocks)
     rows, left = [], 0
     for b in blocks:
-        rows += [[0] * left + list(row) + [0] * (cols - left - b.cols) for row in b.data]
+        pad = (0,) * left, (0,) * (cols - left - b.cols)
+        rows += [pad[0] + row + pad[1] for row in b.data]
         left += b.cols
-    return IntMatrix(rows, cols=cols)
+    return IntMatrix._trusted(tuple(rows), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +911,7 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
             u[p] = [-e for e in u[p]]
             uinv_t[p] = [-e for e in uinv_t[p]]
     order = free_pos + tors_pos
-    to_canon = IntMatrix([u[p] for p in order], cols=generators)
+    to_canon = IntMatrix._trusted(tuple([tuple(u[p]) for p in order]), generators)
     lift = IntMatrix.from_columns([uinv_t[p] for p in order], generators)
     return group, to_canon, lift
 

@@ -86,6 +86,25 @@ def test_classify_json_schema():
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def test_classify_text_builds_no_map_it_does_not_print(monkeypatch):
+    # The rank clause decides C^24 against C^24, and text output never
+    # prints pi0 or pi1, so neither map is built; JSON still carries both.
+    built = []
+    unit_map = kinv.PairAnalysis._unit_map
+
+    def counting(self, *args):
+        built.append(args)
+        return unit_map(self, *args)
+
+    monkeypatch.setattr(kinv.PairAnalysis, "_unit_map", counting)
+    code, out, _ = run_cli("classify", "C^24", "C^24")
+    assert code == EXIT_OBSTRUCTED and "RankInequality" in out
+    assert built == []
+    code, out, _ = run_cli("classify", "C^2", "C^2", "--format", "json")
+    assert code == EXIT_OBSTRUCTED and len(built) == 2
+    assert set(json.loads(out)["maps"]) == {"pi0", "pi1"}
+
+
 def test_classify_rejects_free_product_argument():
     code, _, err = run_cli("classify", "O_2 (*) O_2", "O_3")
     assert code == EXIT_ERROR and "free products" in err

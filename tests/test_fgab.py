@@ -3,7 +3,8 @@
 import hashlib
 import itertools
 import random
-from math import gcd, inf, lcm
+import time
+from math import gcd, inf, lcm, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,9 @@ from kobstruct import (
     tor,
 )
 from kobstruct import fgab
+from kobstruct.catalog import evaluate
 from kobstruct.fgab import _canonicalize_full, _cyclic_canonical
+from kobstruct.kinv import PairAnalysis
 from conftest import (
     is_unimodular,
     minors_gcd_diagonal,
@@ -132,18 +135,18 @@ def _engine_outputs(rows):
 
 
 def test_generic_engine_outputs_pinned():
-    # Exact transforms of the generic engine, recorded from the
-    # full-tracking implementation: dropping the transforms a caller
-    # does not read must not move the pivot sequence.
+    # Exact transforms of the generic engine (Hermite stage, then the
+    # pivot loop), recorded from the full-tracking implementation:
+    # dropping the transforms a caller does not read must not move them.
     assert _engine_outputs([[2, 4], [6, 8]]) == (
-        ((1, 0), (3, -1)), ((2, 0), (0, 4)), ((1, -2), (0, 1)),
-        FgAbGroup(0, (2, 4)), ((1, 0), (3, -1)), ((1, 0), (3, -1)),
+        ((-2, 1), (3, -1)), ((2, 0), (0, 4)), ((1, 0), (0, 1)),
+        FgAbGroup(0, (2, 4)), ((-2, 1), (3, -1)), ((1, 1), (3, 2)),
     )
     assert _engine_outputs([[4, 6, 0, 2, 8], [0, 3, 9, 0, 6], [2, 0, 5, 1, 7]]) == (
-        ((0, 0, 1), (1, -1, -2), (27, -26, -54)),
+        ((0, 0, 1), (-1, 3, 2), (-27, 82, 54)),
         ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 6, 0, 0)),
-        ((0, 0, 0, 1, 0), (0, -6, 1, 0, 1), (0, -1, -3, 0, 9), (1, 5, -20, -2, 53), (0, 0, 5, 0, -14)),
-        FgAbGroup(0, (6,)), ((27, -26, -54),), ((1,), (1,), (0,)),
+        ((0, 0, 0, 1, 0), (0, -12, 3, 0, -1), (0, 1, 3, 0, -9), (1, -5, 20, -2, -53), (0, 0, -5, 0, 14)),
+        FgAbGroup(0, (6,)), ((-27, 82, 54),), ((3,), (1,), (0,)),
     )
     assert _engine_outputs([[0, 6], [9, -3], [2, 2], [4, 0]]) == (
         ((0, 1, -4, 0), (-7, -4, 16, 1), (-4, -2, 9, 0), (22, 12, -48, -3)),
@@ -155,7 +158,7 @@ def test_generic_engine_outputs_pinned():
     )
     dense = repr(_engine_outputs(DENSE_8X8)).encode()
     assert hashlib.sha256(dense).hexdigest() == (
-        "08d5701e5a4ad58516a0c5362dc6a6542bbda23dff4774072b4b5c7888038dec"
+        "3ad66e5b6f14d0a79c169d85e01570882c003e436888993ee50343cd192009c2"
     )
 
 
@@ -189,6 +192,65 @@ def test_snf_engine_tracks_each_transform_alike():
             assert got[2] == d
             for tracked, part, ref in zip(flags, (got[0], got[1], got[3]), (u, uinv_t, v_t)):
                 assert part == (ref if tracked else None)
+
+
+# Pairs whose induced maps stalled the engine before its Hermite stage:
+# entries of the pivot loop's transforms outgrew the Hadamard bound by
+# orders of magnitude.  Each is (A, B, the map, its cokernel).
+_STALLS = [
+    (   # cokernel(pi0): a 22 x 27 [f | R_h], more than 40 s before
+        '{"k0":{"rank":1,"torsion":[7,441]},"k1":{"rank":1,"torsion":[25,250]},"unit":[8,0,38]}',
+        '{"k0":{"rank":1,"torsion":[7,49,343,2744]},"k1":{"rank":1,"torsion":[28,24696]},'
+        '"unit":[-22,4,27,18,110]}',
+        "pi0",
+        FgAbGroup(1, (7,) * 6 + (14,) * 3 + (98, 98, 196, 88200, 3087000)),
+    ),
+    (   # is_surjective(pi1): a 16 x 20 [f | R_h], 9 s or more before
+        '{"k0":{"rank":1,"torsion":[9,231525]},"k1":{"rank":1,"torsion":[5,231525]},"unit":[-41,6,68287]}',
+        '{"k0":{"rank":1,"torsion":[2,8,56]},"k1":{"rank":1,"torsion":[49,49,3430]},"unit":[-26,0,1,44]}',
+        "pi1",
+        FgAbGroup(0, (7,) * 3 + (49,) * 3 + (245, 3430, 123480, 1974445200)),
+    ),
+]
+
+
+@pytest.mark.parametrize("lit_a, lit_b, name, coker", _STALLS, ids=["pi0", "pi1"])
+def test_former_engine_stalls_finish_fast(lit_a, lit_b, name, coker):
+    f = getattr(PairAnalysis(evaluate(lit_a), evaluate(lit_b)), name)
+    start = time.perf_counter()
+    assert cokernel(f) == coker
+    assert not is_surjective(f)
+    assert time.perf_counter() - start < 2.0
+    m = f.matrix.hstack(f.target.relation_matrix())
+    u, d, v = smith_normal_form(m)
+    assert (u @ m) @ v == d
+    assert is_unimodular(u) and is_unimodular(v)
+    diag = _diag(d)
+    assert all(d[i, j] == 0 for i in range(d.rows) for j in range(d.cols) if i != j)
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]) if a)
+    assert FgAbGroup(m.rows - sum(map(bool, diag)), [x for x in diag if x > 1]) == coker
+
+
+def _bits(m):
+    return max((abs(e).bit_length() for row in m.data for e in row), default=0)
+
+
+def test_snf_transform_growth_is_bounded():
+    # Dense n x n, (3n/4) x n and n x (3n/4) matrices with entries in
+    # [-20, 20], so b = 5 input bits.  Over 40 seeds per shape the
+    # largest transform entry of a square matrix had 1.6 n (b + log2 n)
+    # bits; a non-square one, whose kernel basis the pivot loop builds,
+    # up to 2 n^2 bits at n = 16 and 1.3 n^2 at n = 40.  The bounds
+    # leave a margin of 1.5 or more over those.
+    rng = random.Random(11)
+    b = 5
+    for n in (8, 16, 24, 32, 40):
+        for r, c in ((n, n), (3 * n // 4, n), (n, 3 * n // 4)):
+            m = IntMatrix([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
+            u, d, v = smith_normal_form(m)
+            assert (u @ m) @ v == d
+            bound = 3 * n * (b + log2(n)) if r == c else n * n * (b + 1) / 2
+            assert max(_bits(u), _bits(v)) <= bound, (r, c)
 
 
 def _is_injective_by_snf(f):
