@@ -50,7 +50,7 @@ everything can be shared freely across threads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from functools import lru_cache
 from math import gcd, inf, lcm
 from operator import add, itemgetter, mul, neg
@@ -248,9 +248,8 @@ def _hnf_rows(a, sides, inv_sides):
     same = (a, *sides)
     every = same + tuple(inv_sides)
     owner = {}  # pivot column -> the row holding that pivot
-    level = {}  # pivot row -> its pivot column
-    cols = []  # the pivot columns, ascending
-    shuffled = False  # whether the rows end out of staircase order
+    pivots = []  # (pivot column, its row), ascending
+    zero_rows = []  # the rows eliminated to zero
 
     def sub(i, p, q):
         # row_i -= q * row_p; the inverse transposes take row_p += q * row_i
@@ -260,7 +259,6 @@ def _hnf_rows(a, sides, inv_sides):
             rows[p] = [e + q * f for e, f in zip(rows[p], rows[i])]
 
     for i in range(len(a)):
-        moved = []  # the pivot columns whose pivot is new or smaller, ascending
         row = a[i]
         for j in range(ncols):
             y = row[j]
@@ -271,13 +269,8 @@ def _hnf_rows(a, sides, inv_sides):
                 if y < 0:
                     for rows in every:
                         rows[i] = [-e for e in rows[i]]
-                if len(cols) < i or cols and j < cols[-1]:
-                    # a zero row or a later pivot column lies above this row
-                    shuffled = True
                 owner[j] = i
-                level[i] = j
-                insort(cols, j)
-                moved.append(j)
+                insort(pivots, (j, i))
                 break
             x = a[p][j]
             if y % x == 0:
@@ -298,41 +291,18 @@ def _hnf_rows(a, sides, inv_sides):
                 rows[p] = [xg * e + yg * f for e, f in zip(rp, ri)]
                 rows[i] = [s * f - t * e for e, f in zip(rp, ri)]
             row = a[i]
-            moved.append(j)
-        if not moved:
-            continue
-        # An entry can leave [0, pivot) only in the column of a moved pivot
-        # or in a row that changed, and columns left of the first moved
-        # pivot kept their pivots and their entries.
-        if moved[0] == cols[-1]:
-            # only the last pivot moved: reduce its column, nothing right of it
-            r = owner[cols[-1]]
-            pivot = a[r][cols[-1]]
-            for b in cols[:-1]:
-                x = owner[b]
-                e = a[x][cols[-1]]
-                if e < 0 or e >= pivot:
-                    sub(x, r, e // pivot)
-            continue
-        dirty = {owner[c] for c in moved}
-        for k in range(bisect_left(cols, moved[0]), len(cols)):
-            c = cols[k]
-            r = owner[c]
+        else:
+            zero_rows.append(i)
+        for k, (c, r) in enumerate(pivots):
             pivot = a[r][c]
-            if c in moved:
-                above = [owner[b] for b in cols[:k]]
-            else:
-                above = [x for x in dirty if level[x] < c]
-            for x in above:
+            for _, x in pivots[:k]:
                 e = a[x][c]
                 if e < 0 or e >= pivot:
                     sub(x, r, e // pivot)
-                    dirty.add(x)
-    if shuffled:
-        order = [owner[c] for c in cols] + [i for i in range(len(a)) if i not in level]
-        for rows in every:
-            rows[:] = [rows[i] for i in order]
-    return len(cols)
+    order = [r for _, r in pivots] + zero_rows
+    for rows in every:
+        rows[:] = [rows[i] for i in order]
+    return len(pivots)
 
 
 def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: bool = False):
@@ -345,19 +315,18 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     otherwise on the rows of its transpose (column operations of m,
     tracked on v_t).  Its zero rows, or zero columns, take no further
     part.  The pivot loop then diagonalizes what is left.  Only d is
-    always computed.  Each
-    transform is tracked only when its caller asks for it, and is None
-    otherwise: u when ``left`` is set (``smith_normal_form``,
-    ``_canonicalize_full``), uinv_t, the transpose of u^-1, when
-    ``inverse`` is set (``_canonicalize_full``), and v_t, the transpose
-    of v, when ``right`` is set (``smith_normal_form``,
-    ``is_injective``); ``cokernel`` asks for none.  Keeping uinv_t and
-    v_t transposed makes every update a whole-row operation.  Both
-    stages read only the matrix being reduced, so d and each tracked
-    transform are the same whichever others are tracked.  The pivot is
-    the smallest nonzero absolute value, ties broken row-major, moved
-    into place by cyclic rotation so untouched generators keep their
-    relative order.
+    always computed.  Each transform is tracked only when its caller
+    asks for it, and is None otherwise: u when ``left`` is set
+    (``smith_normal_form``, ``_canonicalize_full``), uinv_t, the
+    transpose of u^-1, when ``inverse`` is set (``_canonicalize_full``),
+    and v_t, the transpose of v, when ``right`` is set
+    (``smith_normal_form``, ``is_injective``); ``cokernel`` asks for
+    none.  Keeping uinv_t and v_t transposed makes every update a
+    whole-row operation.  Both stages read only the matrix being
+    reduced, so d and each tracked transform are the same whichever
+    others are tracked.  The pivot is the smallest nonzero absolute
+    value, ties broken row-major, moved into place by cyclic rotation so
+    untouched generators keep their relative order.
     """
     nrows, ncols = m.rows, m.cols
     u = _identity_rows(nrows) if left else None
@@ -372,8 +341,8 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
         nr, nc = nrows, _hnf_rows(a, [v_t] if right else [], [])
         a = [list(row) for row in zip(*a)]
     # rows past nr and columns past nc are zero and stay zero, so the
-    # pivot loop never reads them; row_sides are the matrices whose rows
-    # follow the row swaps, negations and rotations
+    # pivot loop neither searches nor clears them; row_sides are the
+    # matrices whose rows follow the row swaps, negations and rotations
     row_sides = [rows for rows in (a, u, uinv_t) if rows is not None]
 
     def row_add(i, t, q):
@@ -394,13 +363,13 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
 
     def col_add(j, k, q):
         # col_j += q * col_k
-        for row in a[:nr]:
+        for row in a:
             row[j] += q * row[k]
         if right:
             v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
 
     def col_swap(j, k):
-        for row in a[:nr]:
+        for row in a:
             row[j], row[k] = row[k], row[j]
         if right:
             v_t[j], v_t[k] = v_t[k], v_t[j]
@@ -409,29 +378,23 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     limit = min(nr, nc)
     while t < limit:
         best = None
-        best_abs = inf
+        best_abs = None
         for i in range(t, nr):
-            row = a[i]
             for j in range(t, nc):
-                e = row[j]
-                if e and abs(e) < best_abs:
+                e = a[i][j]
+                if e and (best is None or abs(e) < best_abs):
                     best = (i, j)
                     best_abs = abs(e)
-            if best_abs == 1:
-                # nothing later in row-major order can beat it
-                break
         if best is None:
             break
         # rotate the pivot's row and column into place
         i, j = best
-        if i != t:
-            for rows in row_sides:
-                rows.insert(t, rows.pop(i))
-        if j != t:
-            for row in a[:nr]:
-                row.insert(t, row.pop(j))
-            if right:
-                v_t.insert(t, v_t.pop(j))
+        for rows in row_sides:
+            rows.insert(t, rows.pop(i))
+        for row in a:
+            row.insert(t, row.pop(j))
+        if right:
+            v_t.insert(t, v_t.pop(j))
         while True:
             dirty = False
             for i in range(nr):
@@ -456,14 +419,10 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
             if dirty:
                 continue
             # pivot must divide the whole remaining submatrix
-            pivot = a[t][t]
-            if pivot in (1, -1):
-                break
             offender = None
             for i in range(t + 1, nr):
-                row = a[i]
                 for j in range(t + 1, nc):
-                    if row[j] % pivot:
+                    if a[i][j] % a[t][t]:
                         offender = i
                         break
                 if offender is not None:
@@ -530,8 +489,7 @@ def _solve_mod(a: IntMatrix, rel: IntMatrix, rhs_list):
 
 def _scalar(d, n):
     """d times the n x n identity."""
-    zeros = (0,) * n
-    return IntMatrix._trusted(tuple(zeros[:r] + (d,) + zeros[r + 1 :] for r in range(n)), n)
+    return IntMatrix([[d * (r == c) for c in range(n)] for r in range(n)], cols=n)
 
 
 def _block_diag(blocks):
@@ -539,10 +497,9 @@ def _block_diag(blocks):
     cols = sum(b.cols for b in blocks)
     rows, left = [], 0
     for b in blocks:
-        pad = (0,) * left, (0,) * (cols - left - b.cols)
-        rows += [pad[0] + row + pad[1] for row in b.data]
+        rows += [[0] * left + list(row) + [0] * (cols - left - b.cols) for row in b.data]
         left += b.cols
-    return IntMatrix._trusted(tuple(rows), cols)
+    return IntMatrix(rows, cols=cols)
 
 
 # ---------------------------------------------------------------------------
