@@ -51,6 +51,7 @@ __all__ = [
     "parse",
     "print_expr",
     "eval_expr",
+    "evaluate",
     "catalog_entries",
 ]
 

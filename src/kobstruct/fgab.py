@@ -25,7 +25,7 @@ pivot rows that are left.  Each caller of the engine tracks only
 the transforms it reads: ``cokernel`` and ``is_surjective`` none (the
 group is read off the diagonal), ``is_injective`` the right transform
 v, ``smith_normal_form`` and so ``_solve_mod`` u and v, and
-``_canonicalize_full`` (quotients, ``canonicalize``) u and u^-1.  Both
+``_canonicalize_full`` (quotients) u and u^-1.  Both
 stages read the matrix alone, so d and every transform are the same
 whichever are tracked.  Matrices the package builds from
 its own integer tuples skip the public constructor's conversion and
@@ -62,9 +62,6 @@ __all__ = [
     "GroupElement",
     "GroupHom",
     "smith_normal_form",
-    "determinant",
-    "canonicalize",
-    "direct_sum",
     "direct_sum_many",
     "quotient_by",
     "tensor",
@@ -77,7 +74,6 @@ __all__ = [
     "right_inverse_exists",
     "constrained_section_exists",
     "solve_divisibility",
-    "element_order",
 ]
 
 
@@ -122,10 +118,6 @@ class IntMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     @classmethod
     def identity(cls, n):
@@ -195,33 +187,6 @@ class IntMatrix:
 
     def to_json(self):
         return [list(row) for row in self.data]
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +564,6 @@ class FgAbGroup:
     def generators(self):
         return [self.generator(k) for k in range(self.ngens)]
 
-    def elements(self):
-        """Iterate over all elements; the group must be finite."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite group")
-
-        def rec(prefix, factors):
-            if not factors:
-                yield self.element(prefix)
-                return
-            for c in range(factors[0]):
-                yield from rec(prefix + [c], factors[1:])
-
-        yield from rec([], list(self.torsion))
-
     def __eq__(self, other):
         return (
             isinstance(other, FgAbGroup)
@@ -732,17 +683,6 @@ class GroupElement:
         return {"coords": list(self.coords)}
 
 
-def element_order(x: GroupElement):
-    """Order of x in its group: a positive integer, or math.inf.
-
-    >>> element_order(FgAbGroup(1).element((1,)))
-    inf
-    >>> element_order(FgAbGroup(1, (4,)).element((0, 1)))
-    4
-    """
-    return x.order()
-
-
 class GroupHom:
     """A homomorphism between canonical groups, as an integer matrix.
 
@@ -785,30 +725,10 @@ class GroupHom:
     def identity(cls, g):
         return cls(g, g, IntMatrix.identity(g.ngens))
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, IntMatrix.zeros(target.ngens, source.ngens))
-
-    @classmethod
-    def from_images(cls, source, target, images):
-        for img in images:
-            if img.group != target:
-                raise GroupMismatchError("image element lies in the wrong group")
-        return cls(
-            source,
-            target,
-            IntMatrix.from_columns([img.coords for img in images], target.ngens),
-        )
-
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
             raise GroupMismatchError("element is not in the source group")
         return GroupElement(self.target, self.matrix @ x.coords)
-
-    def __add__(self, other):
-        if self.source != other.source or self.target != other.target:
-            raise GroupMismatchError("hom sum needs matching source and target")
-        return GroupHom(self.source, self.target, self.matrix + other.matrix)
 
     def __eq__(self, other):
         return (
@@ -881,25 +801,6 @@ def _diagonal_group(d, relations: int):
     free_pos = [i for i in range(len(d)) if i >= len(diag) or diag[i] == 0]
     tors_pos = [i for i in range(len(diag)) if diag[i] > 1]
     return FgAbGroup(len(free_pos), [diag[i] for i in tors_pos]), free_pos, tors_pos
-
-
-def canonicalize(generators: int, relations: IntMatrix):
-    """Canonical form of Z^generators modulo the columns of ``relations``.
-
-    Returns (group, basis_change) where basis_change is the hom from
-    Z^generators onto the canonical group, sending old coordinates to
-    canonical coordinates.
-
-    >>> g, _ = canonicalize(2, IntMatrix([[2], [-3]]))
-    >>> g
-    FgAbGroup(1, ())
-    >>> g, _ = canonicalize(2, IntMatrix([[2], [-2]]))
-    >>> g
-    FgAbGroup(1, (2,))
-    """
-    group, to_canon, _ = _canonicalize_full(generators, relations)
-    free = FgAbGroup(generators)
-    return group, GroupHom(free, group, to_canon)
 
 
 def _orders(g: FgAbGroup):
@@ -989,21 +890,15 @@ def _direct_sum_structure(groups: tuple):
 
 
 def direct_sum_many(groups):
-    """Canonical form of g1 (+) ... (+) gn with injections/projections."""
-    return _direct_sum_structure(tuple(groups))
+    """Canonical form of g1 (+) ... (+) gn with injections/projections.
 
+    Returns (sum, injections, projections), one of each per summand.
 
-def direct_sum(g: FgAbGroup, h: FgAbGroup):
-    """Canonical g (+) h together with its four structure maps.
-
-    Returns (sum, inj_g, inj_h, proj_g, proj_h) with proj . inj = id.
-
-    >>> s, *_ = direct_sum(FgAbGroup(0, (2,)), FgAbGroup(0, (3,)))
+    >>> s, _, _ = direct_sum_many((FgAbGroup(0, (2,)), FgAbGroup(0, (3,))))
     >>> s
     FgAbGroup(0, (6,))
     """
-    s, (inj_g, inj_h), (proj_g, proj_h) = _direct_sum_structure((g, h))
-    return s, inj_g, inj_h, proj_g, proj_h
+    return _direct_sum_structure(tuple(groups))
 
 
 def _quotient_full(g: FgAbGroup, x: GroupElement):

@@ -41,6 +41,7 @@ __all__ = [
     "KInvariant",
     "KPair",
     "kunneth",
+    "kunneth_invariant",
     "free_product_k",
     "unital_free_product_k",
     "pi_star",

@@ -92,9 +92,6 @@ class ObstructionWitness:
     detail: tuple
     explanation: str
 
-    def detail_dict(self):
-        return dict(self.detail)
-
     def to_json(self):
         return {
             "clause": self.clause,

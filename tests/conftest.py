@@ -1,20 +1,37 @@
 """Shared oracles and generators for the test suite.
 
-The oracles here deliberately avoid the library's own reduction paths:
-minor gcds come from fraction-free determinants, section existence from
-element enumeration, so they can cross-check the Smith-normal-form
-machinery independently.
+The oracles share no code with kobstruct and read only the plain
+fields of its values (``.data``, ``.rows``, ``.cols``, ``.rank``,
+``.torsion``, ``.coords``):
+
+* ``minors_gcd_diagonal`` and ``is_unimodular`` take their determinants
+  from the fraction-free (Bareiss) ``determinant`` in ``bench/oracle.py``,
+  a module that imports nothing from kobstruct;
+* ``exhaustive_section_exists`` and the enumeration tests in
+  ``test_solver_oracles.py`` walk the elements of a finite group as
+  coordinate tuples (``elements``) and apply a hom as a matrix-vector
+  product reduced by the target's orders (``apply``).
+
+The random generators below build their values with kobstruct's
+constructors; they produce inputs, not verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from kobstruct import FgAbGroup, GroupHom, IntMatrix, determinant
+from kobstruct import FgAbGroup, GroupHom, IntMatrix
 from kobstruct.catalog import catalog_entries
+
+# bench/test_bench.py imports the same module under the same name, so
+# ``pytest tests bench`` in one process loads it once
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from oracle import determinant  # noqa: E402
 
 
 def random_matrix(rng, max_dim=6, lo=-20, hi=20):
@@ -34,9 +51,7 @@ def minors_gcd_diagonal(m: IntMatrix):
         g = 0
         for rows in itertools.combinations(range(m.rows), k):
             for cols in itertools.combinations(range(m.cols), k):
-                sub = IntMatrix(
-                    [[m[i, j] for j in cols] for i in rows], cols=k
-                )
+                sub = [[m.data[i][j] for j in cols] for i in rows]
                 g = gcd(g, determinant(sub))
                 if g == 1:
                     break
@@ -51,7 +66,22 @@ def minors_gcd_diagonal(m: IntMatrix):
 
 
 def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and abs(determinant(m)) == 1
+    return m.rows == m.cols and abs(determinant(m.data)) == 1
+
+
+def elements(torsion):
+    """Every element of Z/d1 (+) ... (+) Z/dk as a coordinate tuple."""
+    return itertools.product(*map(range, torsion))
+
+
+def apply(matrix, vec, orders):
+    """The matrix (a tuple of rows) times vec, each entry reduced by the
+    order of its target generator (0 for a free one)."""
+    out = []
+    for row, d in zip(matrix, orders):
+        x = sum(a * b for a, b in zip(row, vec))
+        out.append(x % d if d else x)
+    return tuple(out)
 
 
 def random_unimodular(rng, n, steps=12):
@@ -116,19 +146,21 @@ def random_hom(rng, source: FgAbGroup, target: FgAbGroup) -> GroupHom:
 def exhaustive_section_exists(f: GroupHom) -> bool:
     """Element-enumeration oracle for right-inverse existence.
 
-    Valid whenever the source of the candidate section's images (the
-    source group of f) is finite.  A hom out of the target is freely
-    determined by generator images subject to per-generator conditions,
-    so column-wise search is exhaustive.
+    Valid whenever the source of f is finite.  A hom out of the target
+    is freely determined by generator images subject to per-generator
+    conditions, so column-wise search is exhaustive: generator e_k of
+    order d needs an element x of the source with f(x) = e_k and d x = 0.
     """
     g, h = f.source, f.target
-    if not g.is_finite:
+    if g.rank:
         raise ValueError("oracle needs a finite source group")
-    for k in range(h.ngens):
-        d = 0 if k < h.rank else h.torsion[k - h.rank]
-        gen = h.generator(k)
-        for cand in g.elements():
-            if f(cand) == gen and (d == 0 or (d * cand).is_zero):
+    orders = [0] * h.rank + list(h.torsion)
+    for k, d in enumerate(orders):
+        gen = tuple(int(i == k) for i in range(len(orders)))
+        for cand in elements(g.torsion):
+            if apply(f.matrix.data, cand, orders) == gen and (
+                d == 0 or all(d * c % e == 0 for c, e in zip(cand, g.torsion))
+            ):
                 break
         else:
             return False

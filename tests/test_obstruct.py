@@ -70,7 +70,7 @@ def test_basic_obstructions_c2_pair():
 def test_basic_obstructions_o3_o5():
     ws = basic_obstructions(evaluate("O_3"), evaluate("O_5"))
     assert [w.clause for w in ws] == [TOR_NONZERO]
-    detail = ws[0].detail_dict()
+    detail = dict(ws[0].detail)
     assert detail["tor"] == "Z/2"
 
 
@@ -240,7 +240,7 @@ def test_witness_details_reverify(catalog):
             v = classify(a, b)
             if v.witness is None:
                 continue
-            detail = v.witness.detail_dict()
+            detail = dict(v.witness.detail)
             if v.witness.clause == TOR_NONZERO:
                 sides = {0: (a.k0, b.k0), 1: (a.k1, b.k1)}
                 ga = sides[detail["degree_a"]][0]
@@ -368,7 +368,7 @@ def test_ex4_witness():
     w = ex4_no_scaled_section()
     assert w.clause == NO_SECTION_0
     assert "(1, 1, -1, -1)" in w.explanation
-    assert w.detail_dict()["relation"] == [1, 1, -1, -1]
+    assert dict(w.detail)["relation"] == [1, 1, -1, -1]
 
 
 def test_m_oo_unit_divisibility():
