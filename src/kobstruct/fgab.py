@@ -16,20 +16,22 @@ sums of cyclic groups, so they skip the Smith normal form:
 handles the general presentations: quotients, cokernels and the
 solvers' systems.
 
-The Smith normal form engine ``_snf_engine`` runs in two stages.  A
-Hermite stage (``_hnf_rows``, after Kannan and Bachem) first brings the
-matrix into Hermite normal form along its shorter side, inserting one
-row at a time and reducing every entry above a pivot, so no entry
-outgrows the pivots.  The smallest-pivot loop then diagonalizes the
-pivot rows that are left.  Each caller of the engine tracks only
-the transforms it reads: ``cokernel`` and ``is_surjective`` none (the
-group is read off the diagonal), ``is_injective`` the right transform
-v, ``smith_normal_form`` and so ``_solve_mod`` u and v, and
-``_canonicalize_full`` (quotients) u and u^-1.  Both
-stages read the matrix alone, so d and every transform are the same
-whichever are tracked.  Matrices the package builds from
-its own integer tuples skip the public constructor's conversion and
-checks (``IntMatrix._trusted``).
+The Smith normal form engine ``_snf_engine`` is one Hermite routine
+(``_hnf_rows``, after Kannan and Bachem), which inserts one row at a
+time and reduces every entry above a pivot, so no entry outgrows the
+pivots.  It runs on the columns of the matrix, then on its rows, in
+turn until the matrix is diagonal; 2x2 Bezout steps then make the
+diagonal a divisibility chain.  The first stage leaves the column
+Hermite form, which depends only on the lattice the columns span, so
+the generators a quotient reads off u do too.  Each caller of the
+engine tracks only the transforms it reads: ``cokernel`` and
+``is_surjective`` none (the group is read off the diagonal),
+``is_injective`` the right transform v, ``smith_normal_form`` and so
+``_solve_mod`` u and v, and ``_canonicalize_full`` (quotients) u and
+u^-1.  Every step reads the matrix alone, so d and every transform are
+the same whichever are tracked.  Matrices the package builds from its
+own integer tuples skip the public constructor's conversion and checks
+(``IntMatrix._trusted``).
 
 Conventions
 -----------
@@ -53,7 +55,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from math import gcd, inf, lcm
-from operator import add, itemgetter, mul, neg
+from operator import add, itemgetter, mul
 
 __all__ = [
     "GroupMismatchError",
@@ -160,17 +162,6 @@ class IntMatrix:
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
 
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix._trusted(
-            tuple([tuple(map(add, r1, r2)) for r1, r2 in zip(self.data, other.data)]),
-            self.cols,
-        )
-
-    def __neg__(self):
-        return IntMatrix._trusted(tuple([tuple(map(neg, row)) for row in self.data]), self.cols)
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
@@ -247,14 +238,8 @@ def _hnf_rows(a, sides, inv_sides):
             if y < 0:
                 t = -t
             xg, yg = x // g, y // g
-            for rows in same:
-                rp, ri = rows[p], rows[i]
-                rows[p] = [s * e + t * f for e, f in zip(rp, ri)]
-                rows[i] = [xg * f - yg * e for e, f in zip(rp, ri)]
-            for rows in inv_sides:
-                rp, ri = rows[p], rows[i]
-                rows[p] = [xg * e + yg * f for e, f in zip(rp, ri)]
-                rows[i] = [s * f - t * e for e, f in zip(rp, ri)]
+            _mix(same, p, i, s, t, -yg, xg)
+            _mix(inv_sides, p, i, xg, yg, -t, s)
             row = a[i]
         else:
             zero_rows.append(i)
@@ -274,131 +259,74 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     """Diagonalize m, returning (u, uinv_t, d, v_t) with d = u m v.
 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
-    form a divisibility chain.  The Hermite stage ``_hnf_rows`` runs
-    first, on the shorter side: on the rows of m when it has no more
-    rows than columns (row operations, tracked on u and uinv_t), and
-    otherwise on the rows of its transpose (column operations of m,
-    tracked on v_t).  Its zero rows, or zero columns, take no further
-    part.  The pivot loop then diagonalizes what is left.  Only d is
-    always computed.  Each transform is tracked only when its caller
-    asks for it, and is None otherwise: u when ``left`` is set
+    form a divisibility chain.  Hermite stages (``_hnf_rows``) alternate
+    until the matrix is diagonal: on its columns, as the rows of its
+    transpose (tracked on v_t), then on its rows (tracked on u and
+    uinv_t), and so on.  A stage leaves each leading pivot the gcd of
+    its row or column, so the pivot shrinks until it divides its line
+    and a stage clears it.  The first stage gives the column Hermite
+    form, the same for every matrix with the same column lattice, so u
+    depends on that lattice alone.  The chain step then replaces each
+    pair of diagonal entries x = d_i, y = d_j (i < j) with y % x by
+    g = gcd(x, y) = s*x + t*y and lcm(x, y): rows u_i, u_j by
+    s*u_i + t*u_j and (x/g)*u_j - (y/g)*u_i, as ``_cyclic_canonical``
+    does, and columns v_i, v_j by v_i + v_j and (s*x/g)*v_j - (t*y/g)*v_i.
+
+    Only d is always computed.  Each transform is tracked only when its
+    caller asks for it, and is None otherwise: u when ``left`` is set
     (``smith_normal_form``, ``_canonicalize_full``), uinv_t, the
     transpose of u^-1, when ``inverse`` is set (``_canonicalize_full``),
     and v_t, the transpose of v, when ``right`` is set
     (``smith_normal_form``, ``is_injective``); ``cokernel`` asks for
     none.  Keeping uinv_t and v_t transposed makes every update a
-    whole-row operation.  Both stages read only the matrix being
+    whole-row operation.  Every step reads only the matrix being
     reduced, so d and each tracked transform are the same whichever
-    others are tracked.  The pivot is the smallest nonzero absolute
-    value, ties broken row-major, moved into place by cyclic rotation so
-    untouched generators keep their relative order.
+    others are tracked.
     """
     nrows, ncols = m.rows, m.cols
     u = _identity_rows(nrows) if left else None
     uinv_t = _identity_rows(nrows) if inverse else None
     v_t = _identity_rows(ncols) if right else None
-    if nrows <= ncols or not ncols:
-        a = [list(row) for row in m.data]
-        nr, nc = _hnf_rows(a, [u] if left else [], [uinv_t] if inverse else []), ncols
-    else:
-        # column operations on m are row operations on its transpose
-        a = [list(col) for col in zip(*m.data)]
-        nr, nc = nrows, _hnf_rows(a, [v_t] if right else [], [])
-        a = [list(row) for row in zip(*a)]
-    # rows past nr and columns past nc are zero and stay zero, so the
-    # pivot loop neither searches nor clears them; row_sides are the
-    # matrices whose rows follow the row swaps, negations and rotations
-    row_sides = [rows for rows in (a, u, uinv_t) if rows is not None]
-
-    def row_add(i, t, q):
-        # row_i += q * row_t; u^-1 takes the inverse column operation
-        a[i] = [x + q * y for x, y in zip(a[i], a[t])]
-        if left:
-            u[i] = [x + q * y for x, y in zip(u[i], u[t])]
-        if inverse:
-            uinv_t[t] = [x - q * y for x, y in zip(uinv_t[t], uinv_t[i])]
-
-    def row_swap(i, j):
-        for rows in row_sides:
-            rows[i], rows[j] = rows[j], rows[i]
-
-    def row_negate(t):
-        for rows in row_sides:
-            rows[t] = [-e for e in rows[t]]
-
-    def col_add(j, k, q):
-        # col_j += q * col_k
-        for row in a:
-            row[j] += q * row[k]
-        if right:
-            v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
-
-    def col_swap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        if right:
-            v_t[j], v_t[k] = v_t[k], v_t[j]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        best = None
-        best_abs = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = a[i][j]
-                if e and (best is None or abs(e) < best_abs):
-                    best = (i, j)
-                    best_abs = abs(e)
-        if best is None:
+    row_sides = [u] if left else []
+    inv_sides = [uinv_t] if inverse else []
+    col_sides = [v_t] if right else []
+    a = [list(row) for row in m.data]
+    rank = 0
+    while nrows and ncols:
+        # column operations on a are row operations on its transpose
+        at = [list(col) for col in zip(*a)]
+        rank = _hnf_rows(at, col_sides, [])
+        a = [list(row) for row in zip(*at)]
+        if _is_diagonal(a):
             break
-        # rotate the pivot's row and column into place
-        i, j = best
-        for rows in row_sides:
-            rows.insert(t, rows.pop(i))
-        for row in a:
-            row.insert(t, row.pop(j))
-        if right:
-            v_t.insert(t, v_t.pop(j))
-        while True:
-            dirty = False
-            for i in range(nr):
-                if i != t and a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t]:
-                        # remainder is a strictly smaller pivot candidate
-                        row_swap(t, i)
-                        dirty = True
-                        break
-            if dirty:
+        rank = _hnf_rows(a, row_sides, inv_sides)
+        if _is_diagonal(a):
+            break
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = a[i][i], a[j][j]
+            if y % x == 0:
                 continue
-            for j in range(nc):
-                if j != t and a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the whole remaining submatrix
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
+            g, s, t = _bezout(x, y)
+            xg, yg = x // g, y // g
+            a[i][i], a[j][j] = g, x * yg
+            _mix(row_sides, i, j, s, t, -yg, xg)
+            _mix(inv_sides, i, j, xg, yg, -t, s)
+            _mix(col_sides, i, j, 1, 1, -t * yg, s * xg)
     return u, uinv_t, a, v_t
+
+
+def _mix(sides, i, j, a, b, c, d):
+    """Replace rows r_i, r_j of each matrix in ``sides`` by a*r_i + b*r_j
+    and c*r_i + d*r_j."""
+    for rows in sides:
+        p, q = rows[i], rows[j]
+        rows[i] = [a * e + b * f for e, f in zip(p, q)]
+        rows[j] = [c * e + d * f for e, f in zip(p, q)]
+
+
+def _is_diagonal(a):
+    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(a))
 
 
 def _identity_rows(n):
@@ -771,7 +699,8 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
     Returns (group, to_canon, lift): ``to_canon`` maps old generator
     coordinates to canonical coordinates, ``lift`` picks an old-
     coordinate representative for each canonical generator, and
-    to_canon @ lift is the identity.
+    to_canon @ lift is the identity.  All three depend only on the
+    lattice the relations span, not on how its columns are listed.
     """
     if relations.rows != generators:
         raise ValueError(

@@ -14,11 +14,16 @@ fields of its values (``.data``, ``.rows``, ``.cols``, ``.rank``,
 
 The random generators below build their values with kobstruct's
 constructors; they produce inputs, not verdicts.
+
+Every test has a time budget, ``TEST_BUDGET_S``.  A faulty elimination
+step makes integers grow without bound rather than raise, so a test
+that runs past its budget fails where it stands, and the run stops.
 """
 
 from __future__ import annotations
 
 import itertools
+import signal
 import sys
 from math import gcd
 from pathlib import Path
@@ -32,6 +37,35 @@ from kobstruct.catalog import catalog_entries
 # ``pytest tests bench`` in one process loads it once
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from oracle import determinant  # noqa: E402
+
+
+# The slowest test takes under 2 s on a 2-vCPU machine.
+TEST_BUDGET_S = 60
+
+
+class BudgetExceeded(BaseException):
+    """Raised inside a test that runs past ``TEST_BUDGET_S``.  Not an
+    Exception, so hypothesis does not shrink the example and hang again."""
+
+
+def _over_budget(signum, frame):
+    raise BudgetExceeded(f"the test ran past its {TEST_BUDGET_S} s budget")
+
+
+@pytest.fixture(autouse=True)
+def _time_budget():
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, TEST_BUDGET_S)
+    try:
+        yield
+    finally:
+        left, _ = signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if not left:
+        pytest.exit(f"stopped after a test ran past its {TEST_BUDGET_S} s budget", returncode=1)
 
 
 def random_matrix(rng, max_dim=6, lo=-20, hi=20):

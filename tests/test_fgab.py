@@ -141,30 +141,34 @@ def _engine_outputs(rows):
 
 
 def test_generic_engine_outputs_pinned():
-    # Exact transforms of the generic engine (Hermite stage, then the
-    # pivot loop), recorded from the full-tracking implementation:
-    # dropping the transforms a caller does not read must not move them.
+    # Exact transforms of the generic engine (alternating Hermite stages,
+    # then the chain step), recorded from the full-tracking
+    # implementation: dropping the transforms a caller does not read
+    # must not move them.
     assert _engine_outputs([[2, 4], [6, 8]]) == (
-        ((-2, 1), (3, -1)), ((2, 0), (0, 4)), ((1, 0), (0, 1)),
-        FgAbGroup(0, (2, 4)), ((-2, 1), (3, -1)), ((1, 1), (3, 2)),
+        ((1, 0), (-1, 1)), ((2, 0), (0, 4)), ((-1, 2), (1, -1)),
+        FgAbGroup(0, (2, 4)), ((1, 0), (-1, 1)), ((1, 0), (1, 1)),
     )
     assert _engine_outputs([[4, 6, 0, 2, 8], [0, 3, 9, 0, 6], [2, 0, 5, 1, 7]]) == (
-        ((0, 0, 1), (-1, 3, 2), (-27, 82, 54)),
+        ((2, -1, 0), (0, 0, 1), (3, -2, 6)),
         ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 6, 0, 0)),
-        ((0, 0, 0, 1, 0), (0, -12, 3, 0, -1), (0, 1, 3, 0, -9), (1, -5, 20, -2, -53), (0, 0, -5, 0, 14)),
-        FgAbGroup(0, (6,)), ((-27, 82, 54),), ((3,), (1,), (0,)),
+        (
+            (-105, -402, 411, -1, 11), (10, 38, -39, 0, -1), (85, 326, -333, 0, -9),
+            (709, 2717, -2776, 2, -75), (-132, -506, 517, 0, 14),
+        ),
+        FgAbGroup(0, (6,)), ((3, -2, 6),), ((-1,), (-2,), (0,)),
     )
     assert _engine_outputs([[0, 6], [9, -3], [2, 2], [4, 0]]) == (
-        ((0, 1, -4, 0), (-7, -4, 16, 1), (-4, -2, 9, 0), (22, 12, -48, -3)),
+        ((5, 3, -11, -1), (13, 8, -29, -3), (-4, -2, 9, 0), (-14, -8, 30, 3)),
         ((1, 0), (0, 2), (0, 0), (0, 0)),
-        ((1, 11), (0, 1)),
+        ((2, -1), (1, -1)),
         FgAbGroup(2, (2,)),
-        ((4, 2, -9, 0), (22, 12, -48, -3), (-7, -4, 16, 1)),
-        ((0, 1, 3), (-4, 16, 48), (-1, 4, 12), (0, 7, 22)),
+        ((4, 2, -9, 0), (14, 8, -30, -3), (13, 8, -29, -3)),
+        ((-1, 1, -3), (-2, -2, -3), (-1, 0, -2), (0, -1, -2)),
     )
     dense = repr(_engine_outputs(DENSE_8X8)).encode()
     assert hashlib.sha256(dense).hexdigest() == (
-        "3ad66e5b6f14d0a79c169d85e01570882c003e436888993ee50343cd192009c2"
+        "b847cf399b6e56161a83dac4b65bdff6b444d7cd9e62da8a4e36ff0689ce6777"
     )
 
 
@@ -184,7 +188,7 @@ def _engine_matrices(seed, count):
 
 
 def test_snf_engine_tracks_each_transform_alike():
-    # The pivot sequence reads only the matrix being reduced, so d and
+    # Every step of the engine reads only the matrix being reduced, so d and
     # each tracked transform are the same whichever others are tracked,
     # and an untracked one is None.
     for m in _engine_matrices(17, 600):
@@ -200,8 +204,8 @@ def test_snf_engine_tracks_each_transform_alike():
                 assert part == (ref if tracked else None)
 
 
-# Pairs whose induced maps stalled the engine before its Hermite stage:
-# entries of the pivot loop's transforms outgrew the Hadamard bound by
+# Pairs whose induced maps stalled the engine when it was a smallest-pivot
+# loop alone: entries of its transforms outgrew the Hadamard bound by
 # orders of magnitude.  Each is (A, B, the map, its cokernel).
 _STALLS = [
     (   # cokernel(pi0): a 22 x 27 [f | R_h], more than 40 s before
@@ -244,10 +248,10 @@ def _bits(m):
 def test_snf_transform_growth_is_bounded():
     # Dense n x n, (3n/4) x n and n x (3n/4) matrices with entries in
     # [-20, 20], so b = 5 input bits.  Over 40 seeds per shape the
-    # largest transform entry of a square matrix had 1.6 n (b + log2 n)
-    # bits; a non-square one, whose kernel basis the pivot loop builds,
-    # up to 2 n^2 bits at n = 16 and 1.3 n^2 at n = 40.  The bounds
-    # leave a margin of 1.5 or more over those.
+    # largest transform entry had at most 1.08 n (b + log2 n) bits for a
+    # square matrix, 0.92 for a wide one and 2.28 for a tall one, whose
+    # u holds a basis of the left kernel (797 bits at 40 x 30).  The
+    # bounds leave a margin of 1.5 or more over those.
     rng = random.Random(11)
     b = 5
     for n in (8, 16, 24, 32, 40):
@@ -255,7 +259,7 @@ def test_snf_transform_growth_is_bounded():
             m = IntMatrix([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)])
             u, d, v = smith_normal_form(m)
             assert (u @ m) @ v == d
-            bound = 3 * n * (b + log2(n)) if r == c else n * n * (b + 1) / 2
+            bound = (3 if r == c else 3.5) * n * (b + log2(n))
             assert max(_bits(u), _bits(v)) <= bound, (r, c)
 
 
@@ -283,6 +287,28 @@ def test_transform_free_questions_agree_with_the_full_engine():
         assert is_injective(f) == _is_injective_by_snf(f)
 
 
+def test_quotient_coordinates_depend_only_on_the_relation_lattice():
+    # The engine starts with a column Hermite form, which is the same for
+    # every relation matrix of one lattice, and reads nothing else of
+    # the matrix, so the quotient's generators cannot depend on how the
+    # relations are listed.
+    rng = random.Random(37)
+    for _ in range(500):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        m = IntMatrix([[rng.randint(-6, 6) for _ in range(k)] for _ in range(n)])
+        cols = [list(c) for c in zip(*m.data)]
+        rng.shuffle(cols)
+        i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+        cols[i] = [-e for e in cols[i]]
+        if i != j:
+            q = rng.randint(-3, 3)
+            cols[j] = [e + q * f for e, f in zip(cols[j], cols[i])]
+        coeffs = [rng.randint(-2, 2) for _ in cols]
+        cols.append([sum(q * c[r] for q, c in zip(coeffs, cols)) for r in range(n)])
+        again = IntMatrix.from_columns(cols, n)
+        assert _canonicalize_full(n, again) == _canonicalize_full(n, m), m
+
+
 def _plain_tuples(m):
     return type(m.data) is tuple and all(
         type(row) is tuple and len(row) == m.cols and all(type(e) is int for e in row)
@@ -303,8 +329,6 @@ def test_trusted_constructor_matches_the_public_one():
         built = [
             (a @ b, [[sum(a[i, t] * b[t, j] for t in range(c)) for j in range(k)] for i in range(r)], k),
             (a.hstack(a), [row + row for row in rows], 2 * c),
-            (a + a, [[2 * e for e in row] for row in rows], c),
-            (-a, [[-e for e in row] for row in rows], c),
             (IntMatrix.from_columns([a.column(j) for j in range(c)], r), rows, c),
         ]
         for got, want_rows, cols in built:
