@@ -143,10 +143,10 @@ def _cmd_classify(args, out) -> int:
         _emit(payload, lines, args.format, out)
         return EXIT_NOT_FG
     ufp = an.unital_free_product
-    kun = an.tensor
+    k0, k1 = an.tensor_groups
     payload["groups"] = {
         "unital_free_product": ufp.to_json(),
-        "tensor": {"k0": kun.k0.to_json(), "k1": kun.k1.to_json()},
+        "tensor": {"k0": k0.to_json(), "k1": k1.to_json()},
     }
     if args.format == "json":
         # text output never prints the maps: build them only for JSON,
@@ -155,7 +155,7 @@ def _cmd_classify(args, out) -> int:
     lines += [
         f"K(unital free product): K0 = {ufp.k0}, K1 = {ufp.k1}"
         + (" (with extra Z)" if ufp.extra_z else ""),
-        f"K(tensor product): K0 = {kun.k0}, K1 = {kun.k1}",
+        f"K(tensor product): K0 = {k0}, K1 = {k1}",
         f"verdict: {verdict.outcome}",
     ]
     if verdict.parameters is not None:

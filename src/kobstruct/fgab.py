@@ -12,8 +12,10 @@ order d inside the span of the elements d kills (``_torsion_span``).
 Direct sums and the Kronecker presentation of a tensor product are
 sums of cyclic groups, so they skip the Smith normal form:
 ``_cyclic_canonical`` merges their orders into a divisibility chain with
-2x2 Bezout steps and never factors an integer.  The Smith normal form
-handles the general presentations: quotients, cokernels and the
+2x2 Bezout steps and never factors an integer.  Its basis changes are
+sparse, so input that is already canonical (a free group, a sum with
+one nonzero part) costs its length, not its square.  The Smith normal
+form handles the general presentations: quotients, cokernels and the
 solvers' systems.
 
 The Smith normal form engine ``_snf_engine`` is one Hermite routine
@@ -748,26 +750,23 @@ def _cyclic_canonical(orders):
     """Canonical form of (+)_k Z/c_k, where c_k = 0 stands for Z.
 
     Returns (group, to_canon, lift) as ``_canonicalize_full`` does for
-    the diagonal presentation, without a Smith normal form.  Free
-    generators come first in their given order.  The torsion orders are
-    merged into a divisibility chain as in ``FgAbGroup``: sort, and
-    replace each adjacent pair x, y with y % x by gcd g = s*x + t*y and
-    lcm(x, y), rows r_i, r_j of to_canon by s*r_i + t*r_j and
-    (x/g)*r_j - (y/g)*r_i, and columns c_i, c_j of lift by
-    (x/g)*c_i + (y/g)*c_j and s*c_j - t*c_i.  Each step is unimodular
-    with its inverse applied to lift, so to_canon @ lift stays the
-    identity; no integer is ever factored.
+    the diagonal presentation, without a Smith normal form, and sparse:
+    to_canon holds one row per canonical generator and lift one column,
+    each a tuple of (position in ``orders``, nonzero entry) pairs, so
+    the memos below can share them.  Free generators come
+    first in their given order.  The torsion orders are merged into a
+    divisibility chain as in ``FgAbGroup``: sort, and replace each
+    adjacent pair x, y with y % x by gcd g = s*x + t*y and lcm(x, y),
+    rows r_i, r_j of to_canon by s*r_i + t*r_j and (x/g)*r_j - (y/g)*r_i,
+    and columns c_i, c_j of lift by (x/g)*c_i + (y/g)*c_j and
+    s*c_j - t*c_i.  Each step is unimodular with its inverse applied to
+    lift, so to_canon @ lift stays the identity; no integer is ever
+    factored.  Input that is already canonical takes one pass and keeps
+    one entry per row, so a free group of rank n costs n, not n^2.
     """
-    n = len(orders)
-
-    def unit(k):
-        e = [0] * n
-        e[k] = 1
-        return e
-
-    free = [unit(k) for k, c in enumerate(orders) if c == 0]
+    free = [{k: 1} for k, c in enumerate(orders) if c == 0]
     # one [order, to_canon row, lift column] per torsion generator
-    tors = [[c, unit(k), unit(k)] for k, c in enumerate(orders) if c > 1]
+    tors = [[c, {k: 1}, {k: 1}] for k, c in enumerate(orders) if c > 1]
     changed = True
     while changed:
         tors.sort(key=itemgetter(0))
@@ -777,22 +776,26 @@ def _cyclic_canonical(orders):
             if y % x:
                 g, s, t = _bezout(x, y)
                 xg, yg = x // g, y // g
-                tors[i] = [
-                    g,
-                    [s * p + t * q for p, q in zip(ri, rj)],
-                    [xg * p + yg * q for p, q in zip(ci, cj)],
-                ]
-                tors[i + 1] = [
-                    x * yg,
-                    [xg * q - yg * p for p, q in zip(ri, rj)],
-                    [s * q - t * p for p, q in zip(ci, cj)],
-                ]
+                tors[i] = [g, _combine(s, ri, t, rj), _combine(xg, ci, yg, cj)]
+                tors[i + 1] = [x * yg, _combine(-yg, ri, xg, rj), _combine(-t, ci, s, cj)]
                 changed = True
         tors = [e for e in tors if e[0] > 1]
     group = FgAbGroup(len(free), [c for c, _, _ in tors])
-    to_canon = IntMatrix(free + [r for _, r, _ in tors], cols=n)
-    lift = IntMatrix.from_columns(free + [c for _, _, c in tors], n)
-    return group, to_canon, lift
+    free = [tuple(e.items()) for e in free]
+    to_canon = free + [tuple(r.items()) for _, r, _ in tors]
+    return group, to_canon, free + [tuple(c.items()) for _, _, c in tors]
+
+
+def _combine(a, p, b, q):
+    """The sparse vector a*p + b*q, without zero entries."""
+    out = {k: a * e for k, e in p.items()}
+    for k, e in q.items():
+        e = out.get(k, 0) + b * e
+        if e:
+            out[k] = e
+        else:
+            out.pop(k, None)
+    return out
 
 
 # The two structure memos are bounded: commands on the same pairs of
@@ -804,16 +807,23 @@ def _direct_sum_structure(groups: tuple):
     sum_group, to_canon, lift = _cyclic_canonical(
         [c for g in groups for c in _orders(g)]
     )
+    n = sum_group.ngens
     injections = []
     projections = []
     offset = 0
     for g in groups:
-        inj_cols = [to_canon.column(offset + j) for j in range(g.ngens)]
-        injections.append(
-            GroupHom(g, sum_group, IntMatrix.from_columns(inj_cols, sum_group.ngens))
-        )
-        proj_rows = lift.data[offset : offset + g.ngens]
-        projections.append(GroupHom(sum_group, g, IntMatrix._trusted(proj_rows, sum_group.ngens)))
+        # the columns of to_canon and the rows of lift of g's block
+        inj = [[0] * g.ngens for _ in range(n)]
+        proj = [[0] * n for _ in range(g.ngens)]
+        for r, (row, col) in enumerate(zip(to_canon, lift)):
+            for p, e in row:
+                if 0 <= p - offset < g.ngens:
+                    inj[r][p - offset] = e
+            for p, e in col:
+                if 0 <= p - offset < g.ngens:
+                    proj[p - offset][r] = e
+        injections.append(GroupHom(g, sum_group, IntMatrix._trusted(tuple(map(tuple, inj)), g.ngens)))
+        projections.append(GroupHom(sum_group, g, IntMatrix._trusted(tuple(map(tuple, proj)), n)))
         offset += g.ngens
     return sum_group, tuple(injections), tuple(projections)
 
@@ -885,8 +895,9 @@ def _tensor_structure(g: FgAbGroup, h: FgAbGroup):
 
     Generator (i, j) of the presentation is u_i (x) v_j at flat index
     i * h.ngens + j, of order gcd(c_i, c_j) for generator orders c_i of
-    g and c_j of h (0 for free); the returned matrix maps those
-    Kronecker coordinates onto canonical coordinates of tensor(g, h).
+    g and c_j of h (0 for free); the returned sparse rows (as
+    ``_cyclic_canonical`` gives them) map those Kronecker coordinates
+    onto canonical coordinates of tensor(g, h).
     """
     group, to_canon, _ = _cyclic_canonical(
         [gcd(c, e) for c in _orders(g) for e in _orders(h)]
@@ -904,10 +915,11 @@ def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
     >>> tensor_elem(z.element((2,)), z.element((3,))).coords
     (6,)
     """
-    g, h = x.group, y.group
-    tg, to_canon = _tensor_structure(g, h)
-    kron = [a * b for a in x.coords for b in y.coords]
-    return GroupElement(tg, to_canon @ tuple(kron))
+    tg, to_canon = _tensor_structure(x.group, y.group)
+    xs, ys, n = x.coords, y.coords, y.group.ngens
+    return GroupElement(
+        tg, [sum([c * xs[p // n] * ys[p % n] for p, c in row]) for row in to_canon]
+    )
 
 
 # ---------------------------------------------------------------------------

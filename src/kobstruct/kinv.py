@@ -9,11 +9,22 @@ constructs the maps induced on K-theory by the quotient onto the tensor
 product.
 
 In both degrees an induced map is (x, y) |-> x (x) [1_B] + [1_A] (x) y,
-built by one rule, ``PairAnalysis._unit_map``: the images of the
-generators of both summands, as columns, times the stacked projections
-of their direct sum, one matrix product checked once as a ``GroupHom``.
-The map on the unital quotient is that matrix times the lift of each
-quotient generator.
+built by one rule, ``PairAnalysis._images``, straight from Kronecker
+coordinates.  The image of generator e_i of the A side is
+e_i (x) [1_B], block i of the Kronecker presentation filled with the
+coordinates of [1_B]; so only the canonical rows of that presentation
+are read, then only the columns of the canonical sum of the Kunneth
+parts that fall in that tensor pairing, and likewise for
+[1_A] (x) e_j.  The sparse rows that result are multiplied once by the
+stacked projections of the source sum (and, for the unital quotient,
+the lift of each quotient generator), and checked once as a
+``GroupHom``.  No Kunneth K-pair, ``tensor_elem`` element or unused
+projection is built on the way, so a map costs about the size of its
+matrix.  The tensor K-groups alone are group arithmetic
+(``PairAnalysis.tensor_groups``); ``kunneth`` keeps the full K-pair,
+with summand injections and unit, for the callers that read them;
+``kunneth_invariant`` (nested tensors) takes only the groups and the
+unit, from the same sparse rows.
 """
 
 from __future__ import annotations
@@ -33,8 +44,11 @@ from .fgab import (
     tensor,
     tensor_elem,
     tor,
+    _cyclic_canonical,
     _json_ints,
+    _orders,
     _quotient_full,
+    _tensor_structure,
 )
 
 __all__ = [
@@ -152,6 +166,25 @@ class KPair:
         }
 
 
+def _kunneth_pairings(a: KInvariant, b: KInvariant, degree: int):
+    """The Kunneth summands of ``degree`` as pairs of groups: the two
+    tensor pairings, then the two Tor pairings, in :func:`kunneth` order."""
+    if degree == 0:
+        return ((a.k0, b.k0), (a.k1, b.k1)), ((a.k0, b.k1), (a.k1, b.k0))
+    return ((a.k0, b.k1), (a.k1, b.k0)), ((a.k0, b.k0), (a.k1, b.k1))
+
+
+def _kunneth_parts(a: KInvariant, b: KInvariant, degree: int):
+    tensors, tors = _kunneth_pairings(a, b, degree)
+    return [tensor(g, h) for g, h in tensors] + [tor(g, h) for g, h in tors]
+
+
+_KUNNETH_LABELS = (
+    (K0A_K0B, K1A_K1B, TOR_K0A_K1B, TOR_K1A_K0B),
+    (K0A_K1B, K1A_K0B, TOR_K0A_K0B, TOR_K1A_K1B),
+)
+
+
 def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     """K-theory of the (maximal) tensor product, with unit class.
 
@@ -167,38 +200,26 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     >>> (kp.k0, kp.k1)
     (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))
     """
-    parts0 = (
-        tensor(a.k0, b.k0),
-        tensor(a.k1, b.k1),
-        tor(a.k0, b.k1),
-        tor(a.k1, b.k0),
-    )
-    k0, injs0, _ = direct_sum_many(parts0)
-    parts1 = (
-        tensor(a.k0, b.k1),
-        tensor(a.k1, b.k0),
-        tor(a.k0, b.k0),
-        tor(a.k1, b.k1),
-    )
-    k1, injs1, _ = direct_sum_many(parts1)
-    unit = injs0[0](tensor_elem(a.unit, b.unit))
-    summands = {
-        K0A_K0B: injs0[0],
-        K1A_K1B: injs0[1],
-        TOR_K0A_K1B: injs0[2],
-        TOR_K1A_K0B: injs0[3],
-        K0A_K1B: injs1[0],
-        K1A_K0B: injs1[1],
-        TOR_K0A_K0B: injs1[2],
-        TOR_K1A_K1B: injs1[3],
-    }
-    return KPair(k0=k0, k1=k1, summands=summands, unit=unit, extra_z=False)
+    groups, summands = [], {}
+    for degree, labels in enumerate(_KUNNETH_LABELS):
+        k, injs, _ = direct_sum_many(_kunneth_parts(a, b, degree))
+        groups.append(k)
+        summands.update(zip(labels, injs))
+    unit = summands[K0A_K0B](tensor_elem(a.unit, b.unit))
+    return KPair(k0=groups[0], k1=groups[1], summands=summands, unit=unit, extra_z=False)
 
 
 def kunneth_invariant(a: KInvariant, b: KInvariant) -> KInvariant:
-    """The tensor product as a plain invariant triple (for nesting)."""
-    kp = kunneth(a, b)
-    return KInvariant(kp.k0, kp.k1, kp.unit)
+    """The tensor product as a plain invariant triple (for nesting): the
+    groups and unit of :func:`kunneth`, without its summand injections.
+    The unit [1_A] (x) [1_B] is the image of [1_A] under x |-> x (x) [1_B],
+    read off the sparse rows that also build the induced maps."""
+    an = PairAnalysis(a, b)
+    k0, k1 = an.tensor_groups
+    _, rows = an._images0
+    ua = a.unit.coords
+    unit = [sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows]
+    return KInvariant(k0, k1, k0.element(unit))
 
 
 def free_product_k(a: KInvariant, b: KInvariant) -> KPair:
@@ -248,6 +269,24 @@ def pi_star_full(a: KInvariant, b: KInvariant):
     return an.lifted_pi0, an.pi1
 
 
+def _sparse(rows):
+    """Each row of a dense matrix as a dict of its nonzero entries."""
+    return [{k: e for k, e in enumerate(row) if e} for row in rows]
+
+
+def _times(rows, other, width) -> IntMatrix:
+    """The product of the sparse ``rows`` (dicts from column to entry)
+    with the matrix whose rows are ``other``, ``width`` columns wide: it
+    costs one pass over ``other``'s row per nonzero entry."""
+    out = []
+    for row in rows:
+        acc = [0] * width
+        for k, c in row.items():
+            acc = [x + c * y for x, y in zip(acc, other[k])]
+        out.append(tuple(acc))
+    return IntMatrix._trusted(tuple(out), width)
+
+
 class PairAnalysis:
     """The K-theory of one pair (A, B), each piece computed on first use.
 
@@ -269,8 +308,23 @@ class PairAnalysis:
 
     @cached_property
     def tensor(self) -> KPair:
-        """The tensor K-pair, by the Kunneth formula."""
+        """The tensor K-pair with its summand injections and unit, by
+        :func:`kunneth`; nothing else here reads it."""
         return kunneth(self.a, self.b)
+
+    @cached_property
+    def _parts(self):
+        """The Kunneth parts of degree 0 and of degree 1, as groups."""
+        return tuple(_kunneth_parts(self.a, self.b, degree) for degree in (0, 1))
+
+    @cached_property
+    def tensor_groups(self):
+        """(K0, K1) of the tensor product, by the Kunneth formula: every
+        tensor and Tor factor of a degree in one group."""
+        return tuple(
+            FgAbGroup(sum(p.rank for p in parts), [d for p in parts for d in p.torsion])
+            for parts in self._parts
+        )
 
     @cached_property
     def k0_sum(self):
@@ -308,49 +362,106 @@ class PairAnalysis:
         summands = dict(zip(parts, injs1))
         return KPair(k0=q, k1=k1, summands=summands, unit=unit, extra_z=self.extra_z)
 
-    def _unit_map(self, ga, gb, left, right) -> GroupHom:
-        """The hom (x, y) |-> left(x (x) [1_B]) + right([1_A] (x) y) on
-        the canonical sum ga + gb: the images of the generators of ga,
-        then of gb, times the stacked projections of the sum."""
-        s, _, (proj_a, proj_b) = direct_sum_many((ga, gb))
-        cols = [left(tensor_elem(g, self.b.unit)).coords for g in ga.generators()]
-        cols += [right(tensor_elem(self.a.unit, g)).coords for g in gb.generators()]
-        images = IntMatrix.from_columns(cols, left.target.ngens)
-        stacked = IntMatrix._trusted(proj_a.matrix.data + proj_b.matrix.data, s.ngens)
-        return GroupHom(s, left.target, images @ stacked)
+    def _images(self, degree):
+        """(target, rows): the tensor K-group of ``degree`` and, per
+        canonical generator of it, a sparse row from each generator of
+        the source (those of the A side, then those of the B side) to
+        that coordinate of its image under x |-> x (x) [1_B] on the A
+        side and y |-> [1_A] (x) y on the B side.
+
+        x (x) [1_B] lies in the tensor pairing (A side, K0B), the first
+        in degree 0 and the second in degree 1; [1_A] (x) y lies in
+        (K0A, B side), always the first.  A Kronecker coordinate (i, j)
+        of a pairing is a product of coordinates i and j, so its
+        canonical row (``_tensor_structure``) gives generator i of the
+        A side the weight of [1_B]_j and generator j of the B side the
+        weight of [1_A]_i.  The sum of the Kunneth parts then maps
+        those coordinates onto the tensor K-group: only the columns of
+        its canonical rows that fall in a tensor pairing are read.
+        """
+        a, b = self.a, self.b
+        tensors, _ = _kunneth_pairings(a, b, degree)
+        parts = self._parts[degree]
+        target, to_canon, _ = _cyclic_canonical([c for p in parts for c in _orders(p)])
+        na = tensors[degree][0].ngens
+        ua, ub = a.unit.coords, b.unit.coords
+        coords = {}  # sum position -> its sparse row over the source
+        for index in range(degree + 1):
+            g, h = tensors[index]
+            offset, n = index * parts[0].ngens, h.ngens
+            for k, row in enumerate(_tensor_structure(g, h)[1]):
+                acc = coords[offset + k] = {}
+                for q, c in row:
+                    i, j = divmod(q, n)
+                    if index == degree and ub[j]:
+                        acc[i] = acc.get(i, 0) + c * ub[j]
+                    if index == 0 and ua[i]:
+                        acc[na + j] = acc.get(na + j, 0) + c * ua[i]
+        rows = []
+        for row in to_canon:
+            acc = {}
+            for p, c in row:
+                for k, e in coords.get(p, {}).items():
+                    acc[k] = acc.get(k, 0) + c * e
+            rows.append(acc)
+        return target, rows
+
+    @cached_property
+    def _images0(self):
+        """``_images(0)``, read by both lifted_pi0 and pi0."""
+        return self._images(0)
+
+    @cached_property
+    def _stacked0(self):
+        """The projections of K0A + K0B, stacked: the coordinates of
+        each generator of K0A, then of K0B, as one row per sum generator."""
+        _, _, (proj_a, proj_b) = self.k0_sum
+        return proj_a.matrix.data + proj_b.matrix.data
 
     @cached_property
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
         K0A (x) K0B summand of the tensor K0."""
-        inj00 = self.tensor.summands[K0A_K0B]
-        return self._unit_map(self.a.k0, self.b.k0, inj00, inj00)
+        target, rows = self._images0
+        s = self.k0_sum[0]
+        return GroupHom(s, target, _times(rows, self._stacked0, s.ngens))
 
     @cached_property
     def pi0(self) -> GroupHom:
-        """The degree-0 induced map on the unital quotient: lifted_pi0
-        after the lift of each quotient generator."""
-        lifted = self.lifted_pi0
-        if not lifted(self.unit_relation).is_zero:
+        """The degree-0 induced map on the unital quotient: the images
+        of the generators times the lift of each quotient generator to
+        K0A + K0B, one product of the sparse rows."""
+        target, rows = self._images0
+        w = IntMatrix._trusted(self._stacked0, self.k0_sum[0].ngens) @ self.unit_relation.coords
+        if any(target.reduce([sum([c * w[k] for k, c in row.items()]) for row in rows])):
             raise AssertionError("induced map does not kill the unit relation")
         q, _, lift = self.unital_quotient
-        return GroupHom(q, lifted.target, lifted.matrix @ lift)
+        stacked = _times(_sparse(self._stacked0), lift.data, q.ngens)
+        return GroupHom(q, target, _times(rows, stacked.data, q.ngens))
 
     @cached_property
     def pi1(self) -> GroupHom:
         """Degree-1 induced map on the well-defined part K1A + K1B:
         (x, y) |-> (x (x) [1_B]) + ([1_A] (x) y), landing in the
         K1A (x) K0B and K0A (x) K1B summands of the tensor K1."""
-        kun = self.tensor
-        return self._unit_map(
-            self.a.k1, self.b.k1, kun.summands[K1A_K0B], kun.summands[K0A_K1B]
-        )
+        target, rows = self._images(1)
+        s, _, (proj_a, proj_b) = direct_sum_many((self.a.k1, self.b.k1))
+        return GroupHom(s, target, _times(rows, proj_a.matrix.data + proj_b.matrix.data, s.ngens))
+
+    def _section(self, source: FgAbGroup, name: str):
+        """A section of the degree-0 map ``name`` from ``source``, or
+        None.  In invariant-factor form ngens is the fewest generators
+        of a group, so a source with fewer than the tensor K0 has no map
+        onto it, and that map is never built."""
+        if source.ngens < self.tensor_groups[0].ngens:
+            return None
+        return right_inverse_exists(getattr(self, name))
 
     @cached_property
     def section0(self):
         """A section (right inverse) of pi0, or None if it has none."""
-        return right_inverse_exists(self.pi0)
+        return self._section(self.unital_quotient[0], "pi0")
 
     @cached_property
     def section1(self):
@@ -360,7 +471,7 @@ class PairAnalysis:
     @cached_property
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
-        return right_inverse_exists(self.lifted_pi0)
+        return self._section(self.k0_sum[0], "lifted_pi0")
 
     @cached_property
     def tor00(self) -> FgAbGroup:

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +21,7 @@ from kobstruct import (
     section_exists_k,
     unital_free_product_k,
 )
+import kobstruct
 from kobstruct import fgab, kinv, obstruct
 from kobstruct.catalog import MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER
 from kobstruct.cli import (
@@ -90,19 +95,54 @@ def test_classify_text_builds_no_map_it_does_not_print(monkeypatch):
     # The rank clause decides C^24 against C^24, and text output never
     # prints pi0 or pi1, so neither map is built; JSON still carries both.
     built = []
-    unit_map = kinv.PairAnalysis._unit_map
+    images = kinv.PairAnalysis._images
 
     def counting(self, *args):
         built.append(args)
-        return unit_map(self, *args)
+        return images(self, *args)
 
-    monkeypatch.setattr(kinv.PairAnalysis, "_unit_map", counting)
+    monkeypatch.setattr(kinv.PairAnalysis, "_images", counting)
     code, out, _ = run_cli("classify", "C^24", "C^24")
     assert code == EXIT_OBSTRUCTED and "RankInequality" in out
     assert built == []
     code, out, _ = run_cli("classify", "C^2", "C^2", "--format", "json")
     assert code == EXIT_OBSTRUCTED and len(built) == 2
     assert set(json.loads(out)["maps"]) == {"pi0", "pi1"}
+
+
+# Runs one classify through cli.main in this interpreter and prints the
+# exit code, the wall time of the call and the process's peak RSS in MB.
+_TIMED_CLASSIFY = """
+import io, resource, sys, time
+from kobstruct.cli import main
+k, fmt = sys.argv[1:]
+start = time.perf_counter()
+code = main(["classify", f"C^{k}", f"C^{k}", "--format", fmt], out=io.StringIO())
+seconds = time.perf_counter() - start
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, seconds, peak / (2**20 if sys.platform == "darwin" else 2**10))
+"""
+
+
+@pytest.mark.parametrize("fmt, budget_s", [("text", 0.5), ("json", 3.0)])
+def test_classify_free_pair_costs_its_output(fmt, budget_s):
+    # classify C^48 C^48 once built the k^2 x k^2 Kronecker structure of
+    # Z^48 (x) Z^48 densely and multiplied through it: 2-3 s for text,
+    # which prints no map, and 20-45 s for JSON, with a 259 MB peak.
+    # Now text costs a few ms and JSON about 0.2 s and 40 MB for its
+    # 2304 x 95 pi0 (2-vCPU VM).  A fresh interpreter keeps the peak
+    # RSS that of this command alone.
+    pytest.importorskip("resource")
+    src = str(Path(kobstruct.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_CLASSIFY, "48", fmt],
+        capture_output=True, text=True, env=env, timeout=50, check=True,
+    )
+    code, seconds, peak_mb = done.stdout.split()
+    assert int(code) == EXIT_OBSTRUCTED
+    assert float(seconds) < budget_s
+    assert float(peak_mb) < 100
 
 
 def test_classify_rejects_free_product_argument():

@@ -574,7 +574,11 @@ def _diagonal_presentation(orders):
 def _check_cyclic_contract(orders):
     """_cyclic_canonical(orders) against the generic engine on the
     diagonal presentation; returns the canonical group."""
-    group, to_canon, lift = _cyclic_canonical(orders)
+    group, rows, cols = _cyclic_canonical(orders)
+    # the sparse rows of to_canon and columns of lift, as matrices
+    n = len(orders)
+    to_canon = IntMatrix([[dict(row).get(p, 0) for p in range(n)] for row in rows], cols=n)
+    lift = IntMatrix.from_columns([[dict(col).get(p, 0) for p in range(n)] for col in cols], n)
     assert group == _presented(*_diagonal_presentation(orders))
     assert to_canon @ lift == IntMatrix.identity(group.ngens)
     canon_orders = [0] * group.rank + list(group.torsion)

@@ -19,6 +19,7 @@ from kobstruct import (
     is_injective,
     is_surjective,
     kunneth,
+    kunneth_invariant,
     pi_star,
     pi_star_full,
     tensor_elem,
@@ -34,7 +35,12 @@ from kobstruct.kinv import (
     K0B,
     K1A,
     K1A_K0B,
+    K1A_K1B,
     K1B,
+    TOR_K0A_K0B,
+    TOR_K0A_K1B,
+    TOR_K1A_K0B,
+    TOR_K1A_K1B,
     PairAnalysis,
 )
 import oracle
@@ -302,6 +308,32 @@ def _torsion_literal(rng):
     return KInvariant(k0, group(), k0.element([rng.randint(-60, 60) for _ in range(k0.ngens)]))
 
 
+def _mixed_literal(rng):
+    """A literal whose K1 has both rank and torsion."""
+
+    def factors(least):
+        return [rng.choice([2, 3, 4, 5, 7, 9, 25, 49]) for _ in range(rng.randint(least, 3))]
+
+    k0 = FgAbGroup(rng.randint(0, 1), factors(0))
+    return KInvariant(k0, FgAbGroup(1, factors(1)), k0.element([rng.randint(-60, 60) for _ in range(k0.ngens)]))
+
+
+def _mixed_pairs(count, rng):
+    """Pairs of ``_mixed_literal``s whose Kunneth sums have at least two
+    nonzero parts in each degree."""
+    degrees = (
+        (K0A_K0B, K1A_K1B, TOR_K0A_K1B, TOR_K1A_K0B),
+        (K0A_K1B, K1A_K0B, TOR_K0A_K0B, TOR_K1A_K1B),
+    )
+    pairs = []
+    while len(pairs) < count:
+        a, b = _mixed_literal(rng), _mixed_literal(rng)
+        kp = kunneth(a, b)
+        if all(sum(not kp.summands[label].source.is_trivial for label in labels) >= 2 for labels in degrees):
+            pairs.append((a, b))
+    return pairs
+
+
 def test_pi_star_formula_against_hand_lift(catalog):
     # spot check: on (M_2, M_3) the lifted degree-0 map is (x, y) -> 3x + 2y
     a, b = evaluate("M_2"), evaluate("M_3")
@@ -315,12 +347,37 @@ def test_pi_star_formula_against_hand_lift(catalog):
     rng = random.Random(8)
     pairs = [(a, b) for _, a in catalog for _, b in catalog]
     pairs += [(_torsion_literal(rng), _torsion_literal(rng)) for _ in range(60)]
+    # K1 with rank and torsion on both sides: every sum of Kunneth parts
+    # has two or more nonzero parts, so none is just its one part
+    pairs += _mixed_pairs(60, random.Random(9))
     for a, b in pairs:
         an = PairAnalysis(a, b)
         maps = (an.lifted_pi0, an.pi0, an.pi1)
         assert tuple((f.source, f.target, f.matrix.data) for f in maps) == _reference_maps(a, b)
         _, proj_q, _ = an.unital_quotient
         assert compose(proj_q, an.pi0) == an.lifted_pi0
+
+
+def test_kunneth_invariant_matches_kunneth(catalog):
+    # the nesting triple reads its unit off the induced-map rows, not
+    # through kunneth's injections; both must give the same coordinates
+    rng = random.Random(10)
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [(_torsion_literal(rng), _torsion_literal(rng)) for _ in range(40)]
+    pairs += _mixed_pairs(40, rng)
+    for a, b in pairs:
+        kp = kunneth(a, b)
+        assert kunneth_invariant(a, b) == KInvariant(kp.k0, kp.k1, kp.unit)
+
+
+def test_nested_tensor_costs_its_output():
+    # Through kunneth, C^40 (x) C^40 built a dense 1600 x 1600 summand
+    # injection to place one unit class (about 1.3 s on a 2-vCPU VM),
+    # and C^100 (x) C^100 would have needed 10^8 entries.
+    start = time.perf_counter()
+    inv = evaluate("C^40 (x) C^40")
+    assert time.perf_counter() - start < 0.5
+    assert (inv.k0, inv.k1, inv.unit.coords) == (FgAbGroup(1600), TRIVIAL, (1,) * 1600)
 
 
 def test_kinvariant_json_round_trip():
