@@ -237,7 +237,7 @@ def _tokenize(text: str):
                 for name, group in (("K0", inv.k0), ("K1", inv.k1)):
                     if group.ngens > MAX_POWER:
                         raise ValueError(f"{name} has {group.ngens} generators, more than the {MAX_POWER} accepted")
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 # RecursionError: an array or object nested too deep to decode
                 raise ParseError(f"bad literal invariant: {exc}", i) from None
             tokens.append(("literal", inv, i))

@@ -48,16 +48,16 @@ Conventions
 * A presentation's relation matrix has one row per generator and one
   column per relation (the matrix of the map Z^relations -> Z^generators).
 
-All values are immutable and every operation is a pure function, so
-everything can be shared freely across threads.
+All values are immutable, every operation is a pure function and no
+state is kept between calls, so everything can be shared freely across
+threads; a caller that reads a structure more than once keeps it itself.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from functools import lru_cache
 from math import gcd, inf, lcm
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 
 __all__ = [
     "GroupMismatchError",
@@ -520,8 +520,19 @@ class FgAbGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
     @classmethod
-    def from_json(cls, obj):
-        return cls(_json_int(obj["rank"], "rank"), _json_ints(obj.get("torsion", ()), "torsion"))
+    def from_json(cls, obj, field="group"):
+        rank = _json_int(_json_field(obj, "rank", field), "rank")
+        return cls(rank, _json_ints(obj.get("torsion", ()), "torsion"))
+
+
+def _json_field(obj, name, owner):
+    """``obj[name]``, or a ValueError naming what is wrong: ``owner``
+    (the JSON value ``obj``) is not an object, or has no field ``name``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{owner} must be an object, not {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"missing field {name}")
+    return obj[name]
 
 
 def _json_int(value, field):
@@ -574,7 +585,8 @@ class GroupElement:
         return GroupElement(self.group, [-a for a in self.coords])
 
     def __mul__(self, n):
-        return GroupElement(self.group, [int(n) * a for a in self.coords])
+        n = index(n)  # a TypeError for 2.5, which int() would truncate
+        return GroupElement(self.group, [n * a for a in self.coords])
 
     __rmul__ = __mul__
 
@@ -752,19 +764,19 @@ def _cyclic_canonical(orders):
     Returns (group, to_canon, lift) as ``_canonicalize_full`` does for
     the diagonal presentation, without a Smith normal form, and sparse:
     to_canon holds one row per canonical generator and lift one column,
-    each a tuple of (position in ``orders``, nonzero entry) pairs, so
-    the memos below can share them.  Free generators come
-    first in their given order.  The torsion orders are merged into a
-    divisibility chain as in ``FgAbGroup``: sort, and replace each
-    adjacent pair x, y with y % x by gcd g = s*x + t*y and lcm(x, y),
-    rows r_i, r_j of to_canon by s*r_i + t*r_j and (x/g)*r_j - (y/g)*r_i,
-    and columns c_i, c_j of lift by (x/g)*c_i + (y/g)*c_j and
-    s*c_j - t*c_i.  Each step is unimodular with its inverse applied to
-    lift, so to_canon @ lift stays the identity; no integer is ever
-    factored.  Input that is already canonical takes one pass and keeps
-    one entry per row, so a free group of rank n costs n, not n^2.
+    each a tuple of (position in ``orders``, nonzero entry) pairs.  Free
+    generators come first in their given order.  The torsion orders are
+    merged into a divisibility chain as in ``FgAbGroup``: sort, and
+    replace each adjacent pair x, y with y % x by gcd g = s*x + t*y and
+    lcm(x, y), rows r_i, r_j of to_canon by s*r_i + t*r_j and
+    (x/g)*r_j - (y/g)*r_i, and columns c_i, c_j of lift by
+    (x/g)*c_i + (y/g)*c_j and s*c_j - t*c_i.  Each step is unimodular
+    with its inverse applied to lift, so to_canon @ lift stays the
+    identity; no integer is ever factored.  Input that is already
+    canonical takes one pass and keeps one entry per row, so a free
+    group of rank n costs n, not n^2.
     """
-    free = [{k: 1} for k, c in enumerate(orders) if c == 0]
+    free = [((k, 1),) for k, c in enumerate(orders) if c == 0]
     # one [order, to_canon row, lift column] per torsion generator
     tors = [[c, {k: 1}, {k: 1}] for k, c in enumerate(orders) if c > 1]
     changed = True
@@ -781,7 +793,6 @@ def _cyclic_canonical(orders):
                 changed = True
         tors = [e for e in tors if e[0] > 1]
     group = FgAbGroup(len(free), [c for c, _, _ in tors])
-    free = [tuple(e.items()) for e in free]
     to_canon = free + [tuple(r.items()) for _, r, _ in tors]
     return group, to_canon, free + [tuple(c.items()) for _, _, c in tors]
 
@@ -798,36 +809,6 @@ def _combine(a, p, b, q):
     return out
 
 
-# The two structure memos are bounded: commands on the same pairs of
-# algebras reuse a few hundred structures, while distinct literal
-# pairs almost never hit, and an unbounded memo only grows.
-@lru_cache(maxsize=256)
-def _direct_sum_structure(groups: tuple):
-    """Canonical direct sum with injection and projection homs."""
-    sum_group, to_canon, lift = _cyclic_canonical(
-        [c for g in groups for c in _orders(g)]
-    )
-    n = sum_group.ngens
-    injections = []
-    projections = []
-    offset = 0
-    for g in groups:
-        # the columns of to_canon and the rows of lift of g's block
-        inj = [[0] * g.ngens for _ in range(n)]
-        proj = [[0] * n for _ in range(g.ngens)]
-        for r, (row, col) in enumerate(zip(to_canon, lift)):
-            for p, e in row:
-                if 0 <= p - offset < g.ngens:
-                    inj[r][p - offset] = e
-            for p, e in col:
-                if 0 <= p - offset < g.ngens:
-                    proj[p - offset][r] = e
-        injections.append(GroupHom(g, sum_group, IntMatrix._trusted(tuple(map(tuple, inj)), g.ngens)))
-        projections.append(GroupHom(sum_group, g, IntMatrix._trusted(tuple(map(tuple, proj)), n)))
-        offset += g.ngens
-    return sum_group, tuple(injections), tuple(projections)
-
-
 def direct_sum_many(groups):
     """Canonical form of g1 (+) ... (+) gn with injections/projections.
 
@@ -837,7 +818,28 @@ def direct_sum_many(groups):
     >>> s
     FgAbGroup(0, (6,))
     """
-    return _direct_sum_structure(tuple(groups))
+    groups = tuple(groups)
+    s, to_canon, lift = _cyclic_canonical([c for g in groups for c in _orders(g)])
+    n, total = s.ngens, sum(g.ngens for g in groups)
+    # per generator p of the summands: its image, and coordinate p of each lift
+    columns, lift_rows = _transposed(to_canon, total), _transposed(lift, total)
+    injections, projections, offset = [], [], 0
+    for g in groups:
+        block = slice(offset, offset + g.ngens)
+        injections.append(GroupHom(g, s, IntMatrix.from_columns(columns[block], n)))
+        projections.append(GroupHom(s, g, IntMatrix._trusted(tuple(map(tuple, lift_rows[block])), n)))
+        offset += g.ngens
+    return s, tuple(injections), tuple(projections)
+
+
+def _transposed(vectors, n):
+    """The ``n`` dense rows of the matrix whose columns are the sparse
+    ``vectors`` of (position, entry) pairs that ``_cyclic_canonical`` gives."""
+    rows = [[0] * len(vectors) for _ in range(n)]
+    for r, v in enumerate(vectors):
+        for p, e in v:
+            rows[p][r] = e
+    return rows
 
 
 def _quotient_full(g: FgAbGroup, x: GroupElement):
@@ -889,7 +891,6 @@ def tor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     return FgAbGroup(0, [gcd(d, e) for d in g.torsion for e in h.torsion])
 
 
-@lru_cache(maxsize=256)
 def _tensor_structure(g: FgAbGroup, h: FgAbGroup):
     """Canonicalized Kronecker presentation of g (x) h.
 
@@ -1053,6 +1054,7 @@ def solve_divisibility(g: FgAbGroup, target: GroupElement, n: int):
     """
     if target.group != g:
         raise GroupMismatchError("target element is not in the group")
+    n = index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     (sol,) = _solve_mod(_scalar(n, g.ngens), g.relation_matrix(), [target.coords])

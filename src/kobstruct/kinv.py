@@ -16,15 +16,16 @@ coordinates of [1_B]; so only the canonical rows of that presentation
 are read, then only the columns of the canonical sum of the Kunneth
 parts that fall in that tensor pairing, and likewise for
 [1_A] (x) e_j.  The sparse rows that result are multiplied once by the
-stacked projections of the source sum (and, for the unital quotient,
-the lift of each quotient generator), and checked once as a
-``GroupHom``.  No Kunneth K-pair, ``tensor_elem`` element or unused
-projection is built on the way, so a map costs about the size of its
-matrix.  The tensor K-groups alone are group arithmetic
-(``PairAnalysis.tensor_groups``); ``kunneth`` keeps the full K-pair,
-with summand injections and unit, for the callers that read them;
-``kunneth_invariant`` (nested tensors) takes only the groups and the
-unit, from the same sparse rows.
+lifts of the source sum, K0A + K0B or K1A + K1B in the sparse form of
+``_cyclic_canonical`` (for the unital quotient, then by the lift of
+each quotient generator), and checked once as a ``GroupHom``: no
+Kunneth K-pair, ``tensor_elem`` element, injection or projection is
+built, so a map costs about the size of its matrix.  The tensor
+K-groups alone are group arithmetic (``tensor_groups``); ``kunneth``
+builds the full K-pair, with summand injections and unit, for the
+callers that return it; ``kunneth_invariant`` (nested tensors) takes
+only the groups and the unit, from the same sparse rows.  No state is
+kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -45,10 +46,12 @@ from .fgab import (
     tensor_elem,
     tor,
     _cyclic_canonical,
+    _json_field,
     _json_ints,
     _orders,
     _quotient_full,
     _tensor_structure,
+    _transposed,
 )
 
 __all__ = [
@@ -129,12 +132,13 @@ class KInvariant:
 
     @classmethod
     def from_json(cls, obj):
-        k0 = FgAbGroup.from_json(obj["k0"])
-        k1 = FgAbGroup.from_json(obj["k1"])
+        k0 = FgAbGroup.from_json(_json_field(obj, "k0", "literal"), "k0")
+        k1 = FgAbGroup.from_json(_json_field(obj, "k1", "literal"), "k1")
         flag = obj.get("finitely_generated", True)
         if type(flag) is not bool:
             raise ValueError(f"finitely_generated must be a boolean, not {type(flag).__name__}")
-        return cls(k0, k1, k0.element(_json_ints(obj["unit"], "unit")), finitely_generated=flag)
+        unit = _json_ints(_json_field(obj, "unit", "literal"), "unit")
+        return cls(k0, k1, k0.element(unit), finitely_generated=flag)
 
 
 @dataclass(eq=True)
@@ -269,9 +273,11 @@ def pi_star_full(a: KInvariant, b: KInvariant):
     return an.lifted_pi0, an.pi1
 
 
-def _sparse(rows):
-    """Each row of a dense matrix as a dict of its nonzero entries."""
-    return [{k: e for k, e in enumerate(row) if e} for row in rows]
+def _sparse_sum(g: FgAbGroup, h: FgAbGroup):
+    """(g + h, to_canon, lifts): to_canon sparse as ``_cyclic_canonical``
+    gives it, and row k of lifts coordinate k of each generator's lift."""
+    s, to_canon, lift = _cyclic_canonical(_orders(g) + _orders(h))
+    return s, to_canon, _transposed(lift, g.ngens + h.ngens)
 
 
 def _times(rows, other, width) -> IntMatrix:
@@ -307,12 +313,6 @@ class PairAnalysis:
         self.b = b
 
     @cached_property
-    def tensor(self) -> KPair:
-        """The tensor K-pair with its summand injections and unit, by
-        :func:`kunneth`; nothing else here reads it."""
-        return kunneth(self.a, self.b)
-
-    @cached_property
     def _parts(self):
         """The Kunneth parts of degree 0 and of degree 1, as groups."""
         return tuple(_kunneth_parts(self.a, self.b, degree) for degree in (0, 1))
@@ -327,22 +327,26 @@ class PairAnalysis:
         )
 
     @cached_property
-    def k0_sum(self):
-        """(K0A + K0B, (inj_a, inj_b), (proj_a, proj_b))."""
-        return direct_sum_many((self.a.k0, self.b.k0))
+    def _k0_sum(self):
+        """K0A + K0B as ``_sparse_sum`` gives it."""
+        return _sparse_sum(self.a.k0, self.b.k0)
+
+    def _in_k0_sum(self, v):
+        """The element of K0A + K0B with coordinates ``v`` on the summands."""
+        s, to_canon, _ = self._k0_sum
+        return s.element([sum([e * v[p] for p, e in row]) for row in to_canon])
 
     @cached_property
     def unit_relation(self) -> GroupElement:
         """([1_A], -[1_B]) in K0A + K0B."""
-        _, (inj_a, inj_b), _ = self.k0_sum
-        return inj_a(self.a.unit) - inj_b(self.b.unit)
+        return self._in_k0_sum(self.a.unit.coords + tuple(-c for c in self.b.unit.coords))
 
     @cached_property
     def unital_quotient(self):
         """(q, proj_q, lift): K0 of the unital free product as the
         quotient of K0A + K0B by the unit relation, its projection, and
         a lift of each generator of q back to K0A + K0B."""
-        return _quotient_full(self.k0_sum[0], self.unit_relation)
+        return _quotient_full(self._k0_sum[0], self.unit_relation)
 
     @cached_property
     def extra_z(self) -> bool:
@@ -352,9 +356,8 @@ class PairAnalysis:
     @cached_property
     def unital_free_product(self) -> KPair:
         a, b = self.a, self.b
-        _, (inj_a, _), _ = self.k0_sum
         q, proj_q, _ = self.unital_quotient
-        unit = proj_q(inj_a(a.unit))
+        unit = proj_q(self._in_k0_sum(a.unit.coords + (0,) * b.k0.ngens))
         parts = {K1A: a.k1, K1B: b.k1}
         if self.extra_z:
             parts[EXTRA_Z] = FgAbGroup(1)
@@ -412,20 +415,13 @@ class PairAnalysis:
         return self._images(0)
 
     @cached_property
-    def _stacked0(self):
-        """The projections of K0A + K0B, stacked: the coordinates of
-        each generator of K0A, then of K0B, as one row per sum generator."""
-        _, _, (proj_a, proj_b) = self.k0_sum
-        return proj_a.matrix.data + proj_b.matrix.data
-
-    @cached_property
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
         K0A (x) K0B summand of the tensor K0."""
         target, rows = self._images0
-        s = self.k0_sum[0]
-        return GroupHom(s, target, _times(rows, self._stacked0, s.ngens))
+        s, _, lifts = self._k0_sum
+        return GroupHom(s, target, _times(rows, lifts, s.ngens))
 
     @cached_property
     def pi0(self) -> GroupHom:
@@ -433,11 +429,12 @@ class PairAnalysis:
         of the generators times the lift of each quotient generator to
         K0A + K0B, one product of the sparse rows."""
         target, rows = self._images0
-        w = IntMatrix._trusted(self._stacked0, self.k0_sum[0].ngens) @ self.unit_relation.coords
+        lifts = self._k0_sum[2]
+        w = [sum([e * x for e, x in zip(row, self.unit_relation.coords)]) for row in lifts]
         if any(target.reduce([sum([c * w[k] for k, c in row.items()]) for row in rows])):
             raise AssertionError("induced map does not kill the unit relation")
         q, _, lift = self.unital_quotient
-        stacked = _times(_sparse(self._stacked0), lift.data, q.ngens)
+        stacked = _times([{k: e for k, e in enumerate(r) if e} for r in lifts], lift.data, q.ngens)
         return GroupHom(q, target, _times(rows, stacked.data, q.ngens))
 
     @cached_property
@@ -446,8 +443,8 @@ class PairAnalysis:
         (x, y) |-> (x (x) [1_B]) + ([1_A] (x) y), landing in the
         K1A (x) K0B and K0A (x) K1B summands of the tensor K1."""
         target, rows = self._images(1)
-        s, _, (proj_a, proj_b) = direct_sum_many((self.a.k1, self.b.k1))
-        return GroupHom(s, target, _times(rows, proj_a.matrix.data + proj_b.matrix.data, s.ngens))
+        s, _, lifts = _sparse_sum(self.a.k1, self.b.k1)
+        return GroupHom(s, target, _times(rows, lifts, s.ngens))
 
     def _section(self, source: FgAbGroup, name: str):
         """A section of the degree-0 map ``name`` from ``source``, or
@@ -471,7 +468,7 @@ class PairAnalysis:
     @cached_property
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
-        return self._section(self.k0_sum[0], "lifted_pi0")
+        return self._section(self._k0_sum[0], "lifted_pi0")
 
     @cached_property
     def tor00(self) -> FgAbGroup:

@@ -218,7 +218,9 @@ FRONT_END_ERRORS = [
     ("M_" + "1" * 1001, ParseError, "index has 1001 digits, more than the 1000 accepted (at position 0)"),
     ("M_" + "1" * 1001 + "(Oinf)", ParseError, "index has 1001 digits, more than the 1000 accepted (at position 0)"),
     ("(" * 101 + "C" + ")" * 101, ParseError, "parentheses nest deeper than 100 levels (at position 100)"),
-    ("{}", ParseError, "bad literal invariant: 'k0' (at position 0)"),
+    ("{}", ParseError, "bad literal invariant: missing field k0 (at position 0)"),
+    ('{"k0": {"rank": 1}}', ParseError, "bad literal invariant: missing field k1 (at position 0)"),
+    (_literal(k0="[]"), ParseError, "bad literal invariant: k0 must be an object, not list (at position 0)"),
     (
         "{{}",
         ParseError,

@@ -235,7 +235,6 @@ def test_pi_star_kills_unit_relation(catalog):
             an = PairAnalysis(a, b)
             q, _, _ = an.unital_quotient
             assert an.lifted_pi0(an.unit_relation).is_zero
-            assert an.tensor == kunneth(a, b)
             pi0, _, _ = pi_star(a, b)
             assert pi0.source == q == unital_free_product_k(a, b).k0
 
@@ -338,7 +337,7 @@ def test_pi_star_formula_against_hand_lift(catalog):
     # spot check: on (M_2, M_3) the lifted degree-0 map is (x, y) -> 3x + 2y
     a, b = evaluate("M_2"), evaluate("M_3")
     f0, _ = pi_star_full(a, b)
-    _, (inj_a, inj_b), _ = PairAnalysis(a, b).k0_sum
+    _, (inj_a, inj_b), _ = direct_sum_many((a.k0, b.k0))
     x = f0(inj_a(a.k0.element((1,))))
     y = f0(inj_b(b.k0.element((1,))))
     assert abs(x.coords[0]) == 3 and abs(y.coords[0]) == 2
@@ -388,6 +387,19 @@ def test_kinvariant_json_round_trip():
     obj = kp.to_json()
     assert obj["extra_z"] is False
     assert set(obj["summands"]) == {K1A, K1B}
+
+
+def test_kinvariant_from_json_names_the_bad_field():
+    k0 = {"rank": 1}
+    for obj, message in (
+        ([], "literal must be an object, not list"),
+        ("k0 k1", "literal must be an object, not str"),
+        ({"k0": k0, "k1": k0}, "missing field unit"),
+        ({"k0": k0, "k1": {}, "unit": [1]}, "missing field rank"),
+        ({"k0": k0, "k1": 3, "unit": [1]}, "k1 must be an object, not int"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KInvariant.from_json(obj)
 
 
 def test_torsion_heavy_sections_stay_fast():

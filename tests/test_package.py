@@ -1,6 +1,8 @@
 """The package's shape: what it imports and what it exports."""
 
 import ast
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -53,3 +55,24 @@ def test_exports_resolve_to_their_home_modules():
     star = {}
     exec("from kobstruct import *", star)
     assert set(star) - {"__builtins__"} == set(names)
+
+
+def _package_modules():
+    """Every module of kobstruct, the command line included."""
+    names = [info.name for info in pkgutil.iter_modules(kobstruct.__path__)]
+    assert "cli" in names
+    return [kobstruct] + [importlib.import_module(f"kobstruct.{name}") for name in names]
+
+
+def test_no_state_between_calls():
+    # a memo (functools.cache, lru_cache) carries results from one call
+    # to the next; the one allowed is the command line's argument
+    # parser, which holds no result
+    allowed = {("kobstruct.cli", "_build_parser")}
+    memos = [
+        (module.__name__, name)
+        for module in _package_modules()
+        for name, obj in vars(module).items()
+        if callable(obj) and hasattr(obj, "cache_info")
+    ]
+    assert set(memos) == allowed, memos
