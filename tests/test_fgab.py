@@ -172,6 +172,43 @@ def test_generic_engine_outputs_pinned():
     )
 
 
+def _quotient_presentation(group, coords):
+    """The relation matrix ``_quotient_full`` builds for group / <coords>:
+    one column per invariant factor, then the element's column."""
+    return group.relation_matrix().hstack(IntMatrix.from_columns([coords], group.ngens))
+
+
+def test_engine_outputs_pinned_on_dense_shapes():
+    # Every output of the engine, for the flag sets its callers pass:
+    # none (cokernel), left and inverse (_canonicalize_full), left and
+    # right (smith_normal_form) and right (is_injective).  Inputs are two
+    # seeded matrices of each dense-snf benchmark shape, entries in
+    # [-20, 20], and quotient presentations, a diagonal plus one column.
+    rng = random.Random(2024)
+    shapes = [(8, 8), (10, 10), (12, 12), (14, 14), (16, 16), (10, 14), (14, 10), (12, 16), (16, 12), (6, 16)]
+    inputs = [
+        IntMatrix([[rng.randint(-20, 20) for _ in range(c)] for _ in range(r)], cols=c)
+        for r, c in shapes
+        for _ in range(2)
+    ]
+    inputs += [
+        _quotient_presentation(FgAbGroup(2, (2, 4, 12)), (3, -5, 1, 2, 7)),
+        _quotient_presentation(FgAbGroup(0, (3, 9, 27, 81)), (2, 4, 10, 40)),
+        _quotient_presentation(FgAbGroup(3, (6, 6)), (0, 4, -2, 3, 5)),
+        _quotient_presentation(FgAbGroup(6, (2, 10, 30, 60, 120, 840)), tuple(range(-5, 7))),
+    ]
+    flag_sets = [(False, False, False), (True, True, False), (True, False, True), (False, False, True)]
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    for m in inputs:
+        for flags in flag_sets:
+            digest.update(repr(fgab._snf_engine(m, *flags)).encode())
+    assert time.perf_counter() - start < 2.0
+    assert digest.hexdigest() == (
+        "64a2763888e199966303155f3fd7b4649a6ded3a5bb376baf9c0cfe2412db91f"
+    )
+
+
 # Shapes the random engine inputs cycle through besides random ones:
 # empty, one entry, one row and one column.
 _EDGE_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6), (6, 1)]
