@@ -18,22 +18,19 @@ one nonzero part) costs its length, not its square.  The Smith normal
 form handles the general presentations: quotients, cokernels and the
 solvers' systems.
 
-The Smith normal form engine ``_snf_engine`` is one Hermite routine
-(``_hnf_rows``, after Kannan and Bachem), which inserts one row at a
-time and reduces every entry above a pivot, so no entry outgrows the
-pivots.  It runs on the columns of the matrix, then on its rows, in
-turn until the matrix is diagonal; 2x2 Bezout steps then make the
-diagonal a divisibility chain.  The first stage leaves the column
-Hermite form, which depends only on the lattice the columns span, so
-the generators a quotient reads off u do too.  Each caller of the
-engine tracks only the transforms it reads: ``cokernel`` and
-``is_surjective`` none (the group is read off the diagonal),
-``is_injective`` the right transform v, ``smith_normal_form`` and so
-``_solve_mod`` u and v, and ``_canonicalize_full`` (quotients) u and
-u^-1.  Every step reads the matrix alone, so d and every transform are
-the same whichever are tracked.  Matrices the package builds from its
-own integer tuples skip the public constructor's conversion and checks
-(``IntMatrix._trusted``).
+The Smith normal form engine ``_snf_engine`` alternates Hermite
+stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
+rows of a matrix until it is diagonal, then makes the diagonal a
+divisibility chain with 2x2 Bezout steps.  Each caller tracks only the
+transforms it reads: ``cokernel`` and ``is_surjective`` none (the
+group is read off the diagonal), ``is_injective`` the right transform
+v, ``smith_normal_form`` and so ``_solve_mod`` u and v, and
+``_canonicalize_full`` (quotients) u and u^-1.  A stage carries v or u
+as trailing entries of the rows it reduces; u^-1 takes other
+operations and is kept apart.  u depends only on the lattice the
+columns span, so the generators a quotient reads off it do too.
+Matrices the package builds from its own integer tuples skip the
+public constructor's conversion and checks (``IntMatrix._trusted``).
 
 Conventions
 -----------
@@ -55,7 +52,7 @@ threads; a caller that reads a structure more than once keeps it itself.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from math import gcd, inf, lcm
 from operator import add, index, itemgetter, mul
 
@@ -186,8 +183,8 @@ class IntMatrix:
 # Smith normal form
 
 
-def _hnf_rows(a, sides, inv_sides):
-    """Bring the rows of ``a`` into Hermite normal form, in place.
+def _hnf_rows(lines, tail, inv):
+    """Hermite normal form of the rows ``lines``: (rank, lines, tail).
 
     Rows are inserted one at a time (Kannan and Bachem, SIAM J. Comput.
     8(4), 1979).  A new row is scanned left to right: at a column that
@@ -198,63 +195,72 @@ def _hnf_rows(a, sides, inv_sides):
     After each insertion every entry above a pivot is reduced into
     [0, pivot), in ascending pivot-column order, so no entry outgrows
     the pivots.  At the end the pivot rows come first, by pivot column,
-    and the zero rows last.  Every row operation is applied to each
-    matrix in ``sides`` as well, and its inverse transpose to each in
-    ``inv_sides``.  Returns the rank, the number of pivot rows.
+    and the zero rows last; the rank is their number.
+
+    Row i is lines[i] followed by tail[i] when ``tail``, a transform
+    taking the same operations, is given: pivots are sought among the
+    first ``width`` entries only, and each operation is one pass over
+    the whole row.  ``inv`` takes the inverse transposes, which change
+    the other row, so it stays a separate list, updated in place.
     """
-    ncols = len(a[0]) if a else 0
-    same = (a, *sides)
-    every = same + tuple(inv_sides)
-    owner = {}  # pivot column -> the row holding that pivot
-    pivots = []  # (pivot column, its row), ascending
+    width = len(lines[0])
+    a = [[*r, *t] for r, t in zip(lines, tail)] if tail else [list(r) for r in lines]
+    owner = [-1] * width  # pivot column -> the row holding that pivot, or -1
+    cols, pivot_rows = [], []  # pivot columns, ascending, and their rows
     zero_rows = []  # the rows eliminated to zero
-
-    def sub(i, p, q):
-        # row_i -= q * row_p; the inverse transposes take row_p += q * row_i
-        for rows in same:
-            rows[i] = [e - q * f for e, f in zip(rows[i], rows[p])]
-        for rows in inv_sides:
-            rows[p] = [e + q * f for e, f in zip(rows[p], rows[i])]
-
     for i in range(len(a)):
         row = a[i]
-        for j in range(ncols):
+        for j in range(width):
             y = row[j]
             if not y:
                 continue
-            p = owner.get(j)
-            if p is None:
+            p = owner[j]
+            if p < 0:
                 if y < 0:
-                    for rows in every:
-                        rows[i] = [-e for e in rows[i]]
+                    a[i] = [-e for e in row]
+                    if inv:
+                        inv[i] = [-e for e in inv[i]]
                 owner[j] = i
-                insort(pivots, (j, i))
+                k = bisect(cols, j)
+                cols.insert(k, j)
+                pivot_rows.insert(k, i)
                 break
-            x = a[p][j]
+            prow = a[p]
+            x = prow[j]
             if y % x == 0:
-                sub(i, p, y // x)
-                row = a[i]
+                q = y // x
+                row = a[i] = [e - q * f for e, f in zip(row, prow)]
+                if inv:
+                    inv[p] = [e + q * f for e, f in zip(inv[p], inv[i])]
                 continue
             # (row_p, row_i) <- (s row_p + t row_i, (x/g) row_i - (y/g) row_p)
             g, s, t = _bezout(x, abs(y))
             if y < 0:
                 t = -t
             xg, yg = x // g, y // g
-            _mix(same, p, i, s, t, -yg, xg)
-            _mix(inv_sides, p, i, xg, yg, -t, s)
+            _mix(a, p, i, s, t, -yg, xg)
+            _mix(inv, p, i, xg, yg, -t, s)
             row = a[i]
         else:
             zero_rows.append(i)
-        for k, (c, r) in enumerate(pivots):
-            pivot = a[r][c]
-            for _, x in pivots[:k]:
+        for k in range(1, len(cols)):
+            r, c = pivot_rows[k], cols[k]
+            prow = a[r]
+            pivot = prow[c]
+            for x in pivot_rows[:k]:
                 e = a[x][c]
                 if e < 0 or e >= pivot:
-                    sub(x, r, e // pivot)
-    order = [r for _, r in pivots] + zero_rows
-    for rows in every:
-        rows[:] = [rows[i] for i in order]
-    return len(pivots)
+                    q = e // pivot
+                    a[x] = [f - q * g for f, g in zip(a[x], prow)]
+                    if inv:
+                        inv[r] = [f + q * g for f, g in zip(inv[r], inv[x])]
+    order = pivot_rows + zero_rows
+    a = [a[i] for i in order]
+    if inv:
+        inv[:] = [inv[i] for i in order]
+    if tail:
+        return len(cols), [r[:width] for r in a], [r[width:] for r in a]
+    return len(cols), a, None
 
 
 def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: bool = False):
@@ -263,25 +269,22 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
     form a divisibility chain.  Hermite stages (``_hnf_rows``) alternate
     until the matrix is diagonal: on its columns, as the rows of its
-    transpose (tracked on v_t), then on its rows (tracked on u and
-    uinv_t), and so on.  A stage leaves each leading pivot the gcd of
-    its row or column, so the pivot shrinks until it divides its line
-    and a stage clears it.  The first stage gives the column Hermite
-    form, the same for every matrix with the same column lattice, so u
-    depends on that lattice alone.  The chain step then replaces each
-    pair of diagonal entries x = d_i, y = d_j (i < j) with y % x by
+    transpose, each followed by its row of v_t, then on its rows, each
+    followed by its row of u; uinv_t takes other operations and stays
+    apart.  A stage leaves each leading pivot the gcd of its row or
+    column, so the pivot shrinks until it divides its line and a stage
+    clears it.  The first stage gives the column Hermite form, the same
+    for every matrix with the same column lattice, so u depends on that
+    lattice alone.  The chain step then replaces each pair of diagonal
+    entries x = d_i, y = d_j (i < j) with y % x by
     g = gcd(x, y) = s*x + t*y and lcm(x, y): rows u_i, u_j by
     s*u_i + t*u_j and (x/g)*u_j - (y/g)*u_i, as ``_cyclic_canonical``
     does, and columns v_i, v_j by v_i + v_j and (s*x/g)*v_j - (t*y/g)*v_i.
 
-    Only d is always computed.  Each transform is tracked only when its
-    caller asks for it, and is None otherwise: u when ``left`` is set
-    (``smith_normal_form``, ``_canonicalize_full``), uinv_t, the
-    transpose of u^-1, when ``inverse`` is set (``_canonicalize_full``),
-    and v_t, the transpose of v, when ``right`` is set
-    (``smith_normal_form``, ``is_injective``); ``cokernel`` asks for
-    none.  Keeping uinv_t and v_t transposed makes every update a
-    whole-row operation.  Every step reads only the matrix being
+    Only d is always computed.  u, uinv_t (the transpose of u^-1) and
+    v_t (the transpose of v) are tracked when ``left``, ``inverse`` and
+    ``right`` are set, and are None otherwise; transposed, each update
+    is a whole-row operation.  Every step reads only the matrix being
     reduced, so d and each tracked transform are the same whichever
     others are tracked.
     """
@@ -289,19 +292,15 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     u = _identity_rows(nrows) if left else None
     uinv_t = _identity_rows(nrows) if inverse else None
     v_t = _identity_rows(ncols) if right else None
-    row_sides = [u] if left else []
-    inv_sides = [uinv_t] if inverse else []
-    col_sides = [v_t] if right else []
     a = [list(row) for row in m.data]
     rank = 0
     while nrows and ncols:
         # column operations on a are row operations on its transpose
-        at = [list(col) for col in zip(*a)]
-        rank = _hnf_rows(at, col_sides, [])
+        rank, at, v_t = _hnf_rows(list(zip(*a)), v_t, None)
         a = [list(row) for row in zip(*at)]
         if _is_diagonal(a):
             break
-        rank = _hnf_rows(a, row_sides, inv_sides)
+        rank, a, u = _hnf_rows(a, u, uinv_t)
         if _is_diagonal(a):
             break
     for i in range(rank):
@@ -312,16 +311,16 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
             g, s, t = _bezout(x, y)
             xg, yg = x // g, y // g
             a[i][i], a[j][j] = g, x * yg
-            _mix(row_sides, i, j, s, t, -yg, xg)
-            _mix(inv_sides, i, j, xg, yg, -t, s)
-            _mix(col_sides, i, j, 1, 1, -t * yg, s * xg)
+            _mix(u, i, j, s, t, -yg, xg)
+            _mix(uinv_t, i, j, xg, yg, -t, s)
+            _mix(v_t, i, j, 1, 1, -t * yg, s * xg)
     return u, uinv_t, a, v_t
 
 
-def _mix(sides, i, j, a, b, c, d):
-    """Replace rows r_i, r_j of each matrix in ``sides`` by a*r_i + b*r_j
+def _mix(rows, i, j, a, b, c, d):
+    """Replace rows r_i, r_j of ``rows``, unless None, by a*r_i + b*r_j
     and c*r_i + d*r_j."""
-    for rows in sides:
+    if rows:
         p, q = rows[i], rows[j]
         rows[i] = [a * e + b * f for e, f in zip(p, q)]
         rows[j] = [c * e + d * f for e, f in zip(p, q)]
