@@ -42,6 +42,7 @@ __all__ = [
     "ParseError",
     "NonFinitelyGeneratedError",
     "UnsupportedNestingError",
+    "SizeLimitError",
     "Atom",
     "Tensor",
     "FreeProd",
@@ -52,6 +53,7 @@ __all__ = [
     "print_expr",
     "eval_expr",
     "evaluate",
+    "check_pair",
     "catalog_entries",
 ]
 
@@ -70,6 +72,11 @@ class NonFinitelyGeneratedError(ValueError):
 
 class UnsupportedNestingError(ValueError):
     """A free product appeared below another operator."""
+
+
+class SizeLimitError(ValueError):
+    """An expression or a pair that would build a K-group or a matrix
+    beyond ``MAX_GENERATORS`` or ``MAX_ENTRIES``."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,16 @@ MAX_INDEX_DIGITS = 1000
 # Largest k in C^k (its K0 is Z^k, and a product of two such atoms has
 # k^2 generators), and the most generators a literal's K0 or K1 may have.
 MAX_POWER = 100
+# The most generators of a tensor product's K0 or K1, counted in the
+# Kronecker presentations the Kunneth formula builds (K0A (x) K0B plus
+# K1A (x) K1B in degree 0): two atoms or literals have at most this many.
+MAX_GENERATORS = 2 * MAX_POWER**2
+# The most entries of a dense matrix a free product or a pair builds.  For
+# n generators in K0A + K0B, the injections of the sum and the transforms
+# of the unital quotient are n x n, and the induced map pi0 has one row
+# per generator of the tensor K0 and n columns; K1 alike.  Two atoms or
+# literals need at most this many, C^100 against C^100 a 10000 x 200 pi0.
+MAX_ENTRIES = 4 * MAX_POWER**3
 
 
 def _ones(k0, k1=_TRIVIAL):
@@ -417,7 +434,9 @@ def eval_expr(expr, root: bool = True):
             expr = expr.left
         value = eval_expr(expr, root=False)
         for right in reversed(rights):
-            value = kunneth_invariant(value, eval_expr(right, root=False))
+            right = eval_expr(right, root=False)
+            _check_tensor(value, right)
+            value = kunneth_invariant(value, right)
         return value
     if isinstance(expr, (FreeProd, UnitalFreeProd)):
         if not root:
@@ -426,10 +445,47 @@ def eval_expr(expr, root: bool = True):
             )
         left = eval_expr(expr.left, root=False)
         right = eval_expr(expr.right, root=False)
+        check_pair(left, right, maps=False)
         if isinstance(expr, FreeProd):
             return free_product_k(left, right)
         return unital_free_product_k(left, right)
     raise TypeError(f"not an algebra expression: {expr!r}")
+
+
+def _kronecker_gens(a: KInvariant, b: KInvariant):
+    """The generators of the Kronecker presentations of the K0 and the
+    K1 of a (x) b, the sizes ``kunneth_invariant`` and the maps build."""
+    return (
+        a.k0.ngens * b.k0.ngens + a.k1.ngens * b.k1.ngens,
+        a.k0.ngens * b.k1.ngens + a.k1.ngens * b.k0.ngens,
+    )
+
+
+def _check_tensor(a: KInvariant, b: KInvariant):
+    for degree, gens in enumerate(_kronecker_gens(a, b)):
+        if gens > MAX_GENERATORS:
+            raise SizeLimitError(
+                f"the tensor product's K{degree} has {gens} generators, "
+                f"more than the {MAX_GENERATORS} accepted"
+            )
+
+
+def check_pair(a: KInvariant, b: KInvariant, maps: bool = True):
+    """Refuse, from generator counts alone and before anything is built,
+    a pair whose free products, or with ``maps`` whose tensor product
+    and induced maps (``classify``, ``section``), exceed the limits."""
+    n, m = a.k0.ngens + b.k0.ngens, a.k1.ngens + b.k1.ngens
+    shapes = [("K0A + K0B", n, n), ("K1A + K1B", m, m)]
+    if maps:
+        _check_tensor(a, b)
+        t0, t1 = _kronecker_gens(a, b)
+        shapes += [("the induced map in degree 0", t0, n), ("the induced map in degree 1", t1, m)]
+    for what, rows, cols in shapes:
+        if rows * cols > MAX_ENTRIES:
+            raise SizeLimitError(
+                f"{what} needs a {rows} x {cols} matrix, "
+                f"more than the {MAX_ENTRIES} entries accepted"
+            )
 
 
 def evaluate(text: str):

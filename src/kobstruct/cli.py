@@ -26,7 +26,9 @@ from . import obstruct
 from .catalog import (
     NonFinitelyGeneratedError,
     ParseError,
+    SizeLimitError,
     UnsupportedNestingError,
+    check_pair,
     evaluate,
 )
 from .fgab import FgAbGroup, GroupHom, cokernel, compose, quotient_by
@@ -117,10 +119,10 @@ def _section_lines(report) -> list[str]:
 
 
 def _analysis(args) -> PairAnalysis:
-    return PairAnalysis(
-        _require_invariant(evaluate(args.expr_a), "the first expression"),
-        _require_invariant(evaluate(args.expr_b), "the second expression"),
-    )
+    a = _require_invariant(evaluate(args.expr_a), "the first expression")
+    b = _require_invariant(evaluate(args.expr_b), "the second expression")
+    check_pair(a, b)
+    return PairAnalysis(a, b)
 
 
 def _cmd_classify(args, out) -> int:
@@ -410,7 +412,7 @@ def main(argv=None, out=None, err=None) -> int:
     except NonFinitelyGeneratedError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_NOT_FG
-    except (ParseError, UnsupportedNestingError, UsageError) as exc:
+    except (ParseError, SizeLimitError, UnsupportedNestingError, UsageError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Exception as exc:

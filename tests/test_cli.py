@@ -23,7 +23,7 @@ from kobstruct import (
 )
 import kobstruct
 from kobstruct import fgab, kinv, obstruct
-from kobstruct.catalog import MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER
+from kobstruct.catalog import MAX_ENTRIES, MAX_GENERATORS, MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER
 from kobstruct.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -263,6 +263,37 @@ def test_large_power_of_c_is_an_expression_error():
         assert err == f"error: power of C must be <= {MAX_POWER} (at position {position})\n"
     code, out, _ = run_cli("kgroups", f"C^{MAX_POWER}")
     assert code == EXIT_OK and f"Z^{MAX_POWER}" in out
+
+
+_MAP_OVER = f"the induced map in degree 0 needs a 16100 x 261 matrix, more than the {MAX_ENTRIES} entries accepted"
+_SUM_OVER = f"K0A + K0B needs a 2001 x 2001 matrix, more than the {MAX_ENTRIES} entries accepted"
+# Each input is just over a size limit; the parent accepted them all and
+# built their groups and matrices.
+_OVERSIZED = [
+    (
+        ("kgroups", "C^100 (x) C^100 (x) C^3"),
+        f"the tensor product's K0 has 30000 generators, more than the {MAX_GENERATORS} accepted",
+    ),
+    (("kgroups", "(C^20 (x) C^100) (*C) C"), _SUM_OVER),
+    (("kgroups", "(C^20 (x) C^100) (*) C", "--format", "json"), _SUM_OVER),
+    (("classify", "C^7 (x) C^23", "C^100"), _MAP_OVER),
+    (("classify", "C^7 (x) C^23", "C^100", "--format", "json"), _MAP_OVER),
+    (("section", "C^100", "C^7 (x) C^23"), _MAP_OVER),
+]
+
+
+@pytest.mark.parametrize("argv, message", _OVERSIZED, ids=[" ".join(argv) for argv, _ in _OVERSIZED])
+def test_oversized_input_is_an_expression_error(argv, message):
+    # Refused from generator counts before anything of that size is built.
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+def test_input_at_the_size_limits_runs():
+    # 20000 = MAX_GENERATORS generators, and a pi0 of 15000 x 250 entries
+    code, out, _ = run_cli("kgroups", "C^100 (x) C^100 (x) C^2")
+    assert code == EXIT_OK and f"Z^{MAX_GENERATORS}" in out
+    assert run_cli("classify", "C^3 (x) C^50", "C^100")[0] == EXIT_OBSTRUCTED
 
 
 _FLAGGED_OPERANDS = [
