@@ -270,8 +270,8 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     form a divisibility chain.  Hermite stages (``_hnf_rows``) alternate
     until the matrix is diagonal: on its columns, as the rows of its
     transpose, each followed by its row of v_t, then on its rows, each
-    followed by its row of u; uinv_t takes other operations and stays
-    apart.  A stage leaves each leading pivot the gcd of its row or
+    followed by its row of u; uinv_t takes the inverse transposes and
+    stays apart.  A stage leaves each leading pivot the gcd of its row or
     column, so the pivot shrinks until it divides its line and a stage
     clears it.  The first stage gives the column Hermite form, the same
     for every matrix with the same column lattice, so u depends on that
