@@ -267,8 +267,8 @@ def test_large_power_of_c_is_an_expression_error():
 
 _MAP_OVER = f"the induced map in degree 0 needs a 16100 x 261 matrix, more than the {MAX_ENTRIES} entries accepted"
 _SUM_OVER = f"K0A + K0B needs a 2001 x 2001 matrix, more than the {MAX_ENTRIES} entries accepted"
-# Each input is just over a size limit; the parent accepted them all and
-# built their groups and matrices.
+# Each input is just over a size limit, so without the limits it would
+# build its groups and matrices in full.
 _OVERSIZED = [
     (
         ("kgroups", "C^100 (x) C^100 (x) C^3"),
@@ -290,7 +290,8 @@ def test_oversized_input_is_an_expression_error(argv, message):
 
 
 def test_input_at_the_size_limits_runs():
-    # 20000 = MAX_GENERATORS generators, and a pi0 of 15000 x 250 entries
+    # 20000 = MAX_GENERATORS generators, and a pair whose pi0 would be
+    # 15000 x 250, under MAX_ENTRIES
     code, out, _ = run_cli("kgroups", "C^100 (x) C^100 (x) C^2")
     assert code == EXIT_OK and f"Z^{MAX_GENERATORS}" in out
     assert run_cli("classify", "C^3 (x) C^50", "C^100")[0] == EXIT_OBSTRUCTED
