@@ -17,10 +17,15 @@ are read, then only the columns of the canonical sum of the Kunneth
 parts that fall in that tensor pairing, and likewise for
 [1_A] (x) e_j.  The sparse rows that result are multiplied once by the
 lifts of the source sum, K0A + K0B or K1A + K1B in the sparse form of
-``_cyclic_canonical`` (for the unital quotient, then by the lift of
-each quotient generator), and checked once as a ``GroupHom``: no
-Kunneth K-pair, ``tensor_elem`` element, injection or projection is
-built, so a map costs about the size of its matrix.  The tensor
+``_cyclic_canonical``, and checked once as a ``GroupHom`` (the map on
+the unital quotient is that of K0A + K0B times the lift of each
+quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
+injection or projection is built, so a map costs about the size of its
+matrix.  A section of an induced map is settled by the cheapest exact
+fact first: a generator count of the groups, a trivial target, then
+the cokernel, the degree-0 one read off the map before the quotient;
+only a map that is onto has its section solved, so one that is not
+never builds the unital quotient for it.  The tensor
 K-groups alone are group arithmetic (``tensor_groups``); ``kunneth``
 builds the full K-pair, with summand injections and unit, for the
 callers that return it; ``kunneth_invariant`` (nested tensors) takes
@@ -40,6 +45,7 @@ from .fgab import (
     GroupHom,
     GroupMismatchError,
     IntMatrix,
+    cokernel,
     direct_sum_many,
     right_inverse_exists,
     tensor,
@@ -220,7 +226,7 @@ def kunneth_invariant(a: KInvariant, b: KInvariant) -> KInvariant:
     read off the sparse rows that also build the induced maps."""
     an = PairAnalysis(a, b)
     k0, k1 = an.tensor_groups
-    _, rows = an._images0
+    _, rows = an._images(0)
     ua = a.unit.coords
     unit = [sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows]
     return KInvariant(k0, k1, k0.element(unit))
@@ -297,8 +303,10 @@ class PairAnalysis:
     """The K-theory of one pair (A, B), each piece computed on first use.
 
     Callers that need more than one answer about a pair (groups, maps,
-    verdict, sections) build one analysis and read them all from it;
-    nothing is computed that no caller reads.
+    cokernels, verdict, sections) build one analysis and read them all
+    from it; nothing is computed that no caller reads.  The classifier
+    and the sections read the same cokernels, so a pair pays for each
+    degree's cokernel once.
 
     >>> from .fgab import FgAbGroup
     >>> z = FgAbGroup(1)
@@ -410,32 +418,25 @@ class PairAnalysis:
         return target, rows
 
     @cached_property
-    def _images0(self):
-        """``_images(0)``, read by both lifted_pi0 and pi0."""
-        return self._images(0)
-
-    @cached_property
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
         K0A (x) K0B summand of the tensor K0."""
-        target, rows = self._images0
+        target, rows = self._images(0)
         s, _, lifts = self._k0_sum
         return GroupHom(s, target, _times(rows, lifts, s.ngens))
 
     @cached_property
     def pi0(self) -> GroupHom:
-        """The degree-0 induced map on the unital quotient: the images
-        of the generators times the lift of each quotient generator to
-        K0A + K0B, one product of the sparse rows."""
-        target, rows = self._images0
-        lifts = self._k0_sum[2]
-        w = [sum([e * x for e, x in zip(row, self.unit_relation.coords)]) for row in lifts]
-        if any(target.reduce([sum([c * w[k] for k, c in row.items()]) for row in rows])):
+        """The degree-0 induced map on the unital quotient: lifted_pi0
+        times the lift of each quotient generator to K0A + K0B.  Reducing
+        modulo the target orders commutes with that product, so the
+        reduced matrix of lifted_pi0 gives the same integers."""
+        lifted = self.lifted_pi0
+        if any(lifted(self.unit_relation).coords):
             raise AssertionError("induced map does not kill the unit relation")
         q, _, lift = self.unital_quotient
-        stacked = _times([{k: e for k, e in enumerate(r) if e} for r in lifts], lift.data, q.ngens)
-        return GroupHom(q, target, _times(rows, stacked.data, q.ngens))
+        return GroupHom(q, lifted.target, lifted.matrix @ lift)
 
     @cached_property
     def pi1(self) -> GroupHom:
@@ -446,29 +447,53 @@ class PairAnalysis:
         s, _, lifts = _sparse_sum(self.a.k1, self.b.k1)
         return GroupHom(s, target, _times(rows, lifts, s.ngens))
 
-    def _section(self, source: FgAbGroup, name: str):
-        """A section of the degree-0 map ``name`` from ``source``, or
-        None.  In invariant-factor form ngens is the fewest generators
-        of a group, so a source with fewer than the tensor K0 has no map
-        onto it, and that map is never built."""
-        if source.ngens < self.tensor_groups[0].ngens:
+    @cached_property
+    def cokernel0(self) -> FgAbGroup:
+        """The cokernel of pi0, read from lifted_pi0: pi0 after the
+        projection onto the quotient is lifted_pi0, and the projection is
+        onto, so the two maps have one image."""
+        return cokernel(self.lifted_pi0)
+
+    @cached_property
+    def cokernel1(self) -> FgAbGroup:
+        """The cokernel of pi1."""
+        return cokernel(self.pi1)
+
+    def _section(self, degree, name, source):
+        """A section of the induced map ``name`` of ``degree``, or None,
+        settled by the cheapest exact fact first.  In invariant-factor
+        form ngens is the fewest generators of a group, and the source
+        (the sum of the two K-groups of ``degree``, or its quotient) has
+        at most as many as the two together: with fewer than the target,
+        no map is onto it.  A trivial target has the zero map from
+        ``source()`` as its only section.  A nontrivial cokernel leaves
+        none.  Only then is the map built and its section solved."""
+        target = self.tensor_groups[degree]
+        summands = (self.a.k0, self.b.k0) if degree == 0 else (self.a.k1, self.b.k1)
+        if sum(g.ngens for g in summands) < target.ngens:
+            return None
+        if target.is_trivial:
+            g = source()
+            return GroupHom(target, g, IntMatrix.from_columns([], g.ngens))
+        if not getattr(self, f"cokernel{degree}").is_trivial:
             return None
         return right_inverse_exists(getattr(self, name))
 
     @cached_property
     def section0(self):
-        """A section (right inverse) of pi0, or None if it has none."""
-        return self._section(self.unital_quotient[0], "pi0")
+        """A section (right inverse) of pi0, or None if it has none.  The
+        unital quotient is built only for a trivial target or an onto pi0."""
+        return self._section(0, "pi0", lambda: self.unital_quotient[0])
 
     @cached_property
     def section1(self):
         """A section of pi1, or None if it has none."""
-        return right_inverse_exists(self.pi1)
+        return self._section(1, "pi1", lambda: _sparse_sum(self.a.k1, self.b.k1)[0])
 
     @cached_property
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
-        return self._section(self._k0_sum[0], "lifted_pi0")
+        return self._section(0, "lifted_pi0", lambda: self._k0_sum[0])
 
     @cached_property
     def tor00(self) -> FgAbGroup:

@@ -28,7 +28,6 @@ from .fgab import (
     GroupElement,
     GroupHom,
     GroupMismatchError,
-    cokernel,
     constrained_section_exists,
     direct_sum_many,
     is_injective,
@@ -229,22 +228,26 @@ def basic_obstructions(a: KInvariant, b: KInvariant):
 def _map_level_witness(an: PairAnalysis):
     """Surjectivity and section failures of the induced maps, or None.
 
-    The extra Z summand needs no check here: it maps into
-    Tor(K0A, K0B), and the Tor clause of ``basic_obstructions`` has
-    already fired whenever that group is nonzero.
+    The cokernels come from the analysis, which reads the degree-0 one
+    off lifted_pi0; a degree's map is built only when one of its clauses
+    fires or its section is solved.  The extra Z summand needs no check
+    here: it maps into Tor(K0A, K0B), and the Tor clause of
+    ``basic_obstructions`` has already fired whenever that group is
+    nonzero.
     """
-    pi0, pi1 = an.pi0, an.pi1
-    for pi, degree, clause in ((pi0, 0, PI0_NOT_SURJECTIVE), (pi1, 1, PI1_NOT_SURJECTIVE)):
-        coker = cokernel(pi)
+    for degree, clause in ((0, PI0_NOT_SURJECTIVE), (1, PI1_NOT_SURJECTIVE)):
+        coker = getattr(an, f"cokernel{degree}")
         if not coker.is_trivial:
+            pi = getattr(an, f"pi{degree}")
             return ObstructionWitness(
                 clause,
                 (("cokernel", str(coker)), ("matrix", pi.matrix.to_json())),
                 f"the induced map on K{degree} has cokernel {coker}, so it is "
                 "not surjective and admits no section.",
             )
-    for pi, degree, clause in ((pi0, 0, NO_SECTION_0), (pi1, 1, NO_SECTION_1)):
+    for degree, clause in ((0, NO_SECTION_0), (1, NO_SECTION_1)):
         if getattr(an, f"section{degree}") is None:
+            pi = getattr(an, f"pi{degree}")
             return ObstructionWitness(
                 clause,
                 (("matrix", pi.matrix.to_json()),),

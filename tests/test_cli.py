@@ -241,6 +241,9 @@ def test_usage_error_exit_two():
     assert code == EXIT_ERROR
     code, _, _ = run_cli("no-such-command")
     assert code == EXIT_ERROR
+    # an empty example id names no example, so nothing runs
+    code, out, err = run_cli("paper-examples", "--only", "")
+    assert (code, out) == (EXIT_ERROR, "") and err.startswith("error: unknown example id ''; known ids: c2-rank, ")
 
 
 def test_argparse_text_goes_to_the_given_streams(capsys):
@@ -557,7 +560,9 @@ def test_section_full_payload_matches_separate_public_calls(catalog):
 @pytest.mark.parametrize("mode", ["unital", "full"])
 def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
     # classify's map-level checks and the section report read the same
-    # sections, so no induced map of a command reaches the solver twice
+    # sections, so no induced map of a command reaches the solver twice;
+    # and a section decided by a generator count, a trivial target or a
+    # nontrivial cokernel never reaches it at all
     solve = fgab.right_inverse_exists
     solved = []
 
@@ -568,12 +573,16 @@ def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
     for module in (fgab, kinv, obstruct):
         if hasattr(module, "right_inverse_exists"):
             monkeypatch.setattr(module, "right_inverse_exists", counting)
+    total = 0
     for name_a, _ in catalog:
         for name_b, _ in catalog:
             solved.clear()
             run_cli("classify", name_a, name_b, "--mode", mode)
-            assert solved, (name_a, name_b)
             assert len({id(f) for f in solved}) == len(solved), (name_a, name_b)
+            for f in solved:
+                assert not f.target.is_trivial and fgab.cokernel(f).is_trivial, (name_a, name_b)
+            total += len(solved)
+    assert total, "no classify command reached the solver"
 
 
 def _catalog_runs(catalog):

@@ -22,6 +22,7 @@ from kobstruct import (
     kunneth_invariant,
     pi_star,
     pi_star_full,
+    right_inverse_exists,
     tensor_elem,
     tor,
     unital_free_product_k,
@@ -436,3 +437,57 @@ def test_torsion_heavy_sections_stay_fast():
             # third pair
             assert f.source.ngens < f.target.ngens, hom
     assert not any(is_surjective(getattr(heavy, hom)) for _, hom in maps)
+
+
+def _prime_power_literal(rng, primes):
+    """Z^(0 or 1) + up to three Z/p^e in K0 and up to one in K1, with p
+    from ``primes`` and e <= 3."""
+
+    def group(most):
+        factors = [rng.choice(primes) ** rng.randint(1, 3) for _ in range(rng.randint(0, most))]
+        return FgAbGroup(rng.randint(0, 1), factors)
+
+    k0 = group(3)
+    unit = [rng.randint(-6, 6) for _ in range(k0.rank)] + [rng.randrange(d) for d in k0.torsion]
+    return KInvariant(k0, group(1), k0.element(unit))
+
+
+def test_early_section_decisions_agree_with_the_solver(catalog):
+    # A section is decided by the summands' generator count, a trivial
+    # target, a nontrivial cokernel, or else by the solver; whichever
+    # decides, the answer is the solver's on freshly built maps, and
+    # nothing the decision does not need is built for it.
+    rng = random.Random(12)
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    for k in range(300):
+        primes = list((2, 3, 5, 7))
+        rng.shuffle(primes)
+        cut = rng.randint(1, 3)
+        # shared primes on even k, disjoint ones on odd k
+        pa, pb = (primes, primes) if k % 2 == 0 else (primes[:cut], primes[cut:])
+        pairs.append((_prime_power_literal(rng, pa), _prime_power_literal(rng, pb)))
+    maps = ((0, "section0", "pi0"), (1, "section1", "pi1"), (0, "lifted_section0", "lifted_pi0"))
+    decided = set()
+    for a, b in pairs:
+        fresh = PairAnalysis(a, b)
+        for degree, name, hom in maps:
+            an = PairAnalysis(a, b)
+            section = getattr(an, name)
+            built = set(vars(an))
+            f = getattr(fresh, hom)
+            assert section == right_inverse_exists(f), (str(a), str(b), name)
+            summands = (a.k0, b.k0) if degree == 0 else (a.k1, b.k1)
+            if sum(g.ngens for g in summands) < f.target.ngens:
+                rule, unbuilt = "count", {"_k0_sum", "unital_quotient", hom, f"cokernel{degree}"}
+            elif f.target.is_trivial:
+                rule, unbuilt = "trivial target", {hom, f"cokernel{degree}"}
+            elif not cokernel(f).is_trivial:
+                rule, unbuilt = "cokernel", {"unital_quotient", "pi0"} if degree == 0 else set()
+            else:
+                rule, unbuilt = "solved" if section is not None else "no section", set()
+            assert not built & unbuilt, (str(a), str(b), name, rule, built & unbuilt)
+            decided.add(rule)
+        an = PairAnalysis(a, b)
+        assert an.cokernel0 == cokernel(fresh.pi0), (str(a), str(b))
+        assert an.cokernel1 == cokernel(fresh.pi1), (str(a), str(b))
+    assert decided == {"count", "trivial target", "cokernel", "solved", "no section"}
