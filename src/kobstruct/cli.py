@@ -31,7 +31,7 @@ from .catalog import (
     check_pair,
     evaluate,
 )
-from .fgab import FgAbGroup, GroupHom, compose, quotient_by
+from .fgab import FgAbGroup, GroupHom, cokernel, compose, quotient_by
 from .kinv import KInvariant, KPair, PairAnalysis, kunneth, unital_free_product_k
 from .obstruct import (
     OBSTRUCTED,
@@ -217,7 +217,7 @@ def _ex_mn_same():
         an = PairAnalysis(evaluate(f"M_{n}"), evaluate(f"M_{n}"))
         v = classify_analysis(an)
         pi0 = an.pi0
-        coker = an.cokernel0
+        coker = cokernel(pi0)
         good = (
             v.outcome == OBSTRUCTED
             and v.witness.clause == obstruct.PI0_NOT_SURJECTIVE

@@ -22,15 +22,15 @@ the unital quotient is that of K0A + K0B times the lift of each
 quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
 injection or projection is built, so a map costs about the size of its
 matrix.  A section of an induced map is settled by the cheapest exact
-fact first: a generator count of the groups, a trivial target, then
-the cokernel, the degree-0 one read off the map before the quotient;
-only a map that is onto has its section solved, so one that is not
-never builds the unital quotient for it.  The tensor
-K-groups alone are group arithmetic (``tensor_groups``); ``kunneth``
-builds the full K-pair, with summand injections and unit, for the
-callers that return it; ``kunneth_invariant`` (nested tensors) takes
-only the groups and the unit, from the same sparse rows.  No state is
-kept from one call to the next.
+fact first: a generator count of the groups, then the cokernel, the
+degree-0 one read off the map before the quotient; only a map that is
+onto has its section solved, so one that is not never builds the
+unital quotient for it.  The tensor K-groups alone are group
+arithmetic (``tensor_groups``); ``kunneth`` builds the full K-pair,
+with summand injections and unit, for the callers that return it;
+``kunneth_invariant`` (nested tensors) takes only the groups and the
+unit, from the same sparse rows.  No state is kept from one call to
+the next.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .fgab import (
     _orders,
     _quotient_full,
     _tensor_structure,
-    _transposed,
 )
 
 __all__ = [
@@ -281,20 +280,38 @@ def pi_star_full(a: KInvariant, b: KInvariant):
 
 def _sparse_sum(g: FgAbGroup, h: FgAbGroup):
     """(g + h, to_canon, lifts): to_canon sparse as ``_cyclic_canonical``
-    gives it, and row k of lifts coordinate k of each generator's lift."""
+    gives it, and row k of lifts coordinate k of each generator's lift,
+    as (generator, entry) pairs."""
     s, to_canon, lift = _cyclic_canonical(_orders(g) + _orders(h))
-    return s, to_canon, _transposed(lift, g.ngens + h.ngens)
+    lifts = [[] for _ in range(g.ngens + h.ngens)]
+    for r, v in enumerate(lift):
+        for p, e in v:
+            lifts[p].append((r, e))
+    return s, to_canon, lifts
 
 
-def _times(rows, other, width) -> IntMatrix:
+def _times(rows, other):
     """The product of the sparse ``rows`` (dicts from column to entry)
-    with the matrix whose rows are ``other``, ``width`` columns wide: it
-    costs one pass over ``other``'s row per nonzero entry."""
+    with the matrix whose rows ``other`` are lists of (column, entry)
+    pairs, as sparse rows again: one step per pair of nonzero entries
+    that meet."""
+    out = []
+    for row in rows:
+        acc = {}
+        for k, c in row.items():
+            for j, y in other[k]:
+                acc[j] = acc.get(j, 0) + c * y
+        out.append(acc)
+    return out
+
+
+def _dense(rows, width) -> IntMatrix:
+    """The matrix of the sparse ``rows``, ``width`` columns wide."""
     out = []
     for row in rows:
         acc = [0] * width
-        for k, c in row.items():
-            acc = [x + c * y for x, y in zip(acc, other[k])]
+        for j, e in row.items():
+            acc[j] = e
         out.append(tuple(acc))
     return IntMatrix._trusted(tuple(out), width)
 
@@ -418,25 +435,34 @@ class PairAnalysis:
         return target, rows
 
     @cached_property
+    def _lifted_rows0(self):
+        """(target, rows): the images of the generators of K0A + K0B as
+        sparse rows, one per generator of the tensor K0, before
+        reduction; lifted_pi0 and pi0 both read them."""
+        target, rows = self._images(0)
+        return target, _times(rows, self._k0_sum[2])
+
+    @cached_property
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
         K0A (x) K0B summand of the tensor K0."""
-        target, rows = self._images(0)
-        s, _, lifts = self._k0_sum
-        return GroupHom(s, target, _times(rows, lifts, s.ngens))
+        target, rows = self._lifted_rows0
+        s = self._k0_sum[0]
+        return GroupHom(s, target, _dense(rows, s.ngens))
 
     @cached_property
     def pi0(self) -> GroupHom:
-        """The degree-0 induced map on the unital quotient: lifted_pi0
-        times the lift of each quotient generator to K0A + K0B.  Reducing
-        modulo the target orders commutes with that product, so the
-        reduced matrix of lifted_pi0 gives the same integers."""
-        lifted = self.lifted_pi0
-        if any(lifted(self.unit_relation).coords):
+        """The degree-0 induced map on the unital quotient: the rows of
+        lifted_pi0 times the lift of each quotient generator to
+        K0A + K0B, one sparse product."""
+        target, rows = self._lifted_rows0
+        u = self.unit_relation.coords
+        if any(target.reduce([sum([c * u[k] for k, c in row.items()]) for row in rows])):
             raise AssertionError("induced map does not kill the unit relation")
         q, _, lift = self.unital_quotient
-        return GroupHom(q, lifted.target, lifted.matrix @ lift)
+        lift_rows = [[(j, e) for j, e in enumerate(r) if e] for r in lift.data]
+        return GroupHom(q, target, _dense(_times(rows, lift_rows), q.ngens))
 
     @cached_property
     def pi1(self) -> GroupHom:
@@ -445,7 +471,7 @@ class PairAnalysis:
         K1A (x) K0B and K0A (x) K1B summands of the tensor K1."""
         target, rows = self._images(1)
         s, _, lifts = _sparse_sum(self.a.k1, self.b.k1)
-        return GroupHom(s, target, _times(rows, lifts, s.ngens))
+        return GroupHom(s, target, _dense(_times(rows, lifts), s.ngens))
 
     @cached_property
     def cokernel0(self) -> FgAbGroup:
@@ -459,22 +485,17 @@ class PairAnalysis:
         """The cokernel of pi1."""
         return cokernel(self.pi1)
 
-    def _section(self, degree, name, source):
+    def _section(self, degree, name):
         """A section of the induced map ``name`` of ``degree``, or None,
         settled by the cheapest exact fact first.  In invariant-factor
         form ngens is the fewest generators of a group, and the source
         (the sum of the two K-groups of ``degree``, or its quotient) has
         at most as many as the two together: with fewer than the target,
-        no map is onto it.  A trivial target has the zero map from
-        ``source()`` as its only section.  A nontrivial cokernel leaves
-        none.  Only then is the map built and its section solved."""
-        target = self.tensor_groups[degree]
+        no map is onto it.  A nontrivial cokernel leaves none.  Only then
+        is the map built and its section solved."""
         summands = (self.a.k0, self.b.k0) if degree == 0 else (self.a.k1, self.b.k1)
-        if sum(g.ngens for g in summands) < target.ngens:
+        if sum(g.ngens for g in summands) < self.tensor_groups[degree].ngens:
             return None
-        if target.is_trivial:
-            g = source()
-            return GroupHom(target, g, IntMatrix.from_columns([], g.ngens))
         if not getattr(self, f"cokernel{degree}").is_trivial:
             return None
         return right_inverse_exists(getattr(self, name))
@@ -482,18 +503,18 @@ class PairAnalysis:
     @cached_property
     def section0(self):
         """A section (right inverse) of pi0, or None if it has none.  The
-        unital quotient is built only for a trivial target or an onto pi0."""
-        return self._section(0, "pi0", lambda: self.unital_quotient[0])
+        unital quotient is built only for an onto pi0."""
+        return self._section(0, "pi0")
 
     @cached_property
     def section1(self):
         """A section of pi1, or None if it has none."""
-        return self._section(1, "pi1", lambda: _sparse_sum(self.a.k1, self.b.k1)[0])
+        return self._section(1, "pi1")
 
     @cached_property
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
-        return self._section(0, "lifted_pi0", lambda: self._k0_sum[0])
+        return self._section(0, "lifted_pi0")
 
     @cached_property
     def tor00(self) -> FgAbGroup:

@@ -561,8 +561,8 @@ def test_section_full_payload_matches_separate_public_calls(catalog):
 def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
     # classify's map-level checks and the section report read the same
     # sections, so no induced map of a command reaches the solver twice;
-    # and a section decided by a generator count, a trivial target or a
-    # nontrivial cokernel never reaches it at all
+    # and a section decided by a generator count or a nontrivial cokernel
+    # never reaches it at all
     solve = fgab.right_inverse_exists
     solved = []
 
@@ -580,7 +580,7 @@ def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
             run_cli("classify", name_a, name_b, "--mode", mode)
             assert len({id(f) for f in solved}) == len(solved), (name_a, name_b)
             for f in solved:
-                assert not f.target.is_trivial and fgab.cokernel(f).is_trivial, (name_a, name_b)
+                assert fgab.cokernel(f).is_trivial, (name_a, name_b)
             total += len(solved)
     assert total, "no classify command reached the solver"
 
