@@ -17,9 +17,7 @@ from .fgab import (
     IntMatrix,
     cokernel,
     compose,
-    constrained_section_exists,
     direct_sum_many,
-    is_injective,
     is_surjective,
     quotient_by,
     right_inverse_exists,
@@ -77,9 +75,7 @@ __all__ = [
     "IntMatrix",
     "cokernel",
     "compose",
-    "constrained_section_exists",
     "direct_sum_many",
-    "is_injective",
     "is_surjective",
     "quotient_by",
     "right_inverse_exists",

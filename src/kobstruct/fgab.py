@@ -23,14 +23,14 @@ stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
 rows of a matrix until it is diagonal, then makes the diagonal a
 divisibility chain with 2x2 Bezout steps.  Each caller tracks only the
 transforms it reads: ``cokernel`` and ``is_surjective`` none (the
-group is read off the diagonal), ``is_injective`` the right transform
-v, ``smith_normal_form`` and so ``_solve_mod`` u and v, and
-``_canonicalize_full`` (quotients) u and u^-1.  A stage carries v or u
-as trailing entries of the rows it reduces; u^-1 takes other
-operations and is kept apart.  u depends only on the lattice the
-columns span, so the generators a quotient reads off it do too.
-Matrices the package builds from its own integer tuples skip the
-public constructor's conversion and checks (``IntMatrix._trusted``).
+group is read off the diagonal), ``smith_normal_form`` and so
+``_solve_mod`` u and v, and ``_canonicalize_full`` (quotients) u and
+u^-1.  A stage carries v or u as trailing entries of the rows it
+reduces; u^-1 takes other operations and is kept apart.  u depends
+only on the lattice the columns span, so the generators a quotient
+reads off it do too.  Matrices the package builds from its own integer
+tuples skip the public constructor's conversion and checks
+(``IntMatrix._trusted``).
 
 Conventions
 -----------
@@ -71,15 +71,13 @@ __all__ = [
     "compose",
     "cokernel",
     "is_surjective",
-    "is_injective",
     "right_inverse_exists",
-    "constrained_section_exists",
     "solve_divisibility",
 ]
 
 
 class GroupMismatchError(ValueError):
-    """An element, constraint, or hom was used with the wrong group."""
+    """An element or hom was used with the wrong group."""
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +382,6 @@ def _solve_mod(a: IntMatrix, rel: IntMatrix, rhs_list):
 def _scalar(d, n):
     """d times the n x n identity."""
     return IntMatrix([[d * (r == c) for c in range(n)] for r in range(n)], cols=n)
-
-
-def _block_diag(blocks):
-    """The matrix with ``blocks`` down its diagonal and zeros elsewhere."""
-    cols = sum(b.cols for b in blocks)
-    rows, left = [], 0
-    for b in blocks:
-        rows += [[0] * left + list(row) + [0] * (cols - left - b.cols) for row in b.data]
-        left += b.cols
-    return IntMatrix(rows, cols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -809,26 +797,24 @@ def _combine(a, p, b, q):
 
 
 def direct_sum_many(groups):
-    """Canonical form of g1 (+) ... (+) gn with injections/projections.
+    """Canonical form of g1 (+) ... (+) gn with its injections.
 
-    Returns (sum, injections, projections), one of each per summand.
+    Returns (sum, injections), one injection per summand.
 
-    >>> s, _, _ = direct_sum_many((FgAbGroup(0, (2,)), FgAbGroup(0, (3,))))
+    >>> s, _ = direct_sum_many((FgAbGroup(0, (2,)), FgAbGroup(0, (3,))))
     >>> s
     FgAbGroup(0, (6,))
     """
     groups = tuple(groups)
-    s, to_canon, lift = _cyclic_canonical([c for g in groups for c in _orders(g)])
-    n, total = s.ngens, sum(g.ngens for g in groups)
-    # per generator p of the summands: its image, and coordinate p of each lift
-    columns, lift_rows = _transposed(to_canon, total), _transposed(lift, total)
-    injections, projections, offset = [], [], 0
+    s, to_canon, _ = _cyclic_canonical([c for g in groups for c in _orders(g)])
+    n = s.ngens
+    # per generator p of the summands: its image
+    columns = _transposed(to_canon, sum(g.ngens for g in groups))
+    injections, offset = [], 0
     for g in groups:
-        block = slice(offset, offset + g.ngens)
-        injections.append(GroupHom(g, s, IntMatrix.from_columns(columns[block], n)))
-        projections.append(GroupHom(s, g, IntMatrix._trusted(tuple(map(tuple, lift_rows[block])), n)))
+        injections.append(GroupHom(g, s, IntMatrix.from_columns(columns[offset : offset + g.ngens], n)))
         offset += g.ngens
-    return s, tuple(injections), tuple(projections)
+    return s, tuple(injections)
 
 
 def _transposed(vectors, n):
@@ -943,16 +929,6 @@ def is_surjective(f: GroupHom) -> bool:
     return cokernel(f).is_trivial
 
 
-def is_injective(f: GroupHom) -> bool:
-    """Exact injectivity test: trivial kernel modulo source relations."""
-    stacked = f.matrix.hstack(f.target.relation_matrix())
-    _, _, d, v_t = _snf_engine(stacked, right=True)
-    rank = sum(1 for i in range(min(stacked.rows, stacked.cols)) if d[i][i] != 0)
-    # the columns of v past the rank span the kernel of [f | R_h]
-    sg = f.source.ngens
-    return not any(any(f.source.reduce(col[:sg])) for col in v_t[rank:])
-
-
 def _torsion_span(g: FgAbGroup, d: int) -> IntMatrix:
     """Columns spanning g[d] = {x : d*x = 0} modulo the relations of g:
     the identity for d = 0, otherwise (c / gcd(c, d)) e_i for each
@@ -964,34 +940,23 @@ def _torsion_span(g: FgAbGroup, d: int) -> IntMatrix:
     return IntMatrix.from_columns(cols, n)
 
 
-def constrained_section_exists(f: GroupHom, constraints=()):
-    """A right inverse s of f with prescribed extra images, if one exists.
+def right_inverse_exists(f: GroupHom):
+    """A hom s with f . s = id on f.target, or None if none exists.
 
-    Each constraint is a pair (t, w) with t in f.target and w in
-    f.source; the returned hom satisfies f . s = id and s(t) = w for
-    every constraint.  Decided exactly over the integers by ``_solve_mod``.
-
-    A target generator e_j of order d must go to g[d], so s(e_j) = S_d y_j
-    with S_d = ``_torsion_span(f.source, d)``.  Without constraints the
-    columns of s decouple: y_j solves [f S_d | R_h] (y_j, z) = e_j, and
-    generators of the same order share that matrix, so each order takes
-    one Smith normal form.  Constraints tie the columns together into one
-    joint system in the unknowns y_1, y_2, ... in turn: the blocks f S_j
-    down the diagonal with one R_h each, then per constraint s(t) = w the
-    row block [t_1 S_1 | t_2 S_2 | ...] with one R_g.
+    Decided exactly over the integers by ``_solve_mod``.  A target
+    generator e_j of order d must go to g[d], so s(e_j) = S_d y_j with
+    S_d = ``_torsion_span(f.source, d)``, and y_j solves
+    [f S_d | R_h] (y_j, z) = e_j.  Generators of the same order share
+    that matrix, so each distinct order takes one Smith normal form.
 
     A source with fewer generators than the target returns None before
     any system is built: f cannot be onto, so it has no right inverse.
+
+    >>> z = FgAbGroup(1)
+    >>> right_inverse_exists(GroupHom(z, FgAbGroup(0, (2,)), IntMatrix([[1]]))) is None
+    True
     """
     g, h = f.source, f.target
-    pairs = []
-    for t, w in constraints:
-        if not isinstance(t, GroupElement) or t.group != h:
-            raise GroupMismatchError("constraint target lies outside f.target")
-        if not isinstance(w, GroupElement) or w.group != g:
-            raise GroupMismatchError("constraint image lies outside f.source")
-        pairs.append((t, w))
-
     sg, hg = g.ngens, h.ngens
     # in invariant-factor form ngens is the fewest elements that
     # generate the group, so f cannot be onto a target with more
@@ -999,44 +964,17 @@ def constrained_section_exists(f: GroupHom, constraints=()):
         return None
     rel_h = h.relation_matrix()
     orders = _orders(h)
-    # orders ascend with j, so the columns come out in generator order
-    spans = {d: _torsion_span(g, d) for d in orders}
     basis = _scalar(1, hg).data
-    if not pairs:
-        cols = []
-        for d, span in spans.items():
-            rhs = [basis[j] for j in range(hg) if orders[j] == d]
-            for y in _solve_mod(f.matrix @ span, rel_h, rhs):
-                if y is None:
-                    return None
-                cols.append(span @ y)
-        return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
-
-    col_spans = [spans[d] for d in orders]
-    # s(t) = w, row r: sum_j t_j (S_j y_j)_r = w_r
-    ties = [[tj * e for tj, span in zip(t.coords, col_spans) for e in span.row(r)]
-            for t, _ in pairs for r in range(sg)]
-    a = IntMatrix(list(_block_diag([f.matrix @ span for span in col_spans]).data) + ties)
-    rel = _block_diag([rel_h] * hg + [g.relation_matrix()] * len(pairs))
-    rhs = [e for row in basis for e in row] + [e for _, w in pairs for e in w.coords]
-    (sol,) = _solve_mod(a, rel, [rhs])
-    if sol is None:
-        return None
-    s = _block_diag(col_spans) @ sol
-    return GroupHom(h, g, IntMatrix.from_columns([s[j * sg : (j + 1) * sg] for j in range(hg)], sg))
-
-
-def right_inverse_exists(f: GroupHom):
-    """A hom s with f . s = id on f.target, or None if none exists.
-
-    The unconstrained case of :func:`constrained_section_exists`: one
-    Smith normal form per distinct order of the target generators.
-
-    >>> z = FgAbGroup(1)
-    >>> right_inverse_exists(GroupHom(z, FgAbGroup(0, (2,)), IntMatrix([[1]]))) is None
-    True
-    """
-    return constrained_section_exists(f, ())
+    cols = []
+    # orders ascend with j, so the columns come out in generator order
+    for d in dict.fromkeys(orders):
+        span = _torsion_span(g, d)
+        rhs = [basis[j] for j in range(hg) if orders[j] == d]
+        for y in _solve_mod(f.matrix @ span, rel_h, rhs):
+            if y is None:
+                return None
+            cols.append(span @ y)
+    return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
 
 
 def solve_divisibility(g: FgAbGroup, target: GroupElement, n: int):

@@ -211,7 +211,7 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     """
     groups, summands = [], {}
     for degree, labels in enumerate(_KUNNETH_LABELS):
-        k, injs, _ = direct_sum_many(_kunneth_parts(a, b, degree))
+        k, injs = direct_sum_many(_kunneth_parts(a, b, degree))
         groups.append(k)
         summands.update(zip(labels, injs))
     unit = summands[K0A_K0B](tensor_elem(a.unit, b.unit))
@@ -240,8 +240,8 @@ def free_product_k(a: KInvariant, b: KInvariant) -> KPair:
     >>> free_product_k(c2, c2).k0
     FgAbGroup(4, ())
     """
-    k0, injs0, _ = direct_sum_many((a.k0, b.k0))
-    k1, injs1, _ = direct_sum_many((a.k1, b.k1))
+    k0, injs0 = direct_sum_many((a.k0, b.k0))
+    k1, injs1 = direct_sum_many((a.k1, b.k1))
     summands = {K0A: injs0[0], K0B: injs0[1], K1A: injs1[0], K1B: injs1[1]}
     return KPair(k0=k0, k1=k1, summands=summands, unit=None, extra_z=False)
 
@@ -386,7 +386,7 @@ class PairAnalysis:
         parts = {K1A: a.k1, K1B: b.k1}
         if self.extra_z:
             parts[EXTRA_Z] = FgAbGroup(1)
-        k1, injs1, _ = direct_sum_many(parts.values())
+        k1, injs1 = direct_sum_many(parts.values())
         summands = dict(zip(parts, injs1))
         return KPair(k0=q, k1=k1, summands=summands, unit=unit, extra_z=self.extra_z)
 

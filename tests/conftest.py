@@ -13,7 +13,11 @@ fields of its values (``.data``, ``.rows``, ``.cols``, ``.rank``,
   product reduced by the target's orders (``apply``).
 
 The random generators below build their values with kobstruct's
-constructors; they produce inputs, not verdicts.
+constructors; they produce inputs, not verdicts.  So does
+``direct_sum_projections``, which reads the projections of a direct sum
+off the lift of the sum's canonical form.  ``injective_by_snf`` is a
+reference rather than an oracle: it reads a kernel off the transform
+that kobstruct's ``smith_normal_form`` returns.
 
 Every test has a time budget, ``TEST_BUDGET_S``.  A faulty elimination
 step makes integers grow without bound rather than raise, so a test
@@ -30,8 +34,9 @@ from pathlib import Path
 
 import pytest
 
-from kobstruct import FgAbGroup, GroupHom, IntMatrix
+from kobstruct import FgAbGroup, GroupHom, IntMatrix, smith_normal_form
 from kobstruct.catalog import catalog_entries
+from kobstruct.fgab import _cyclic_canonical
 
 # bench/test_bench.py imports the same module under the same name, so
 # ``pytest tests bench`` in one process loads it once
@@ -175,6 +180,34 @@ def random_hom(rng, source: FgAbGroup, target: FgAbGroup) -> GroupHom:
                     col.append(step * rng.randrange(e // step))
         cols.append(col)
     return GroupHom(source, target, IntMatrix.from_columns(cols, target.ngens))
+
+
+def direct_sum_projections(groups):
+    """The projection of the canonical sum of ``groups`` onto each
+    summand.  Column r of the lift of ``_cyclic_canonical`` writes the
+    r-th canonical generator of the sum in summand coordinates, so row p
+    of a projection is coordinate p of every lift column."""
+    groups = tuple(groups)
+    s, _, lift = _cyclic_canonical([c for g in groups for c in [0] * g.rank + list(g.torsion)])
+    rows = [[0] * s.ngens for _ in range(sum(g.ngens for g in groups))]
+    for r, column in enumerate(lift):
+        for p, e in column:
+            rows[p][r] = e
+    projections, offset = [], 0
+    for g in groups:
+        projections.append(GroupHom(s, g, IntMatrix(rows[offset : offset + g.ngens], cols=s.ngens)))
+        offset += g.ngens
+    return tuple(projections)
+
+
+def injective_by_snf(f: GroupHom) -> bool:
+    """Injectivity read off smith_normal_form of [f | R_h]: every kernel
+    column of v must vanish in the source."""
+    stacked = f.matrix.hstack(f.target.relation_matrix())
+    _, d, v = smith_normal_form(stacked)
+    rank = sum(1 for i in range(min(stacked.rows, stacked.cols)) if d[i, i])
+    sg = f.source.ngens
+    return not any(any(f.source.reduce(v.column(j)[:sg])) for j in range(rank, stacked.cols))
 
 
 def exhaustive_section_exists(f: GroupHom) -> bool:

@@ -14,6 +14,7 @@ from kobstruct import (
     classify,
     compose,
     ex4_no_scaled_section,
+    is_surjective,
     iso_remark_check,
     m_oo_unit_divisibility,
     pi_star,
@@ -21,6 +22,7 @@ from kobstruct import (
     unital_free_product_k,
 )
 from kobstruct.catalog import evaluate
+from kobstruct.kinv import PairAnalysis
 from kobstruct.obstruct import (
     K1_TENSOR_NONZERO,
     NO_SECTION_0,
@@ -37,7 +39,7 @@ from kobstruct.obstruct import (
     Verdict,
     ObstructionWitness,
 )
-from conftest import random_element, random_finite_group
+from conftest import injective_by_snf, random_element, random_finite_group
 
 Z = FgAbGroup(1)
 TRIVIAL = FgAbGroup()
@@ -340,11 +342,19 @@ def test_iso_remark_examples():
 
 
 def test_iso_remark_across_catalog(catalog):
+    # iso_remark_check reads bijectivity as onto plus equal source and
+    # target; the reference asks for onto and injective outright.
+    checked = 0
     for _, a in catalog:
         for _, b in catalog:
             v = classify(a, b)
             if v.outcome in (POSSIBLE_CASE_I, POSSIBLE_CASE_III):
-                assert iso_remark_check(a, b)
+                an = PairAnalysis(a, b)
+                want = all(is_surjective(pi) and injective_by_snf(pi) for pi in (an.pi0, an.pi1))
+                assert iso_remark_check(a, b) == want
+                assert want, (a, b)
+                checked += 1
+    assert checked
 
 
 def test_case_ii_identity_examples():
