@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 from .fgab import FgAbGroup
 from .kinv import (
     KInvariant,
+    _kronecker_gens,
     free_product_k,
     kunneth_invariant,
     unital_free_product_k,
@@ -452,22 +453,17 @@ def eval_expr(expr, root: bool = True):
     raise TypeError(f"not an algebra expression: {expr!r}")
 
 
-def _kronecker_gens(a: KInvariant, b: KInvariant):
-    """The generators of the Kronecker presentations of the K0 and the
-    K1 of a (x) b, the sizes ``kunneth_invariant`` and the maps build."""
-    return (
-        a.k0.ngens * b.k0.ngens + a.k1.ngens * b.k1.ngens,
-        a.k0.ngens * b.k1.ngens + a.k1.ngens * b.k0.ngens,
-    )
-
-
 def _check_tensor(a: KInvariant, b: KInvariant):
-    for degree, gens in enumerate(_kronecker_gens(a, b)):
+    """The Kronecker generator count of each degree of a (x) b, refused
+    beyond ``MAX_GENERATORS``."""
+    counts = _kronecker_gens(a, b)
+    for degree, gens in enumerate(counts):
         if gens > MAX_GENERATORS:
             raise SizeLimitError(
                 f"the tensor product's K{degree} has {gens} generators, "
                 f"more than the {MAX_GENERATORS} accepted"
             )
+    return counts
 
 
 def check_pair(a: KInvariant, b: KInvariant, maps: bool = True):
@@ -477,8 +473,7 @@ def check_pair(a: KInvariant, b: KInvariant, maps: bool = True):
     n, m = a.k0.ngens + b.k0.ngens, a.k1.ngens + b.k1.ngens
     shapes = [("K0A + K0B", n, n), ("K1A + K1B", m, m)]
     if maps:
-        _check_tensor(a, b)
-        t0, t1 = _kronecker_gens(a, b)
+        t0, t1 = _check_tensor(a, b)
         shapes += [("the induced map in degree 0", t0, n), ("the induced map in degree 1", t1, m)]
     for what, rows, cols in shapes:
         if rows * cols > MAX_ENTRIES:

@@ -90,7 +90,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data, cols=None):
-        data = tuple(tuple(map(int, row)) for row in data)
+        data = tuple(tuple(map(index, row)) for row in data)  # a TypeError for floats
         rows = len(data)
         if rows:
             width = len(data[0])
@@ -102,7 +102,7 @@ class IntMatrix:
         elif cols is None:
             cols = 0
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", int(cols))
+        object.__setattr__(self, "cols", index(cols))
         object.__setattr__(self, "data", data)
 
     @classmethod
@@ -405,10 +405,10 @@ class FgAbGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank=0, torsion=()):
-        rank = int(rank)
+        rank = index(rank)  # a TypeError for floats, which int() would truncate
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        factors = [abs(int(d)) for d in torsion]
+        factors = [abs(index(d)) for d in torsion]
         rank += factors.count(0)
         factors = [d for d in factors if d > 1]
         # sort and merge until the factors form a divisibility chain,
@@ -458,7 +458,7 @@ class FgAbGroup:
         return IntMatrix.from_columns(cols, self.ngens)
 
     def reduce(self, coords):
-        coords = list(map(int, coords))
+        coords = list(map(index, coords))
         if len(coords) != self.ngens:
             raise GroupMismatchError(
                 f"expected {self.ngens} coordinates, got {len(coords)}"

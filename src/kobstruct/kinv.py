@@ -8,6 +8,10 @@ are torsion, an extra indeterminate Z summand in degree 1).  It also
 constructs the maps induced on K-theory by the quotient onto the tensor
 product.
 
+The Kunneth formula is one table, ``KUNNETH``, and
+``PairAnalysis.kunneth_parts`` builds each of its summands of a pair
+once; everything else that needs a summand or its size reads them.
+
 In both degrees an induced map is (x, y) |-> x (x) [1_B] + [1_A] (x) y,
 built by one rule, ``PairAnalysis._images``, straight from Kronecker
 coordinates.  The image of generator e_i of the A side is
@@ -21,16 +25,13 @@ lifts of the source sum, K0A + K0B or K1A + K1B in the sparse form of
 the unital quotient is that of K0A + K0B times the lift of each
 quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
 injection or projection is built, so a map costs about the size of its
-matrix.  A section of an induced map is settled by the cheapest exact
-fact first: a generator count of the groups, then the cokernel, the
-degree-0 one read off the map before the quotient; only a map that is
-onto has its section solved, so one that is not never builds the
-unital quotient for it.  The tensor K-groups alone are group
-arithmetic (``tensor_groups``); ``kunneth`` builds the full K-pair,
-with summand injections and unit, for the callers that return it;
-``kunneth_invariant`` (nested tensors) takes only the groups and the
-unit, from the same sparse rows.  No state is kept from one call to
-the next.
+matrix; the same rows give the unit [1_A] (x) [1_B] of the tensor
+product (``tensor_unit``).  A section of an induced map is settled by
+the cheapest exact fact first: a generator count of the groups, then
+the cokernel, the degree-0 one read off the map before the quotient;
+only a map that is onto has its section solved, so one that is not
+never builds the unital quotient for it.  No state is kept from one
+call to the next.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .fgab import (
     direct_sum_many,
     right_inverse_exists,
     tensor,
-    tensor_elem,
     tor,
     _cyclic_canonical,
     _json_field,
@@ -69,6 +69,7 @@ __all__ = [
     "pi_star",
     "pi_star_full",
     "PairAnalysis",
+    "KUNNETH",
     "K0A_K0B",
     "K1A_K1B",
     "TOR_K0A_K1B",
@@ -175,23 +176,28 @@ class KPair:
         }
 
 
-def _kunneth_pairings(a: KInvariant, b: KInvariant, degree: int):
-    """The Kunneth summands of ``degree`` as pairs of groups: the two
-    tensor pairings, then the two Tor pairings, in :func:`kunneth` order."""
-    if degree == 0:
-        return ((a.k0, b.k0), (a.k1, b.k1)), ((a.k0, b.k1), (a.k1, b.k0))
-    return ((a.k0, b.k1), (a.k1, b.k0)), ((a.k0, b.k0), (a.k1, b.k1))
-
-
-def _kunneth_parts(a: KInvariant, b: KInvariant, degree: int):
-    tensors, tors = _kunneth_pairings(a, b, degree)
-    return [tensor(g, h) for g, h in tensors] + [tor(g, h) for g, h in tors]
-
-
-_KUNNETH_LABELS = (
-    (K0A_K0B, K1A_K1B, TOR_K0A_K1B, TOR_K1A_K0B),
-    (K0A_K1B, K1A_K0B, TOR_K0A_K0B, TOR_K1A_K1B),
+# The Kunneth formula, one row per summand: its label, the degrees of
+# the K-groups of A and of B it pairs, and whether it is their Tor
+# rather than their tensor product.  Row k of ``KUNNETH[d]`` is summand
+# k of the degree-d K-group of the tensor product.
+KUNNETH = (
+    ((K0A_K0B, 0, 0, False), (K1A_K1B, 1, 1, False), (TOR_K0A_K1B, 0, 1, True), (TOR_K1A_K0B, 1, 0, True)),
+    ((K0A_K1B, 0, 1, False), (K1A_K0B, 1, 0, False), (TOR_K0A_K0B, 0, 0, True), (TOR_K1A_K1B, 1, 1, True)),
 )
+
+
+def _group(inv: KInvariant, degree: int) -> FgAbGroup:
+    return inv.k1 if degree else inv.k0
+
+
+def _kronecker_gens(a: KInvariant, b: KInvariant):
+    """The generators of the Kronecker presentations of the tensor
+    pairings of each degree of a (x) b: the sizes ``kunneth_invariant``
+    and the induced maps build, counted before anything is built."""
+    return tuple(
+        sum(_group(a, i).ngens * _group(b, j).ngens for _, i, j, is_tor in rows if not is_tor)
+        for rows in KUNNETH
+    )
 
 
 def kunneth(a: KInvariant, b: KInvariant) -> KPair:
@@ -199,8 +205,8 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
 
     Degree 0 is (K0A (x) K0B) + (K1A (x) K1B) + Tor(K0A, K1B)
     + Tor(K1A, K0B); degree 1 swaps the tensor pairings and collects
-    Tor(K0A, K0B) + Tor(K1A, K1B).  The unit is [1_A] (x) [1_B] inside
-    the first summand.
+    Tor(K0A, K0B) + Tor(K1A, K1B) (the table ``KUNNETH``).  The unit is
+    [1_A] (x) [1_B] inside the first summand.
 
     >>> from .fgab import FgAbGroup
     >>> z2 = FgAbGroup(0, (2,))
@@ -209,26 +215,20 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     >>> (kp.k0, kp.k1)
     (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))
     """
+    an = PairAnalysis(a, b)
     groups, summands = [], {}
-    for degree, labels in enumerate(_KUNNETH_LABELS):
-        k, injs = direct_sum_many(_kunneth_parts(a, b, degree))
+    for degree, rows in enumerate(KUNNETH):
+        k, injs = direct_sum_many(an._parts(degree))
         groups.append(k)
-        summands.update(zip(labels, injs))
-    unit = summands[K0A_K0B](tensor_elem(a.unit, b.unit))
-    return KPair(k0=groups[0], k1=groups[1], summands=summands, unit=unit, extra_z=False)
+        summands.update(zip([row[0] for row in rows], injs))
+    return KPair(k0=groups[0], k1=groups[1], summands=summands, unit=an.tensor_unit, extra_z=False)
 
 
 def kunneth_invariant(a: KInvariant, b: KInvariant) -> KInvariant:
     """The tensor product as a plain invariant triple (for nesting): the
-    groups and unit of :func:`kunneth`, without its summand injections.
-    The unit [1_A] (x) [1_B] is the image of [1_A] under x |-> x (x) [1_B],
-    read off the sparse rows that also build the induced maps."""
+    groups and unit of :func:`kunneth`, without its summand injections."""
     an = PairAnalysis(a, b)
-    k0, k1 = an.tensor_groups
-    _, rows = an._images(0)
-    ua = a.unit.coords
-    unit = [sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows]
-    return KInvariant(k0, k1, k0.element(unit))
+    return KInvariant(*an.tensor_groups, an.tensor_unit)
 
 
 def free_product_k(a: KInvariant, b: KInvariant) -> KPair:
@@ -267,7 +267,7 @@ def pi_star(a: KInvariant, b: KInvariant):
     no matrix: only its receiving group Tor(K0A, K0B) is returned.
     """
     an = PairAnalysis(a, b)
-    return an.pi0, an.pi1, an.tor00
+    return an.pi0, an.pi1, an.kunneth_parts[TOR_K0A_K0B]
 
 
 def pi_star_full(a: KInvariant, b: KInvariant):
@@ -338,9 +338,19 @@ class PairAnalysis:
         self.b = b
 
     @cached_property
-    def _parts(self):
-        """The Kunneth parts of degree 0 and of degree 1, as groups."""
-        return tuple(_kunneth_parts(self.a, self.b, degree) for degree in (0, 1))
+    def kunneth_parts(self) -> dict[str, FgAbGroup]:
+        """Each summand of the Kunneth formula by its label, as a group,
+        in the order of ``KUNNETH``."""
+        a, b = self.a, self.b
+        return {
+            label: (tor if is_tor else tensor)(_group(a, i), _group(b, j))
+            for rows in KUNNETH
+            for label, i, j, is_tor in rows
+        }
+
+    def _parts(self, degree):
+        """The Kunneth parts of ``degree``, in summand order."""
+        return [self.kunneth_parts[row[0]] for row in KUNNETH[degree]]
 
     @cached_property
     def tensor_groups(self):
@@ -348,8 +358,16 @@ class PairAnalysis:
         tensor and Tor factor of a degree in one group."""
         return tuple(
             FgAbGroup(sum(p.rank for p in parts), [d for p in parts for d in p.torsion])
-            for parts in self._parts
+            for parts in map(self._parts, (0, 1))
         )
+
+    @cached_property
+    def tensor_unit(self) -> GroupElement:
+        """[1_A] (x) [1_B] in the tensor K0: the image of [1_A] under
+        x |-> x (x) [1_B], read off the sparse rows of the induced maps."""
+        target, rows = self._images(0)
+        ua = self.a.unit.coords
+        return target.element([sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows])
 
     @cached_property
     def _k0_sum(self):
@@ -397,34 +415,36 @@ class PairAnalysis:
         that coordinate of its image under x |-> x (x) [1_B] on the A
         side and y |-> [1_A] (x) y on the B side.
 
-        x (x) [1_B] lies in the tensor pairing (A side, K0B), the first
-        in degree 0 and the second in degree 1; [1_A] (x) y lies in
-        (K0A, B side), always the first.  A Kronecker coordinate (i, j)
-        of a pairing is a product of coordinates i and j, so its
-        canonical row (``_tensor_structure``) gives generator i of the
-        A side the weight of [1_B]_j and generator j of the B side the
-        weight of [1_A]_i.  The sum of the Kunneth parts then maps
-        those coordinates onto the tensor K-group: only the columns of
-        its canonical rows that fall in a tensor pairing are read.
+        x (x) [1_B] lies in the tensor pairing (A side, K0B) and
+        [1_A] (x) y in (K0A, B side); in degree 0 both are K0A (x) K0B.
+        A Kronecker coordinate (i, j) of a pairing is a product of
+        coordinates i and j, so its canonical row
+        (``_tensor_structure``) gives generator i of the A side the
+        weight of [1_B]_j and generator j of the B side the weight of
+        [1_A]_i.  The sum of the Kunneth parts then maps those
+        coordinates onto the tensor K-group: only the columns of its
+        canonical rows that fall in these pairings are read.
         """
         a, b = self.a, self.b
-        tensors, _ = _kunneth_pairings(a, b, degree)
-        parts = self._parts[degree]
+        parts = self._parts(degree)
         target, to_canon, _ = _cyclic_canonical([c for p in parts for c in _orders(p)])
-        na = tensors[degree][0].ngens
+        na = _group(a, degree).ngens
         ua, ub = a.unit.coords, b.unit.coords
         coords = {}  # sum position -> its sparse row over the source
-        for index in range(degree + 1):
-            g, h = tensors[index]
-            offset, n = index * parts[0].ngens, h.ngens
-            for k, row in enumerate(_tensor_structure(g, h)[1]):
-                acc = coords[offset + k] = {}
-                for q, c in row:
-                    i, j = divmod(q, n)
-                    if index == degree and ub[j]:
-                        acc[i] = acc.get(i, 0) + c * ub[j]
-                    if index == 0 and ua[i]:
-                        acc[na + j] = acc.get(na + j, 0) + c * ua[i]
+        offset = 0
+        for (_, da, db, is_tor), part in zip(KUNNETH[degree], parts):
+            if not is_tor and 0 in (da, db):  # a pairing a unit class enters
+                g, h = _group(a, da), _group(b, db)
+                n = h.ngens
+                for k, row in enumerate(_tensor_structure(g, h)[1]):
+                    acc = coords[offset + k] = {}
+                    for q, c in row:
+                        i, j = divmod(q, n)
+                        if db == 0 and ub[j]:
+                            acc[i] = acc.get(i, 0) + c * ub[j]
+                        if da == 0 and ua[i]:
+                            acc[na + j] = acc.get(na + j, 0) + c * ua[i]
+            offset += part.ngens
         rows = []
         for row in to_canon:
             acc = {}
@@ -493,8 +513,8 @@ class PairAnalysis:
         at most as many as the two together: with fewer than the target,
         no map is onto it.  A nontrivial cokernel leaves none.  Only then
         is the map built and its section solved."""
-        summands = (self.a.k0, self.b.k0) if degree == 0 else (self.a.k1, self.b.k1)
-        if sum(g.ngens for g in summands) < self.tensor_groups[degree].ngens:
+        gens = _group(self.a, degree).ngens + _group(self.b, degree).ngens
+        if gens < self.tensor_groups[degree].ngens:
             return None
         if not getattr(self, f"cokernel{degree}").is_trivial:
             return None
@@ -515,8 +535,3 @@ class PairAnalysis:
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
         return self._section(0, "lifted_pi0")
-
-    @cached_property
-    def tor00(self) -> FgAbGroup:
-        """Tor(K0A, K0B), the receiving group of the extra Z summand."""
-        return tor(self.a.k0, self.b.k0)

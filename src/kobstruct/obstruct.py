@@ -5,7 +5,8 @@ the (unital) free product onto the tensor product can split at the
 K-theory level.  A positive verdict names the matching case of the
 classification; a negative verdict carries a concrete witness, always
 re-checkable: a nonzero K1 tensor or Tor group, a failed rank count, a
-non-surjective induced map, or a missing section.
+non-surjective induced map, or a missing section.  Every check reads
+its groups and maps from one ``PairAnalysis`` of the pair.
 
 Case vocabulary (PossibleCaseI..III):
   I    one side is (Z, 0, 1): tensoring with it changes nothing.
@@ -20,7 +21,7 @@ Case vocabulary (PossibleCaseI..III):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import gcd
 from typing import NamedTuple
 
 from .fgab import (
@@ -32,10 +33,15 @@ from .fgab import (
     is_surjective,
     quotient_by,
     solve_divisibility,
-    tensor,
-    tor,
 )
-from .kinv import KInvariant, PairAnalysis, unital_free_product_k
+from .kinv import (
+    K1A_K1B,
+    KUNNETH,
+    TOR_K0A_K0B,
+    KInvariant,
+    PairAnalysis,
+    unital_free_product_k,
+)
 
 __all__ = [
     "ObstructionWitness",
@@ -164,16 +170,21 @@ def _finite_order(inv: KInvariant):
     return inv.k0.torsion_order() * inv.k1.torsion_order()
 
 
-def basic_obstructions(a: KInvariant, b: KInvariant):
+# The four Tor pairings (degree on A, degree on B, label), in reporting order.
+_TORS = sorted((i, j, label) for rows in KUNNETH for label, i, j, is_tor in rows if is_tor)
+
+
+def basic_obstructions(an: PairAnalysis):
     """Structural splitting obstructions, cheapest first.
 
     Checks, in reporting order: the K1 tensor clause, the four Tor
     pairings of K_*(A) against K_*(B), and the rank inequality (whose
     bound drops by one when either unit class has infinite order).
     """
+    a, b, parts = an.a, an.b, an.kunneth_parts
     found = []
 
-    t11 = tensor(a.k1, b.k1)
+    t11 = parts[K1A_K1B]
     if not t11.is_trivial:
         found.append(
             ObstructionWitness(
@@ -184,33 +195,21 @@ def basic_obstructions(a: KInvariant, b: KInvariant):
             )
         )
 
-    groups = {0: (a.k0, b.k0), 1: (a.k1, b.k1)}
-    tor_hits = []
-    for da in (0, 1):
-        for db in (0, 1):
-            t = tor(groups[da][0], groups[db][1])
-            if not t.is_trivial:
-                tor_hits.append((da, db, t))
+    tor_hits = [(da, db, parts[label]) for da, db, label in _TORS if not parts[label].is_trivial]
     if tor_hits:
         da, db, t = tor_hits[0]
         found.append(
             ObstructionWitness(
                 TOR_NONZERO,
-                (
-                    ("degree_a", da),
-                    ("degree_b", db),
-                    ("tor", str(t)),
-                    ("count", len(tor_hits)),
-                ),
+                (("degree_a", da), ("degree_b", db), ("tor", str(t)), ("count", len(tor_hits))),
                 f"Tor(K{da}(A), K{db}(B)) = {t} is nonzero, and the induced "
                 "maps never reach the Tor summands of the tensor K-theory.",
             )
         )
 
     ra, rb = a.k0.rank, b.k0.rank
-    bound = ra + rb
-    if a.unit.order() == inf or b.unit.order() == inf:
-        bound -= 1
+    # one less when a unit class has infinite order, that is without extra Z
+    bound = ra + rb if an.extra_z else ra + rb - 1
     if ra * rb > bound:
         found.append(
             ObstructionWitness(
@@ -257,10 +256,8 @@ def _map_level_witness(an: PairAnalysis):
 
 def first_witness(an: PairAnalysis):
     """The first obstruction in reporting order, or None if all checks pass."""
-    ws = basic_obstructions(an.a, an.b)
-    if ws:
-        return ws[0]
-    return _map_level_witness(an)
+    ws = basic_obstructions(an)
+    return ws[0] if ws else _map_level_witness(an)
 
 
 def _group_params(a: KInvariant, b: KInvariant):
@@ -305,13 +302,25 @@ def _match_case_iii(x: KInvariant, y: KInvariant):
     return (("u", u), ("w", w))
 
 
+def _case_ii(a: KInvariant, b: KInvariant, role_a: str, variant: str) -> Verdict:
+    params = _group_params(a, b) + (
+        ("r", list(a.unit.coords)),
+        ("s", list(b.unit.coords)),
+        ("role_a", role_a),
+        ("variant", variant),
+    )
+    return Verdict(POSSIBLE_CASE_II, parameters=params)
+
+
 def classify(a: KInvariant, b: KInvariant) -> Verdict:
     """Decide K-level splittability of the quotient onto the tensor product.
 
-    Tries the case patterns (II first, so that pairs of wholly finite
-    invariants such as two Cuntz algebras report the torsion case, then
-    I and III); anything else is Obstructed with the first discovered
-    witness, structural clauses before map-level ones.
+    Tries the case patterns (II first, so that coprime pairs of wholly
+    finite invariants such as two Cuntz algebras report the torsion
+    case, then I and III).  Anything else is Obstructed with the first
+    discovered witness, structural clauses before map-level ones, or,
+    when one side alone has wholly finite K-theory and every check
+    passes, the torsion-side case II.
 
     >>> from .fgab import FgAbGroup
     >>> z = FgAbGroup(1)
@@ -325,7 +334,9 @@ def classify(a: KInvariant, b: KInvariant) -> Verdict:
 
 def classify_analysis(an: PairAnalysis) -> Verdict:
     """:func:`classify` on the pair of ``an``, reading the induced maps
-    from it; the maps are built only when a map-level check runs."""
+    from it; the maps are built only when a map-level check runs.  Case
+    I needs K0 = Z and case III rank-one K0 on both sides, so neither
+    pattern matches a side with finite K-theory."""
     a, b = an.a, an.b
     if not (a.finitely_generated and b.finitely_generated):
         return Verdict(
@@ -336,42 +347,15 @@ def classify_analysis(an: PairAnalysis) -> Verdict:
 
     a_fin = a.is_torsion_invariant()
     b_fin = b.is_torsion_invariant()
+    if a_fin and b_fin and gcd(_finite_order(a), _finite_order(b)) == 1:
+        return _case_ii(a, b, "left", "both_finite")
 
-    if a_fin and b_fin:
-        if gcd(_finite_order(a), _finite_order(b)) == 1:
-            params = _group_params(a, b) + (
-                ("r", list(a.unit.coords)),
-                ("s", list(b.unit.coords)),
-                ("role_a", "left"),
-                ("variant", "both_finite"),
-            )
-            return Verdict(POSSIBLE_CASE_II, parameters=params)
-        w = first_witness(an)
-        if w is None:
-            raise AssertionError("finite non-coprime pair without a witness")
-        return Verdict(OBSTRUCTED, witness=w)
-
-    for x, _y, role in ((a, b, "left"), (b, a, "right")):
+    for x, role in ((a, "left"), (b, "right")):
         if _is_z_one(x):
             return Verdict(
                 POSSIBLE_CASE_I,
                 parameters=(("role_a", role), ("u", 1), ("shape", "(Z,0,1)")),
             )
-
-    if a_fin or b_fin:
-        # One side has wholly finite K-theory (possibly trivial) while
-        # the other does not.  The coarse case patterns do not separate
-        # these, so the verdict follows the full obstruction battery.
-        w = first_witness(an)
-        if w is not None:
-            return Verdict(OBSTRUCTED, witness=w)
-        params = _group_params(a, b) + (
-            ("r", list(a.unit.coords)),
-            ("s", list(b.unit.coords)),
-            ("role_a", "left" if a_fin else "right"),
-            ("variant", "torsion_side"),
-        )
-        return Verdict(POSSIBLE_CASE_II, parameters=params)
 
     for x, y, role in ((a, b, "left"), (b, a, "right")):
         m = _match_case_iii(x, y)
@@ -380,11 +364,14 @@ def classify_analysis(an: PairAnalysis) -> Verdict:
             return Verdict(POSSIBLE_CASE_III, parameters=params)
 
     w = first_witness(an)
-    if w is None:
-        raise AssertionError(
-            "no case pattern matched and no obstruction witness was found"
-        )
-    return Verdict(OBSTRUCTED, witness=w)
+    if w is not None:
+        return Verdict(OBSTRUCTED, witness=w)
+    if a_fin != b_fin:
+        # One side has wholly finite K-theory (possibly trivial) while
+        # the other does not.  The coarse case patterns do not separate
+        # these, so the verdict follows the full obstruction battery.
+        return _case_ii(a, b, "left" if a_fin else "right", "torsion_side")
+    raise AssertionError("no case pattern matched and no obstruction witness was found")
 
 
 def section_exists_k(a: KInvariant, b: KInvariant, mode: str = "unital"):
@@ -403,7 +390,7 @@ def section_exists_analysis(an: PairAnalysis, mode: str = "unital"):
     """:func:`section_exists_k` on the pair of ``an``, reading the
     sections that :func:`classify_analysis` may already have solved."""
     if mode == "unital":
-        extra_ok = (not an.extra_z) or an.tor00.is_trivial
+        extra_ok = (not an.extra_z) or an.kunneth_parts[TOR_K0A_K0B].is_trivial
         return SectionReport(an.section0, an.section1, extra_ok)
     if mode == "full":
         return SectionReport(an.lifted_section0, an.section1, True)

@@ -12,6 +12,9 @@ fields of its values (``.data``, ``.rows``, ``.cols``, ``.rank``,
   coordinate tuples (``elements``) and apply a hom as a matrix-vector
   product reduced by the target's orders (``apply``).
 
+``integer_solution`` solves an integer linear system by column
+operations on plain lists, and judges the section solver.
+
 The random generators below build their values with kobstruct's
 constructors; they produce inputs, not verdicts.  So does
 ``direct_sum_projections``, which reads the projections of a direct sum
@@ -44,7 +47,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from oracle import determinant  # noqa: E402
 
 
-# The slowest test takes under 2 s on a 2-vCPU machine.
+# The slowest test, the classifier census in test_obstruct.py, takes
+# about 5 s on a 2-vCPU machine; the others under 2 s.
 TEST_BUDGET_S = 60
 
 
@@ -232,6 +236,50 @@ def exhaustive_section_exists(f: GroupHom) -> bool:
         else:
             return False
     return True
+
+
+def integer_solution(rows, rhs):
+    """An integer vector z with rows @ z == rhs, or None if there is none.
+
+    Column operations (swaps and subtracting integer multiples) bring
+    the matrix to lower echelon form H = M V, with V unimodular and
+    tracked alongside; H w = rhs is then solved row by row, and z = V w.
+    """
+    n = len(rows[0]) if rows else 0
+    cols = [[row[j] for row in rows] for j in range(n)]
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]  # columns of V
+    pivots, c = [], 0
+    for r in range(len(rows)):
+        while True:
+            live = [j for j in range(c, n) if cols[j][r]]
+            if len(live) <= 1:
+                break
+            k = min(live, key=lambda j: abs(cols[j][r]))
+            for j in live:
+                if j != k:
+                    q = cols[j][r] // cols[k][r]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[k])]
+                    basis[j] = [x - q * y for x, y in zip(basis[j], basis[k])]
+        if live:
+            j = live[0]
+            cols[c], cols[j] = cols[j], cols[c]
+            basis[c], basis[j] = basis[j], basis[c]
+            pivots.append(r)
+            c += 1
+    residual, w = list(rhs), []
+    for r in range(len(rows)):
+        if len(w) < len(pivots) and pivots[len(w)] == r:
+            k = len(w)
+            q, rem = divmod(residual[r], cols[k][r])
+            if rem:
+                return None
+            w.append(q)
+            residual = [x - q * y for x, y in zip(residual, cols[k])]
+        elif residual[r]:
+            return None
+    z = [sum(w[k] * basis[k][i] for k in range(len(w))) for i in range(n)]
+    assert [sum(a * b for a, b in zip(row, z)) for row in rows] == list(rhs)
+    return z
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from kobstruct import (
     GroupHom,
     GroupMismatchError,
     KInvariant,
+    classify_analysis,
     cokernel,
     compose,
     direct_sum_many,
@@ -22,10 +23,12 @@ from kobstruct import (
     pi_star,
     pi_star_full,
     right_inverse_exists,
+    section_exists_analysis,
     tensor_elem,
     tor,
     unital_free_product_k,
 )
+from kobstruct import cli, fgab, kinv, obstruct
 from kobstruct.catalog import evaluate
 from kobstruct.kinv import (
     EXTRA_Z,
@@ -369,7 +372,67 @@ def test_kunneth_invariant_matches_kunneth(catalog):
     pairs += _mixed_pairs(40, rng)
     for a, b in pairs:
         kp = kunneth(a, b)
-        assert kunneth_invariant(a, b) == KInvariant(kp.k0, kp.k1, kp.unit)
+        unit = kp.summands[K0A_K0B](tensor_elem(a.unit, b.unit))
+        assert kp.unit == unit
+        assert kunneth_invariant(a, b) == KInvariant(kp.k0, kp.k1, unit)
+
+
+def _oracle_group(g):
+    return oracle.Group.from_factors(g.rank, g.torsion)
+
+
+def test_kunneth_parts_match_the_oracle(catalog):
+    # each summand against bench/oracle.py's prime-power tensor and Tor,
+    # labelled here from the Kunneth formula, not from the package's table
+    rng = random.Random(12)
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [(_torsion_literal(rng), _torsion_literal(rng)) for _ in range(200)]
+    pairs += [(_mixed_literal(rng), _mixed_literal(rng)) for _ in range(200)]
+    for a, b in pairs:
+        a0, a1, b0, b1 = map(_oracle_group, (a.k0, a.k1, b.k0, b.k1))
+        want = [
+            (K0A_K0B, oracle.tensor(a0, b0)),
+            (K1A_K1B, oracle.tensor(a1, b1)),
+            (TOR_K0A_K1B, oracle.tor(a0, b1)),
+            (TOR_K1A_K0B, oracle.tor(a1, b0)),
+            (K0A_K1B, oracle.tensor(a0, b1)),
+            (K1A_K0B, oracle.tensor(a1, b0)),
+            (TOR_K0A_K0B, oracle.tor(a0, b0)),
+            (TOR_K1A_K1B, oracle.tor(a1, b1)),
+        ]
+        an = PairAnalysis(a, b)
+        got = [(label, g.to_json()) for label, g in an.kunneth_parts.items()]
+        assert got == [(label, g.to_json()) for label, g in want], (a, b)
+        k0, k1 = oracle.kunneth(oracle.Triple(a0, a1, ()), oracle.Triple(b0, b1, ()))
+        assert [g.to_json() for g in an.tensor_groups] == [k0.to_json(), k1.to_json()]
+
+
+def test_one_analysis_builds_each_kunneth_summand_once(catalog, monkeypatch):
+    # the classifier, both section modes and the command line's group
+    # reads share one analysis, so each of the eight summands is built
+    # at most once per pair
+    calls = []
+    for name in ("tensor", "tor"):
+        fn = getattr(fgab, name)
+        counted = lambda g, h, fn=fn: calls.append(fn) or fn(g, h)  # noqa: E731
+        for module in (kinv, obstruct, cli):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    rng = random.Random(13)
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [(_torsion_literal(rng), _torsion_literal(rng)) for _ in range(100)]
+    pairs += [(_mixed_literal(rng), _mixed_literal(rng)) for _ in range(100)]
+    built = 0
+    for a, b in pairs:
+        calls.clear()
+        an = PairAnalysis(a, b)
+        classify_analysis(an)
+        section_exists_analysis(an, "unital")
+        section_exists_analysis(an, "full")
+        an.tensor_groups, an.unital_free_product
+        assert len(calls) <= 8, (a, b, len(calls))
+        built += len(calls) == 8
+    assert built > len(pairs) // 2
 
 
 def test_nested_tensor_costs_its_output():

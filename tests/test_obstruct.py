@@ -1,6 +1,8 @@
 """Tests for the obstruction battery and the case classifier."""
 
+import itertools
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -12,12 +14,14 @@ from kobstruct import (
     basic_obstructions,
     case_ii_k_check,
     classify,
+    classify_analysis,
     compose,
     ex4_no_scaled_section,
     is_surjective,
     iso_remark_check,
     m_oo_unit_divisibility,
     pi_star,
+    section_exists_analysis,
     section_exists_k,
     unital_free_product_k,
 )
@@ -38,6 +42,7 @@ from kobstruct.obstruct import (
     TOR_NONZERO,
     Verdict,
     ObstructionWitness,
+    first_witness,
 )
 from conftest import injective_by_snf, random_element, random_finite_group
 
@@ -59,18 +64,18 @@ def _inv(k0_rank, k0_tors, unit, k1_rank=0, k1_tors=()):
 
 def test_basic_obstructions_torus_pair():
     ct = evaluate("CT")
-    ws = basic_obstructions(ct, ct)
+    ws = basic_obstructions(PairAnalysis(ct, ct))
     assert [w.clause for w in ws] == [K1_TENSOR_NONZERO]
 
 
 def test_basic_obstructions_c2_pair():
     c2 = evaluate("C^2")
-    ws = basic_obstructions(c2, c2)
+    ws = basic_obstructions(PairAnalysis(c2, c2))
     assert [w.clause for w in ws] == [RANK_INEQUALITY]
 
 
 def test_basic_obstructions_o3_o5():
-    ws = basic_obstructions(evaluate("O_3"), evaluate("O_5"))
+    ws = basic_obstructions(PairAnalysis(evaluate("O_3"), evaluate("O_5")))
     assert [w.clause for w in ws] == [TOR_NONZERO]
     detail = dict(ws[0].detail)
     assert detail["tor"] == "Z/2"
@@ -79,7 +84,7 @@ def test_basic_obstructions_o3_o5():
 def test_basic_obstructions_report_order():
     # an invariant pair violating all three clauses at once
     a = _inv(2, (2,), (1, 0, 1), k1_rank=1, k1_tors=(2,))
-    ws = basic_obstructions(a, a)
+    ws = basic_obstructions(PairAnalysis(a, a))
     assert [w.clause for w in ws] == [
         K1_TENSOR_NONZERO,
         TOR_NONZERO,
@@ -91,12 +96,12 @@ def test_rank_threshold_depends_on_unit_order():
     # rank 1 x rank 1 = 1 > 1 only with the lowered bound; both units
     # of infinite order lower the bound to 1, torsion units keep 2
     inf_unit = _inv(1, (), (1,))
-    assert basic_obstructions(inf_unit, inf_unit) == []
+    assert basic_obstructions(PairAnalysis(inf_unit, inf_unit)) == []
     c2 = evaluate("C^2")
-    assert [w.clause for w in basic_obstructions(c2, c2)] == [RANK_INEQUALITY]
+    assert [w.clause for w in basic_obstructions(PairAnalysis(c2, c2))] == [RANK_INEQUALITY]
     # with a torsion unit on one side the bound for 2x2 is 4 > 4: passes
     tors_unit = _inv(2, (3,), (0, 0, 1))
-    ws = basic_obstructions(tors_unit, tors_unit)
+    ws = basic_obstructions(PairAnalysis(tors_unit, tors_unit))
     assert RANK_INEQUALITY not in [w.clause for w in ws]
 
 
@@ -262,6 +267,49 @@ def test_witness_details_reverify(catalog):
                 assert rep.deg1 is None
 
 
+def _census_family():
+    """K0 = Z^r + T with r <= 1 and T one of 0, Z/2, Z/3, Z/4; K1 one of
+    0, Z, Z/2; the unit's free coordinate in {0, 1, 2} and its torsion
+    coordinate in full: 120 triples."""
+    family = []
+    for rank, torsion in itertools.product((0, 1), ((), (2,), (3,), (4,))):
+        k0 = FgAbGroup(rank, torsion)
+        units = itertools.product(*[(0, 1, 2)] * rank, *map(range, torsion))
+        for unit, k1 in itertools.product(units, (TRIVIAL, Z, FgAbGroup(0, (2,)))):
+            family.append(KInvariant(k0, k1, k0.element(unit)))
+    return family
+
+
+def test_census_possible_iff_no_witness_iff_sections():
+    # Every ordered pair of the family with at most one nontrivial K1
+    # (8,000 pairs, about 5 s on a 2-vCPU VM); two nontrivial K1 groups
+    # of the family meet in a nonzero K1(A) (x) K1(B).
+    # Possible <=> no witness <=> all unital sections, and the split is
+    # the same for (B, A) and with A's unit negated.
+    family = _census_family()
+    assert len(family) == 120
+    split, outcomes = {}, Counter()
+    for (i, a), (j, b) in itertools.product(enumerate(family), repeat=2):
+        if not (a.k1.is_trivial or b.k1.is_trivial):
+            continue
+        an = PairAnalysis(a, b)
+        v = classify_analysis(an)
+        w = first_witness(an)
+        clear = section_exists_analysis(an, "unital").all_clear
+        assert v.possible == (w is None) == clear, (a, b)
+        assert classify(KInvariant(a.k0, a.k1, -a.unit), b).possible == v.possible, (a, b)
+        split[i, j] = v.possible
+        outcomes[v.outcome if v.possible else w.clause] += 1
+    assert len(split) == 8000
+    assert all(split[j, i] == p for (i, j), p in split.items())
+    # every case and every clause but the K1 tensor one and the rank
+    # count, which needs rank K0(A) * rank K0(B) > 1
+    assert set(outcomes) == {
+        POSSIBLE_CASE_I, POSSIBLE_CASE_II, POSSIBLE_CASE_III, TOR_NONZERO,
+        PI0_NOT_SURJECTIVE, PI1_NOT_SURJECTIVE, NO_SECTION_0, NO_SECTION_1,
+    }, outcomes
+
+
 def test_prop_iii_necessity_randomized():
     rng = random.Random(2024)
     checked = 0
@@ -271,7 +319,7 @@ def test_prop_iii_necessity_randomized():
         a = KInvariant(g0, g1, random_element(rng, g0))
         b = KInvariant(h0, h1, random_element(rng, h0))
         tor_hit = any(
-            w.clause == TOR_NONZERO for w in basic_obstructions(a, b)
+            w.clause == TOR_NONZERO for w in basic_obstructions(PairAnalysis(a, b))
         )
         if tor_hit:
             checked += 1

@@ -76,3 +76,19 @@ def test_no_state_between_calls():
         if callable(obj) and hasattr(obj, "cache_info")
     ]
     assert set(memos) == allowed, memos
+
+
+def test_only_kinv_builds_tensor_and_tor_groups():
+    # the Kunneth summands of a pair are built once, by PairAnalysis in
+    # kinv; every other module reads them from there
+    for path in sorted((ROOT / "src" / "kobstruct").glob("*.py")):
+        if path.stem in ("fgab", "kinv"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("tensor", "tor")
+        ]
+        assert not calls, (path.name, calls)
