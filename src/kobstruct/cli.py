@@ -221,6 +221,7 @@ def _ex_mn_same():
         good = (
             v.outcome == OBSTRUCTED
             and v.witness.clause == obstruct.PI0_NOT_SURJECTIVE
+            and dict(v.witness.detail)["cokernel"] == str(coker)
             and coker == FgAbGroup(0, (n,))
             and abs(pi0.matrix[0, 0]) == n
             and pi0.matrix[0, 1] % n == 0

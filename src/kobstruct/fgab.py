@@ -14,9 +14,10 @@ sums of cyclic groups, so they skip the Smith normal form:
 ``_cyclic_canonical`` merges their orders into a divisibility chain with
 2x2 Bezout steps and never factors an integer.  Its basis changes are
 sparse, so input that is already canonical (a free group, a sum with
-one nonzero part) costs its length, not its square.  The Smith normal
-form handles the general presentations: quotients, cokernels and the
-solvers' systems.
+one nonzero part) costs its length, not its square.  A quotient by one
+element, as a group only, is read off gcds (``_quotient_group``).  The
+Smith normal form handles the general presentations: quotients,
+cokernels and the solvers' systems.
 
 The Smith normal form engine ``_snf_engine`` alternates Hermite
 stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
@@ -845,6 +846,37 @@ def quotient_by(g: FgAbGroup, x: GroupElement):
     """
     q, proj, _ = _quotient_full(g, x)
     return q, proj
+
+
+def _quotient_group(g: FgAbGroup, x: GroupElement) -> FgAbGroup:
+    """The group g / <x> that ``quotient_by`` returns, from gcds alone.
+
+    Write g = Z^r + Z/d_1 + ... + Z/d_k and x = (f; t_1..t_k).  With
+    F = gcd(f), d_(k+1) = 0, h_1 = 0 and
+    h_(j+1) = (d_(j+1)/d_j) gcd(h_j, t_j), let
+    e_j = gcd(d_j, F, t_j..t_k, h_j).  Then d_1...d_(j-1) e_j is the gcd
+    of the j x j minors of [relations | x] (M. Newman, Integral
+    Matrices, ch. II), so g/<x> has the invariant factors
+    d_(j-1) e_j / e_(j-1) for j up to k, and up to k+1 when F != 0,
+    which costs one free generator.  O(r+k) gcds and products: h_j stays
+    below d_j, so no integer exceeds d_k max(d_k, |F|) (|F| when k = 0).
+    """
+    if x.group != g:
+        raise GroupMismatchError("quotient element is not in the group")
+    f = gcd(*x.coords[: g.rank])
+    t = x.coords[g.rank :]
+    d = g.torsion + ((0,) if f else ())
+    tail = [0] * (len(t) + 1)  # tail[j] = gcd(t_j, ..., t_k)
+    for j in range(len(t) - 1, -1, -1):
+        tail[j] = gcd(t[j], tail[j + 1])
+    factors, h, prev_d, prev_e = [], 0, 1, 1
+    for j, dj in enumerate(d):
+        e = gcd(dj, f, tail[j], h)
+        factors.append(prev_d * e // prev_e)
+        if j + 1 < len(d):
+            h = d[j + 1] // dj * gcd(h, t[j])
+        prev_d, prev_e = dj, e
+    return FgAbGroup(g.rank - (f != 0), factors)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,24 @@ the unital quotient is that of K0A + K0B times the lift of each
 quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
 injection or projection is built, so a map costs about the size of its
 matrix; the same rows give the unit [1_A] (x) [1_B] of the tensor
-product (``tensor_unit``).  A section of an induced map is settled by
-the cheapest exact fact first: a generator count of the groups, then
-the cokernel, the degree-0 one read off the map before the quotient;
-only a map that is onto has its section solved, so one that is not
-never builds the unital quotient for it.  No state is kept from one
-call to the next.
+product (``tensor_unit``).
+
+The cokernels of the induced maps need no map.  With
+Q_A = K0A/<[1_A]> and Q_B = K0B/<[1_B]> (``unit_quotients``, read off
+gcds by ``_quotient_group``):
+
+    coker pi0 = Q_A (x) Q_B + K1A (x) K1B + Tor(K0A, K1B) + Tor(K1A, K0B)
+    coker pi1 = K1A (x) Q_B + Q_A (x) K1B + Tor(K0A, K0B) + Tor(K1A, K1B)
+
+The maps reach only the tensor pairings a unit class enters, through
+x (x) [1_B] and [1_A] (x) y; by right exactness of the tensor product,
+(M/M') (x) (N/N') = M (x) N / (M' (x) N + M (x) N'), so such a pairing
+leaves the tensor of the quotients, and every other summand is left
+whole.  A section of an induced map is settled by the cheapest exact
+fact first: a generator count of the groups, then the cokernel; only a
+map that is onto is built and has its section solved, so one that is
+not never builds the unital quotient for it.  No state is kept from
+one call to the next.
 """
 
 from __future__ import annotations
@@ -46,7 +58,6 @@ from .fgab import (
     GroupHom,
     GroupMismatchError,
     IntMatrix,
-    cokernel,
     direct_sum_many,
     right_inverse_exists,
     tensor,
@@ -56,6 +67,7 @@ from .fgab import (
     _json_ints,
     _orders,
     _quotient_full,
+    _quotient_group,
     _tensor_structure,
 )
 
@@ -188,6 +200,11 @@ KUNNETH = (
 
 def _group(inv: KInvariant, degree: int) -> FgAbGroup:
     return inv.k1 if degree else inv.k0
+
+
+def _sum_group(parts) -> FgAbGroup:
+    """The direct sum of the groups ``parts``, as a group only."""
+    return FgAbGroup(sum(p.rank for p in parts), [d for p in parts for d in p.torsion])
 
 
 def _kronecker_gens(a: KInvariant, b: KInvariant):
@@ -323,7 +340,8 @@ class PairAnalysis:
     cokernels, verdict, sections) build one analysis and read them all
     from it; nothing is computed that no caller reads.  The classifier
     and the sections read the same cokernels, so a pair pays for each
-    degree's cokernel once.
+    degree's cokernel once; each is a sum of Kunneth parts and tensor
+    products of ``unit_quotients``, with no map or Smith normal form.
 
     >>> from .fgab import FgAbGroup
     >>> z = FgAbGroup(1)
@@ -356,10 +374,13 @@ class PairAnalysis:
     def tensor_groups(self):
         """(K0, K1) of the tensor product, by the Kunneth formula: every
         tensor and Tor factor of a degree in one group."""
-        return tuple(
-            FgAbGroup(sum(p.rank for p in parts), [d for p in parts for d in p.torsion])
-            for parts in map(self._parts, (0, 1))
-        )
+        return tuple(_sum_group(self._parts(degree)) for degree in (0, 1))
+
+    @cached_property
+    def unit_quotients(self):
+        """(Q_A, Q_B) = (K0A/<[1_A]>, K0B/<[1_B]>), from gcds
+        (``_quotient_group``), without a Smith normal form."""
+        return tuple(_quotient_group(x.k0, x.unit) for x in (self.a, self.b))
 
     @cached_property
     def tensor_unit(self) -> GroupElement:
@@ -493,17 +514,28 @@ class PairAnalysis:
         s, _, lifts = _sparse_sum(self.a.k1, self.b.k1)
         return GroupHom(s, target, _dense(_times(rows, lifts), s.ngens))
 
+    def _cokernel(self, degree):
+        """The cokernel of the induced map of ``degree``, summand by
+        summand of ``KUNNETH``: a pairing a unit class enters leaves
+        Q_A in place of K0A and Q_B in place of K0B, and every other
+        summand is left whole."""
+        (qa, qb), k1a, k1b = self.unit_quotients, self.a.k1, self.b.k1
+        return _sum_group([
+            tensor((qa, k1a)[i], (qb, k1b)[j]) if not is_tor and 0 in (i, j) else self.kunneth_parts[label]
+            for label, i, j, is_tor in KUNNETH[degree]
+        ])
+
     @cached_property
     def cokernel0(self) -> FgAbGroup:
-        """The cokernel of pi0, read from lifted_pi0: pi0 after the
-        projection onto the quotient is lifted_pi0, and the projection is
-        onto, so the two maps have one image."""
-        return cokernel(self.lifted_pi0)
+        """The cokernel of pi0 (and of lifted_pi0, which has the same
+        image): Q_A (x) Q_B + K1A (x) K1B + Tor(K0A, K1B) + Tor(K1A, K0B)."""
+        return self._cokernel(0)
 
     @cached_property
     def cokernel1(self) -> FgAbGroup:
-        """The cokernel of pi1."""
-        return cokernel(self.pi1)
+        """The cokernel of pi1:
+        K1A (x) Q_B + Q_A (x) K1B + Tor(K0A, K0B) + Tor(K1A, K1B)."""
+        return self._cokernel(1)
 
     def _section(self, degree, name):
         """A section of the induced map ``name`` of ``degree``, or None,
@@ -511,8 +543,9 @@ class PairAnalysis:
         form ngens is the fewest generators of a group, and the source
         (the sum of the two K-groups of ``degree``, or its quotient) has
         at most as many as the two together: with fewer than the target,
-        no map is onto it.  A nontrivial cokernel leaves none.  Only then
-        is the map built and its section solved."""
+        no map is onto it.  A nontrivial cokernel, read off the groups
+        (``_cokernel``), leaves none.  Only then is the map built and its
+        section solved."""
         gens = _group(self.a, degree).ngens + _group(self.b, degree).ngens
         if gens < self.tensor_groups[degree].ngens:
             return None

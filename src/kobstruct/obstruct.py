@@ -33,6 +33,7 @@ from .fgab import (
     is_surjective,
     quotient_by,
     solve_divisibility,
+    _quotient_group,
 )
 from .kinv import (
     K1A_K1B,
@@ -225,12 +226,14 @@ def basic_obstructions(an: PairAnalysis):
 def _map_level_witness(an: PairAnalysis):
     """Surjectivity and section failures of the induced maps, or None.
 
-    The cokernels come from the analysis, which reads the degree-0 one
-    off lifted_pi0; a degree's map is built only when one of its clauses
-    fires or its section is solved.  The extra Z summand needs no check
-    here: it maps into Tor(K0A, K0B), and the Tor clause of
-    ``basic_obstructions`` has already fired whenever that group is
-    nonzero.
+    The cokernels come from the analysis, as group arithmetic on the
+    Kunneth parts and Q_X = K0(X)/<[1_X]>: a map cannot be onto when
+    [1_A] and [1_B] leave quotients whose tensor product is nonzero, or
+    when a Kunneth summand it never reaches is nonzero.  A degree's map
+    is built only when one of its clauses fires or its section is
+    solved.  The extra Z summand needs no check here: it maps into
+    Tor(K0A, K0B), and the Tor clause of ``basic_obstructions`` has
+    already fired whenever that group is nonzero.
     """
     for degree, clause in ((0, PI0_NOT_SURJECTIVE), (1, PI1_NOT_SURJECTIVE)):
         coker = getattr(an, f"cokernel{degree}")
@@ -420,7 +423,8 @@ def case_ii_k_check(g0, g1, h0, h1, r: GroupElement, s: GroupElement) -> bool:
     (G0 + H0) / <(r, -s)>  equals  G0/<r> + H0/<s>, exactly.
 
     Preconditions: all four groups finite, orders coprime degreewise,
-    r in G0 and s in H0.
+    r in G0 and s in H0.  Only the groups are compared, so each quotient
+    is read off gcds (``_quotient_group``), without a projection.
     """
     for grp in (g0, g1, h0, h1):
         if not grp.is_finite:
@@ -432,10 +436,8 @@ def case_ii_k_check(g0, g1, h0, h1, r: GroupElement, s: GroupElement) -> bool:
     if r.group != g0 or s.group != h0:
         raise GroupMismatchError("r must lie in G0 and s in H0")
     sum0, (inj_g, inj_h) = direct_sum_many((g0, h0))
-    lhs, _ = quotient_by(sum0, inj_g(r) - inj_h(s))
-    qg, _ = quotient_by(g0, r)
-    qh, _ = quotient_by(h0, s)
-    rhs, _ = direct_sum_many((qg, qh))
+    lhs = _quotient_group(sum0, inj_g(r) - inj_h(s))
+    rhs, _ = direct_sum_many((_quotient_group(g0, r), _quotient_group(h0, s)))
     return lhs == rhs
 
 

@@ -578,6 +578,35 @@ def test_quotient_kernel_is_generated_by_x():
             assert sol is not None, (g, x.coords, elem.coords)
 
 
+def test_quotient_group_matches_minor_gcds_and_quotient_by():
+    # the gcd formula against the determinantal divisors of
+    # [relations | x] and against the Smith normal form of quotient_by
+    rng = random.Random(21)
+    for _ in range(400):
+        primes = rng.sample((2, 3, 5), rng.randint(1, 2))
+        torsion = [rng.choice(primes) ** rng.randint(1, 3) for _ in range(rng.randint(0, 5))]
+        g = FgAbGroup(rng.randint(0, 3), torsion)
+        common = rng.choice((0, 1, 2, 6, 9))  # 0 leaves the free part zero
+        free = [common * rng.randint(-4, 4) for _ in range(g.rank)]
+        tors = [rng.choice((0, rng.randrange(d), d // gcd(d, rng.choice(primes)))) for d in g.torsion]
+        x = g.element(free + tors) if rng.random() > 0.1 else g.zero()
+        got = fgab._quotient_group(g, x)
+        m = g.relation_matrix().hstack(IntMatrix.from_columns([x.coords], g.ngens))
+        want = FgAbGroup(m.rows - min(m.rows, m.cols), minors_gcd_diagonal(m))
+        assert got == want == quotient_by(g, x)[0], (g, x.coords)
+    with pytest.raises(GroupMismatchError):
+        fgab._quotient_group(FgAbGroup(1, (4,)), Z.element((1,)))
+
+
+def test_quotient_group_costs_its_gcds():
+    # Z + (Z/2)^3000 by (2; 1, ..., 1): the free generator takes order 4
+    g = FgAbGroup(1, (2,) * 3000)
+    start = time.perf_counter()
+    q = fgab._quotient_group(g, g.element((2,) + (1,) * 3000))
+    assert time.perf_counter() - start < 1.0
+    assert q == FgAbGroup(0, (2,) * 2999 + (4,))
+
+
 def _solve_multiple(g, x, target):
     """Find k with k * x = target, via a one-unknown linear system."""
     from kobstruct.fgab import _solve_mod
