@@ -22,16 +22,16 @@ cokernels and the solvers' systems.
 The Smith normal form engine ``_snf_engine`` alternates Hermite
 stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
 rows of a matrix until it is diagonal, then makes the diagonal a
-divisibility chain with 2x2 Bezout steps.  Each caller tracks only the
-transforms it reads: ``cokernel`` and ``is_surjective`` none (the
-group is read off the diagonal), ``smith_normal_form`` and so
-``_solve_mod`` u and v, and ``_canonicalize_full`` (quotients) u and
-u^-1.  A stage carries v or u as trailing entries of the rows it
-reduces; u^-1 takes other operations and is kept apart.  u depends
-only on the lattice the columns span, so the generators a quotient
-reads off it do too.  Matrices the package builds from its own integer
-tuples skip the public constructor's conversion and checks
-(``IntMatrix._trusted``).
+divisibility chain with 2x2 Bezout steps.  It has three modes, one
+per kind of caller, and tracks only the transforms that caller reads:
+none for ``cokernel`` and ``is_surjective`` (the group is read off the
+diagonal), u and v for ``smith_normal_form`` and so ``_solve_mod``,
+and u and u^-1 for ``_canonicalize_full`` (quotients).  A stage
+carries v or u as trailing entries of the rows it reduces; u^-1 takes
+other operations and is kept apart.  u depends only on the lattice the
+columns span, so the generators a quotient reads off it do too.
+Matrices the package builds from its own integer tuples skip the
+public constructor's conversion and checks (``IntMatrix._trusted``).
 
 Conventions
 -----------
@@ -262,7 +262,7 @@ def _hnf_rows(lines, tail, inv):
     return len(cols), a, None
 
 
-def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: bool = False):
+def _snf_engine(m: IntMatrix, track=None):
     """Diagonalize m, returning (u, uinv_t, d, v_t) with d = u m v.
 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
@@ -280,17 +280,20 @@ def _snf_engine(m: IntMatrix, left: bool = False, inverse: bool = False, right: 
     s*u_i + t*u_j and (x/g)*u_j - (y/g)*u_i, as ``_cyclic_canonical``
     does, and columns v_i, v_j by v_i + v_j and (s*x/g)*v_j - (t*y/g)*v_i.
 
-    Only d is always computed.  u, uinv_t (the transpose of u^-1) and
-    v_t (the transpose of v) are tracked when ``left``, ``inverse`` and
-    ``right`` are set, and are None otherwise; transposed, each update
-    is a whole-row operation.  Every step reads only the matrix being
-    reduced, so d and each tracked transform are the same whichever
-    others are tracked.
+    Only d is always computed.  ``track`` is one of three modes: None
+    tracks nothing (``cokernel``), "uinv" tracks u and uinv_t, the
+    transpose of u^-1 (``_canonicalize_full``), and "v" tracks u and
+    v_t, the transpose of v (``smith_normal_form``).  An untracked
+    transform is None; transposed, each update is a whole-row operation.
+    Every step reads only the matrix being reduced, so d and u are the
+    same in every mode that computes them.
     """
+    if track not in (None, "uinv", "v"):
+        raise ValueError(f"unknown tracking mode {track!r}")
     nrows, ncols = m.rows, m.cols
-    u = _identity_rows(nrows) if left else None
-    uinv_t = _identity_rows(nrows) if inverse else None
-    v_t = _identity_rows(ncols) if right else None
+    u = _identity_rows(nrows) if track else None
+    uinv_t = _identity_rows(nrows) if track == "uinv" else None
+    v_t = _identity_rows(ncols) if track == "v" else None
     a = [list(row) for row in m.data]
     rank = 0
     while nrows and ncols:
@@ -346,7 +349,7 @@ def smith_normal_form(m: IntMatrix):
     >>> [d[0, 0], d[1, 1]]
     [2, 4]
     """
-    u, _, d, v_t = _snf_engine(m, left=True, right=True)
+    u, _, d, v_t = _snf_engine(m, "v")
     return (
         IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
         IntMatrix._trusted(tuple(map(tuple, d)), m.cols),
@@ -510,6 +513,7 @@ class FgAbGroup:
     @classmethod
     def from_json(cls, obj, field="group"):
         rank = _json_int(_json_field(obj, "rank", field), "rank")
+        _json_known(obj, ("rank", "torsion"))
         return cls(rank, _json_ints(obj.get("torsion", ()), "torsion"))
 
 
@@ -521,6 +525,14 @@ def _json_field(obj, name, owner):
     if name not in obj:
         raise ValueError(f"missing field {name}")
     return obj[name]
+
+
+def _json_known(obj, names):
+    """A ValueError naming the first field of the JSON object ``obj``
+    that is not in ``names``, so that a misspelled field is not ignored."""
+    for key in obj:
+        if key not in names:
+            raise ValueError(f"unknown field {key}")
 
 
 def _json_int(value, field):
@@ -695,8 +707,8 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 # Presentations and canonical forms
 
 
-def _canonicalize_full(generators: int, relations: IntMatrix):
-    """Canonical form of Z^generators / columnspan(relations).
+def _canonicalize_full(relations: IntMatrix):
+    """Canonical form of Z^n / columnspan(relations), n = relations.rows.
 
     Returns (group, to_canon, lift): ``to_canon`` maps old generator
     coordinates to canonical coordinates, ``lift`` picks an old-
@@ -704,12 +716,7 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
     to_canon @ lift is the identity.  All three depend only on the
     lattice the relations span, not on how its columns are listed.
     """
-    if relations.rows != generators:
-        raise ValueError(
-            "relation matrix must have one row per generator "
-            f"({generators}), got {relations.rows}"
-        )
-    u, uinv_t, d, _ = _snf_engine(relations, left=True, inverse=True)
+    u, uinv_t, d, _ = _snf_engine(relations, "uinv")
     group, free_pos, tors_pos = _diagonal_group(d, relations.cols)
     # orient free generators: first nonzero coefficient positive (the
     # corresponding rows of d are zero, so d = u m v is preserved)
@@ -719,8 +726,8 @@ def _canonicalize_full(generators: int, relations: IntMatrix):
             u[p] = [-e for e in u[p]]
             uinv_t[p] = [-e for e in uinv_t[p]]
     order = free_pos + tors_pos
-    to_canon = IntMatrix._trusted(tuple([tuple(u[p]) for p in order]), generators)
-    lift = IntMatrix.from_columns([uinv_t[p] for p in order], generators)
+    to_canon = IntMatrix._trusted(tuple([tuple(u[p]) for p in order]), relations.rows)
+    lift = IntMatrix.from_columns([uinv_t[p] for p in order], relations.rows)
     return group, to_canon, lift
 
 
@@ -832,7 +839,7 @@ def _quotient_full(g: FgAbGroup, x: GroupElement):
     if x.group != g:
         raise GroupMismatchError("quotient element is not in the group")
     rel = g.relation_matrix().hstack(IntMatrix.from_columns([x.coords], g.ngens))
-    q, to_canon, lift = _canonicalize_full(g.ngens, rel)
+    q, to_canon, lift = _canonicalize_full(rel)
     return q, GroupHom(g, q, to_canon), lift
 
 

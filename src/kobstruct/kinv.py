@@ -39,11 +39,10 @@ The maps reach only the tensor pairings a unit class enters, through
 x (x) [1_B] and [1_A] (x) y; by right exactness of the tensor product,
 (M/M') (x) (N/N') = M (x) N / (M' (x) N + M (x) N'), so such a pairing
 leaves the tensor of the quotients, and every other summand is left
-whole.  A section of an induced map is settled by the cheapest exact
-fact first: a generator count of the groups, then the cokernel; only a
-map that is onto is built and has its section solved, so one that is
-not never builds the unital quotient for it.  No state is kept from
-one call to the next.
+whole.  A section of an induced map is settled by the cokernel first:
+only a map that is onto is built and has its section solved, so one
+that is not never builds the unital quotient for it.  No state is kept
+from one call to the next.
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from .fgab import (
     _cyclic_canonical,
     _json_field,
     _json_ints,
+    _json_known,
     _orders,
     _quotient_full,
     _quotient_group,
@@ -150,8 +150,19 @@ class KInvariant:
 
     @classmethod
     def from_json(cls, obj):
+        """The triple of a JSON literal.  The unit's coordinates are read
+        against K0's torsion as written, so that list must already be
+        the invariant factors (each at least 2 and dividing the next);
+        K1 carries no coordinates and is normalized as ``FgAbGroup`` does."""
         k0 = FgAbGroup.from_json(_json_field(obj, "k0", "literal"), "k0")
         k1 = FgAbGroup.from_json(_json_field(obj, "k1", "literal"), "k1")
+        _json_known(obj, ("k0", "k1", "unit", "finitely_generated"))
+        torsion = list(obj["k0"].get("torsion", ()))
+        if torsion != list(k0.torsion):
+            raise ValueError(
+                f"k0 torsion {torsion} is not in invariant-factor form (each factor at least 2 "
+                f"and dividing the next): its invariant factors are {list(k0.torsion)}"
+            )
         flag = obj.get("finitely_generated", True)
         if type(flag) is not bool:
             raise ValueError(f"finitely_generated must be a boolean, not {type(flag).__name__}")
@@ -538,17 +549,10 @@ class PairAnalysis:
         return self._cokernel(1)
 
     def _section(self, degree, name):
-        """A section of the induced map ``name`` of ``degree``, or None,
-        settled by the cheapest exact fact first.  In invariant-factor
-        form ngens is the fewest generators of a group, and the source
-        (the sum of the two K-groups of ``degree``, or its quotient) has
-        at most as many as the two together: with fewer than the target,
-        no map is onto it.  A nontrivial cokernel, read off the groups
-        (``_cokernel``), leaves none.  Only then is the map built and its
+        """A section of the induced map ``name`` of ``degree``, or None.
+        A nontrivial cokernel, read off the groups (``_cokernel``),
+        leaves none; only a map that is onto is built and has its
         section solved."""
-        gens = _group(self.a, degree).ngens + _group(self.b, degree).ngens
-        if gens < self.tensor_groups[degree].ngens:
-            return None
         if not getattr(self, f"cokernel{degree}").is_trivial:
             return None
         return right_inverse_exists(getattr(self, name))

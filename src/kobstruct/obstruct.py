@@ -42,6 +42,7 @@ from .kinv import (
     KInvariant,
     PairAnalysis,
     unital_free_product_k,
+    _sum_group,
 )
 
 __all__ = [
@@ -424,7 +425,8 @@ def case_ii_k_check(g0, g1, h0, h1, r: GroupElement, s: GroupElement) -> bool:
 
     Preconditions: all four groups finite, orders coprime degreewise,
     r in G0 and s in H0.  Only the groups are compared, so each quotient
-    is read off gcds (``_quotient_group``), without a projection.
+    is read off gcds (``_quotient_group``), without a projection, and the
+    right-hand sum is a group only (``_sum_group``).
     """
     for grp in (g0, g1, h0, h1):
         if not grp.is_finite:
@@ -437,8 +439,7 @@ def case_ii_k_check(g0, g1, h0, h1, r: GroupElement, s: GroupElement) -> bool:
         raise GroupMismatchError("r must lie in G0 and s in H0")
     sum0, (inj_g, inj_h) = direct_sum_many((g0, h0))
     lhs = _quotient_group(sum0, inj_g(r) - inj_h(s))
-    rhs, _ = direct_sum_many((_quotient_group(g0, r), _quotient_group(h0, s)))
-    return lhs == rhs
+    return lhs == _sum_group((_quotient_group(g0, r), _quotient_group(h0, s)))
 
 
 def ex4_no_scaled_section() -> ObstructionWitness:

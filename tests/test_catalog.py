@@ -107,12 +107,17 @@ def test_parse_literal():
 
 
 def test_literal_ends_where_its_json_ends():
-    # a brace inside a string value belongs to the literal
-    text = '{"k0": {"rank": 1, "note": "}{"}, "k1": {"rank": 0}, "unit": [2]} (x) M_3'
+    # the literal ends at the brace that closes its object, not the first
+    text = '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": [2]} (x) M_3'
     node = parse(text)
     assert isinstance(node, Tensor) and node.right == Atom("M", 3)
     assert node.left.invariant.unit.coords == (2,)
     assert evaluate(text).unit.coords == (6,)
+    # a brace inside a string value belongs to the literal too: the whole
+    # object is decoded before its unknown field is refused
+    text = '{"k0": {"rank": 1, "note": "}{"}, "k1": {"rank": 0}, "unit": [2]} (x) M_3'
+    with pytest.raises(ParseError, match=r"^bad literal invariant: unknown field note \(at position 0\)$"):
+        parse(text)
 
 
 def test_parse_precedence_and_parens():

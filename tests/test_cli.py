@@ -383,6 +383,11 @@ _BAD_LITERALS = {
     "torsion-2.7": '{"k0": {"rank": 1}, "k1": {"rank": 0, "torsion": [2.7]}, "unit": [1]}',
     "unit-true": '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": [true]}',
     "rank-1e20": '{"k0": {"rank": 1}, "k1": {"rank": 100000000000000000000}, "unit": [1]}',
+    # a misspelled field was ignored: torsion, and the flag that means exit 3
+    "torsoin": '{"k0": {"rank": 1, "torsoin": [2]}, "k1": {"rank": 0}, "unit": [1]}',
+    "finitely_generatd": '{"k0": {"rank": 1}, "k1": {"rank": 0}, "unit": [1], "finitely_generatd": false}',
+    # the unit was read against the re-sorted factors, so its order moved
+    "k0-torsion-4-2": '{"k0": {"rank": 0, "torsion": [4, 2]}, "k1": {"rank": 0}, "unit": [2, 1]}',
 }
 
 
@@ -561,8 +566,8 @@ def test_section_full_payload_matches_separate_public_calls(catalog):
 def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
     # classify's map-level checks and the section report read the same
     # sections, so no induced map of a command reaches the solver twice;
-    # and a section decided by a generator count or a nontrivial cokernel
-    # never reaches it at all
+    # and a section decided by a nontrivial cokernel never reaches it at
+    # all
     solve = fgab.right_inverse_exists
     solved = []
 

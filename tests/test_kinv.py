@@ -474,6 +474,13 @@ def test_kinvariant_from_json_names_the_bad_field():
         ({"k0": k0, "k1": k0}, "missing field unit"),
         ({"k0": k0, "k1": {}, "unit": [1]}, "missing field rank"),
         ({"k0": k0, "k1": 3, "unit": [1]}, "k1 must be an object, not int"),
+        ({"k0": k0, "k1": k0, "unit": [1], "finitely_generatd": False}, "unknown field finitely_generatd"),
+        ({"k0": {"rank": 1, "torsoin": [2]}, "k1": k0, "unit": [1]}, "unknown field torsoin"),
+        (
+            {"k0": {"rank": 0, "torsion": [4, 2]}, "k1": k0, "unit": [2, 1]},
+            r"k0 torsion \[4, 2\] is not in invariant-factor form \(each factor at least 2 "
+            r"and dividing the next\): its invariant factors are \[2, 4\]",
+        ),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             KInvariant.from_json(obj)
@@ -481,10 +488,11 @@ def test_kinvariant_from_json_names_the_bad_field():
 
 def test_torsion_heavy_sections_stay_fast():
     # Every map below has fewer source than target generators, so none
-    # is onto and the solver returns None by that count alone.  Solved
-    # as systems, section0 of the first pair took 242 s (a 20x24 Smith
-    # normal form whose u reached 7.8 million bits), section0 of the
-    # second 2-3 s (18x22) and section1 of the third more than 30 s.
+    # is onto: its closed-form cokernel is nontrivial, and no system is
+    # solved.  Solved as systems, section0 of the first pair took 242 s
+    # (a 20x24 Smith normal form whose u reached 7.8 million bits),
+    # section0 of the second 2-3 s (18x22) and section1 of the third
+    # more than 30 s.
     k0a, k0b = FgAbGroup(1, (7, 490)), FgAbGroup(0, (56, 8232))
     a = KInvariant(k0a, FgAbGroup(0, (343, 343)), k0a.element((-36, 1, 48)))
     b = KInvariant(k0b, FgAbGroup(1, (1029,)), k0b.element((53, 207)))
@@ -529,10 +537,9 @@ def _prime_power_literal(rng, primes):
 
 
 def test_early_section_decisions_agree_with_the_solver(catalog):
-    # A section is decided by the summands' generator count, a
-    # nontrivial cokernel, or else by the solver; whichever decides, the
-    # answer is the solver's on freshly built maps, and nothing the
-    # decision does not need is built for it.
+    # A section is decided by a nontrivial cokernel, or else by the
+    # solver; whichever decides, the answer is the solver's on freshly
+    # built maps, and nothing the decision does not need is built for it.
     rng = random.Random(12)
     pairs = [(a, b) for _, a in catalog for _, b in catalog]
     for k in range(300):
@@ -552,10 +559,7 @@ def test_early_section_decisions_agree_with_the_solver(catalog):
             built = set(vars(an))
             f = getattr(fresh, hom)
             assert section == right_inverse_exists(f), (str(a), str(b), name)
-            summands = (a.k0, b.k0) if degree == 0 else (a.k1, b.k1)
-            if sum(g.ngens for g in summands) < f.target.ngens:
-                rule, unbuilt = "count", {"_k0_sum", "unital_quotient", hom, f"cokernel{degree}"}
-            elif not cokernel(f).is_trivial:
+            if not cokernel(f).is_trivial:
                 rule = "cokernel"
                 if degree == 0:
                     unbuilt = {"_k0_sum", "_lifted_rows0", "lifted_pi0", "unital_quotient", "pi0"}
@@ -568,7 +572,7 @@ def test_early_section_decisions_agree_with_the_solver(catalog):
         an = PairAnalysis(a, b)
         assert an.cokernel0 == cokernel(fresh.pi0) == cokernel(fresh.lifted_pi0), (str(a), str(b))
         assert an.cokernel1 == cokernel(fresh.pi1), (str(a), str(b))
-    assert decided == {"count", "cokernel", "solved", "no section"}
+    assert decided == {"cokernel", "solved", "no section"}
 
 
 def test_free_pair_maps_cost_their_size():
