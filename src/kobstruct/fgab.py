@@ -7,17 +7,23 @@ reduced coordinates, integer-matrix homomorphisms, tensor and Tor,
 quotients, and solvers for divisibility and section (right inverse)
 problems.  The solvers share one routine for integer systems modulo a
 lattice, ``_solve_mod``.  A section solves the image of a generator of
-order d inside the span of the elements d kills (``_torsion_span``).
+order d inside the span of the elements d kills (``_torsion_span``),
+or, for a map of a group to itself, in one system for all generators:
+an onto endomorphism is an automorphism, whose inverse is the section.
 
-Direct sums and the Kronecker presentation of a tensor product are
-sums of cyclic groups, so they skip the Smith normal form:
+A group's invariant factors are built in one pass: a factor that the
+top of the chain divides is appended, any other carries gcds down the
+chain.  Direct sums and the Kronecker presentation of a tensor product
+are sums of cyclic groups, so they skip the Smith normal form:
 ``_cyclic_canonical`` merges their orders into a divisibility chain with
 2x2 Bezout steps and never factors an integer.  Its basis changes are
 sparse, so input that is already canonical (a free group, a sum with
 one nonzero part) costs its length, not its square.  A quotient by one
 element, as a group only, is read off gcds (``_quotient_group``).  The
 Smith normal form handles the general presentations: quotients,
-cokernels and the solvers' systems.
+cokernels and the solvers' systems.  A quotient by one element, whose
+relations are a diagonal plus one column, carries its transforms as
+sparse rows (``_quotient_full``), so it costs about its relations.
 
 The Smith normal form engine ``_snf_engine`` alternates Hermite
 stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
@@ -26,9 +32,10 @@ divisibility chain with 2x2 Bezout steps.  It has three modes, one
 per kind of caller, and tracks only the transforms that caller reads:
 none for ``cokernel`` and ``is_surjective`` (the group is read off the
 diagonal), u and v for ``smith_normal_form`` and so ``_solve_mod``,
-and u and u^-1 for ``_canonicalize_full`` (quotients).  A stage
-carries v or u as trailing entries of the rows it reduces; u^-1 takes
-other operations and is kept apart.  u depends only on the lattice the
+and u and u^-1 for quotients.  A stage carries v or u as trailing
+entries of the rows it reduces; for quotients the row stages carry u
+and u^-1, which takes other operations, as sparse rows apart from
+them, with the same row operations.  u depends only on the lattice the
 columns span, so the generators a quotient reads off it do too.
 Matrices the package builds from its own integer tuples skip the
 public constructor's conversion and checks (``IntMatrix._trusted``).
@@ -182,8 +189,8 @@ class IntMatrix:
 # Smith normal form
 
 
-def _hnf_rows(lines, tail, inv):
-    """Hermite normal form of the rows ``lines``: (rank, lines, tail).
+def _hnf_rows(lines, tail, inv=None):
+    """Hermite normal form of the rows ``lines``: (rank, lines).
 
     Rows are inserted one at a time (Kannan and Bachem, SIAM J. Comput.
     8(4), 1979).  A new row is scanned left to right: at a column that
@@ -196,14 +203,18 @@ def _hnf_rows(lines, tail, inv):
     the pivots.  At the end the pivot rows come first, by pivot column,
     and the zero rows last; the rank is their number.
 
-    Row i is lines[i] followed by tail[i] when ``tail``, a transform
-    taking the same operations, is given: pivots are sought among the
-    first ``width`` entries only, and each operation is one pass over
-    the whole row.  ``inv`` takes the inverse transposes, which change
-    the other row, so it stays a separate list, updated in place.
+    ``tail``, when given, is a transform that takes the same operations,
+    updated in place.  Alone it is dense, and row i is lines[i] followed
+    by tail[i]: pivots are sought among the first ``width`` entries
+    only, and each operation is one pass over the whole row.  With
+    ``inv``, which takes the inverse transposes (an operation on two
+    rows of tail changes the other row of inv), both are sparse rows,
+    dicts from column to nonzero entry, kept apart from the rows, so an
+    operation costs the entries it touches.
     """
     width = len(lines[0])
-    a = [[*r, *t] for r, t in zip(lines, tail)] if tail else [list(r) for r in lines]
+    sparse = inv is not None
+    a = [[*r, *t] for r, t in zip(lines, tail)] if tail and not sparse else [list(r) for r in lines]
     owner = [-1] * width  # pivot column -> the row holding that pivot, or -1
     cols, pivot_rows = [], []  # pivot columns, ascending, and their rows
     zero_rows = []  # the rows eliminated to zero
@@ -217,8 +228,8 @@ def _hnf_rows(lines, tail, inv):
             if p < 0:
                 if y < 0:
                     a[i] = [-e for e in row]
-                    if inv:
-                        inv[i] = [-e for e in inv[i]]
+                    if sparse:
+                        tail[i], inv[i] = _combine(-1, tail[i]), _combine(-1, inv[i])
                 owner[j] = i
                 k = bisect(cols, j)
                 cols.insert(k, j)
@@ -229,8 +240,9 @@ def _hnf_rows(lines, tail, inv):
             if y % x == 0:
                 q = y // x
                 row = a[i] = [e - q * f for e, f in zip(row, prow)]
-                if inv:
-                    inv[p] = [e + q * f for e, f in zip(inv[p], inv[i])]
+                if sparse:
+                    _axpy(tail[i], -q, tail[p])
+                    _axpy(inv[p], q, inv[i])
                 continue
             # (row_p, row_i) <- (s row_p + t row_i, (x/g) row_i - (y/g) row_p)
             g, s, t = _bezout(x, abs(y))
@@ -238,7 +250,9 @@ def _hnf_rows(lines, tail, inv):
                 t = -t
             xg, yg = x // g, y // g
             _mix(a, p, i, s, t, -yg, xg)
-            _mix(inv, p, i, xg, yg, -t, s)
+            if sparse:
+                _mix_sparse(tail, p, i, s, t, -yg, xg)
+                _mix_sparse(inv, p, i, xg, yg, -t, s)
             row = a[i]
         else:
             zero_rows.append(i)
@@ -251,15 +265,18 @@ def _hnf_rows(lines, tail, inv):
                 if e < 0 or e >= pivot:
                     q = e // pivot
                     a[x] = [f - q * g for f, g in zip(a[x], prow)]
-                    if inv:
-                        inv[r] = [f + q * g for f, g in zip(inv[r], inv[x])]
+                    if sparse:
+                        _axpy(tail[x], -q, tail[r])
+                        _axpy(inv[r], q, inv[x])
     order = pivot_rows + zero_rows
     a = [a[i] for i in order]
-    if inv:
+    if sparse:
+        tail[:] = [tail[i] for i in order]
         inv[:] = [inv[i] for i in order]
-    if tail:
-        return len(cols), [r[:width] for r in a], [r[width:] for r in a]
-    return len(cols), a, None
+    elif tail:
+        tail[:] = [r[width:] for r in a]
+        return len(cols), [r[:width] for r in a]
+    return len(cols), a
 
 
 def _snf_engine(m: IntMatrix, track=None):
@@ -282,27 +299,41 @@ def _snf_engine(m: IntMatrix, track=None):
 
     Only d is always computed.  ``track`` is one of three modes: None
     tracks nothing (``cokernel``), "uinv" tracks u and uinv_t, the
-    transpose of u^-1 (``_canonicalize_full``), and "v" tracks u and
-    v_t, the transpose of v (``smith_normal_form``).  An untracked
-    transform is None; transposed, each update is a whole-row operation.
-    Every step reads only the matrix being reduced, so d and u are the
-    same in every mode that computes them.
+    transpose of u^-1, as sparse rows (``_snf_rows``, for quotients)
+    and returns them dense, and "v" tracks u and v_t, the transpose of v
+    (``smith_normal_form``).  An untracked transform is None;
+    transposed, each update is a whole-row operation.  Every step reads
+    only the matrix being reduced, so d and u are the same in every mode
+    that computes them.
     """
+    u, uinv_t, d, v_t = _snf_rows(m.data, m.cols, track)
+    if track == "uinv":
+        u, uinv_t = (_densified(map(dict.items, x), m.rows) for x in (u, uinv_t))
+    return u, uinv_t, d, v_t
+
+
+def _snf_rows(rows, ncols, track):
+    """``_snf_engine`` on the matrix with rows ``rows``, ``ncols`` wide,
+    with u and uinv_t in mode "uinv" as sparse rows (dicts from column
+    to nonzero entry), so that a relation matrix that is mostly zero,
+    such as a diagonal plus one column, costs about its nonzero entries."""
     if track not in (None, "uinv", "v"):
         raise ValueError(f"unknown tracking mode {track!r}")
-    nrows, ncols = m.rows, m.cols
-    u = _identity_rows(nrows) if track else None
-    uinv_t = _identity_rows(nrows) if track == "uinv" else None
+    n = len(rows)
+    sparse = track == "uinv"
+    u = ([{i: 1} for i in range(n)] if sparse else _identity_rows(n)) if track else None
+    uinv_t = [{i: 1} for i in range(n)] if sparse else None
     v_t = _identity_rows(ncols) if track == "v" else None
-    a = [list(row) for row in m.data]
+    mix = _mix_sparse if sparse else _mix
+    a = [list(row) for row in rows]
     rank = 0
-    while nrows and ncols:
+    while n and ncols:
         # column operations on a are row operations on its transpose
-        rank, at, v_t = _hnf_rows(list(zip(*a)), v_t, None)
+        rank, at = _hnf_rows(list(zip(*a)), v_t)
         a = [list(row) for row in zip(*at)]
         if _is_diagonal(a):
             break
-        rank, a, u = _hnf_rows(a, u, uinv_t)
+        rank, a = _hnf_rows(a, u, uinv_t)
         if _is_diagonal(a):
             break
     for i in range(rank):
@@ -313,8 +344,8 @@ def _snf_engine(m: IntMatrix, track=None):
             g, s, t = _bezout(x, y)
             xg, yg = x // g, y // g
             a[i][i], a[j][j] = g, x * yg
-            _mix(u, i, j, s, t, -yg, xg)
-            _mix(uinv_t, i, j, xg, yg, -t, s)
+            mix(u, i, j, s, t, -yg, xg)
+            mix(uinv_t, i, j, xg, yg, -t, s)
             _mix(v_t, i, j, 1, 1, -t * yg, s * xg)
     return u, uinv_t, a, v_t
 
@@ -326,6 +357,13 @@ def _mix(rows, i, j, a, b, c, d):
         p, q = rows[i], rows[j]
         rows[i] = [a * e + b * f for e, f in zip(p, q)]
         rows[j] = [c * e + d * f for e, f in zip(p, q)]
+
+
+def _mix_sparse(rows, i, j, a, b, c, d):
+    """``_mix`` on sparse rows (dicts)."""
+    if rows:
+        p, q = rows[i], rows[j]
+        rows[i], rows[j] = _combine(a, p, b, q), _combine(c, p, d, q)
 
 
 def _is_diagonal(a):
@@ -397,8 +435,13 @@ class FgAbGroup:
 
     ``FgAbGroup(rank, torsion)`` normalizes its input: zero factors are
     absorbed into the rank, units +-1 are dropped, signs are forgotten,
-    and an arbitrary factor list is merged into a divisibility chain.
-    As a result two groups are isomorphic iff they compare equal.
+    and an arbitrary factor list is merged into a divisibility chain in
+    one pass, since Z/c + Z/d = Z/gcd(c, d) + Z/lcm(c, d): a factor the
+    last one of the chain divides is appended, and any other replaces
+    the factors it meets, from the top down, by their lcm with it and
+    carries the gcd on, until the factor below divides what is carried
+    (which goes in there) or it is 1.  The chain is unique, so two
+    groups are isomorphic iff they compare equal.
 
     >>> FgAbGroup(0, (2, 3)) == FgAbGroup(0, (6,))
     True
@@ -412,20 +455,25 @@ class FgAbGroup:
         rank = index(rank)  # a TypeError for floats, which int() would truncate
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        factors = [abs(index(d)) for d in torsion]
-        rank += factors.count(0)
-        factors = [d for d in factors if d > 1]
-        # sort and merge until the factors form a divisibility chain,
-        # which is then sorted too
-        while any(y % x for x, y in zip(factors, factors[1:])):
-            factors.sort()
-            for i in range(len(factors) - 1):
-                x, y = factors[i], factors[i + 1]
-                if y % x:
-                    factors[i], factors[i + 1] = gcd(x, y), lcm(x, y)
-            factors = [d for d in factors if d > 1]
+        chain = []  # the invariant factors so far, each dividing the next
+        for d in torsion:
+            d = abs(index(d))
+            if not d:
+                rank += 1
+            # the lcm with d takes the place of each factor c met and
+            # gcd(c, d) is carried down
+            i = len(chain)
+            while d > 1:
+                if not i or d % chain[i - 1] == 0:
+                    chain.insert(i, d)
+                    break
+                i -= 1
+                c = chain[i]
+                g = gcd(c, d)
+                chain[i] = c // g * d
+                d = g
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", tuple(factors))
+        object.__setattr__(self, "torsion", tuple(chain))
 
     def __setattr__(self, name, value):
         raise AttributeError("FgAbGroup is immutable")
@@ -715,20 +763,29 @@ def _canonicalize_full(relations: IntMatrix):
     coordinate representative for each canonical generator, and
     to_canon @ lift is the identity.  All three depend only on the
     lattice the relations span, not on how its columns are listed.
+    They are the dense form of ``_canonicalize_sparse``.
     """
-    u, uinv_t, d, _ = _snf_engine(relations, "uinv")
-    group, free_pos, tors_pos = _diagonal_group(d, relations.cols)
+    n = relations.rows
+    group, to_canon, lift = _canonicalize_sparse(relations.data, relations.cols)
+    to_canon = IntMatrix._trusted(tuple(map(tuple, _densified(to_canon, n))), n)
+    return group, to_canon, IntMatrix.from_columns(_densified(lift, n), n)
+
+
+def _canonicalize_sparse(rows, ncols):
+    """``_canonicalize_full`` of the relation matrix with rows ``rows``,
+    ``ncols`` wide, with to_canon (one row per canonical generator) and
+    lift (one column each) sparse as ``_cyclic_canonical`` gives them:
+    the rows of u and uinv_t of ``_snf_rows`` at the free and then the
+    torsion positions of the diagonal."""
+    u, uinv_t, d, _ = _snf_rows(rows, ncols, "uinv")
+    group, free_pos, tors_pos = _diagonal_group(d, ncols)
     # orient free generators: first nonzero coefficient positive (the
     # corresponding rows of d are zero, so d = u m v is preserved)
     for p in free_pos:
-        lead = next((e for e in u[p] if e), 0)
-        if lead < 0:
-            u[p] = [-e for e in u[p]]
-            uinv_t[p] = [-e for e in uinv_t[p]]
+        if u[p][min(u[p])] < 0:
+            u[p], uinv_t[p] = _combine(-1, u[p]), _combine(-1, uinv_t[p])
     order = free_pos + tors_pos
-    to_canon = IntMatrix._trusted(tuple([tuple(u[p]) for p in order]), relations.rows)
-    lift = IntMatrix.from_columns([uinv_t[p] for p in order], relations.rows)
-    return group, to_canon, lift
+    return group, [tuple(u[p].items()) for p in order], [tuple(uinv_t[p].items()) for p in order]
 
 
 def _diagonal_group(d, relations: int):
@@ -761,7 +818,7 @@ def _cyclic_canonical(orders):
     to_canon holds one row per canonical generator and lift one column,
     each a tuple of (position in ``orders``, nonzero entry) pairs.  Free
     generators come first in their given order.  The torsion orders are
-    merged into a divisibility chain as in ``FgAbGroup``: sort, and
+    merged into a divisibility chain until none changes: sort, and
     replace each adjacent pair x, y with y % x by gcd g = s*x + t*y and
     lcm(x, y), rows r_i, r_j of to_canon by s*r_i + t*r_j and
     (x/g)*r_j - (y/g)*r_i, and columns c_i, c_j of lift by
@@ -792,16 +849,22 @@ def _cyclic_canonical(orders):
     return group, to_canon, free + [tuple(c.items()) for _, _, c in tors]
 
 
-def _combine(a, p, b, q):
+def _combine(a, p, b=0, q=None):
     """The sparse vector a*p + b*q, without zero entries."""
-    out = {k: a * e for k, e in p.items()}
+    out = {k: a * e for k, e in p.items()} if a else {}
+    return _axpy(out, b, q) if b else out
+
+
+def _axpy(p, b, q):
+    """p += b*q for sparse vectors (dicts), in place, dropping the
+    entries that cancel; returns p."""
     for k, e in q.items():
-        e = out.get(k, 0) + b * e
+        e = p.get(k, 0) + b * e
         if e:
-            out[k] = e
+            p[k] = e
         else:
-            out.pop(k, None)
-    return out
+            del p[k]
+    return p
 
 
 def direct_sum_many(groups):
@@ -815,6 +878,13 @@ def direct_sum_many(groups):
     """
     groups = tuple(groups)
     s, to_canon, _ = _cyclic_canonical([c for g in groups for c in _orders(g)])
+    return s, _injections(groups, s, to_canon)
+
+
+def _injections(groups, s, to_canon):
+    """The injection of each of ``groups`` into their sum ``s``, whose
+    sparse rows ``to_canon`` (``_cyclic_canonical``) map the summands'
+    coordinates onto those of s."""
     n = s.ngens
     # per generator p of the summands: its image
     columns = _transposed(to_canon, sum(g.ngens for g in groups))
@@ -822,7 +892,7 @@ def direct_sum_many(groups):
     for g in groups:
         injections.append(GroupHom(g, s, IntMatrix.from_columns(columns[offset : offset + g.ngens], n)))
         offset += g.ngens
-    return s, tuple(injections)
+    return tuple(injections)
 
 
 def _transposed(vectors, n):
@@ -835,12 +905,30 @@ def _transposed(vectors, n):
     return rows
 
 
+def _densified(vectors, n):
+    """The sparse ``vectors`` of (position, entry) pairs as dense lists of
+    length ``n``."""
+    rows = []
+    for v in vectors:
+        row = [0] * n
+        for p, e in v:
+            row[p] = e
+        rows.append(row)
+    return rows
+
+
 def _quotient_full(g: FgAbGroup, x: GroupElement):
+    """(q, to_canon, lift) of g / <x>, sparse as ``_canonicalize_sparse``
+    gives them, from the relation matrix [R_g | x], a diagonal plus one
+    column built row by row: row i holds d_i, if generator i has order
+    d_i, and x_i."""
     if x.group != g:
         raise GroupMismatchError("quotient element is not in the group")
-    rel = g.relation_matrix().hstack(IntMatrix.from_columns([x.coords], g.ngens))
-    q, to_canon, lift = _canonicalize_full(rel)
-    return q, GroupHom(g, q, to_canon), lift
+    k = len(g.torsion)
+    rows = [[0] * k + [c] for c in x.coords]
+    for j, d in enumerate(g.torsion):
+        rows[g.rank + j][j] = d
+    return _canonicalize_sparse(rows, k + 1)
 
 
 def quotient_by(g: FgAbGroup, x: GroupElement):
@@ -851,8 +939,8 @@ def quotient_by(g: FgAbGroup, x: GroupElement):
     >>> q
     FgAbGroup(3, ())
     """
-    q, proj, _ = _quotient_full(g, x)
-    return q, proj
+    q, to_canon, _ = _quotient_full(g, x)
+    return q, GroupHom(g, q, IntMatrix._trusted(tuple(map(tuple, _densified(to_canon, g.ngens))), g.ngens))
 
 
 def _quotient_group(g: FgAbGroup, x: GroupElement) -> FgAbGroup:
@@ -988,12 +1076,20 @@ def right_inverse_exists(f: GroupHom):
     [f S_d | R_h] (y_j, z) = e_j.  Generators of the same order share
     that matrix, so each distinct order takes one Smith normal form.
 
-    A source with fewer generators than the target returns None before
-    any system is built: f cannot be onto, so it has no right inverse.
+    An endomorphism (source equal to target) needs one system, [f | R_h]
+    for every generator: a finitely generated abelian group is Hopfian,
+    so an onto endomorphism is an automorphism, and its inverse, the one
+    section, already sends each e_j into g[d].  One that is not onto
+    leaves some e_j unsolved.  A source with fewer generators than the
+    target returns None before any system is built: f cannot be onto,
+    so it has no right inverse.  A target with no generators builds none.
 
     >>> z = FgAbGroup(1)
     >>> right_inverse_exists(GroupHom(z, FgAbGroup(0, (2,)), IntMatrix([[1]]))) is None
     True
+    >>> g = FgAbGroup(1, (4,))  # Z + Z/4, and (a, b) |-> (-a, a + 3b)
+    >>> right_inverse_exists(GroupHom(g, g, IntMatrix([[-1, 0], [1, 3]]))).matrix
+    IntMatrix([[-1, 0], [3, 3]])
     """
     g, h = f.source, f.target
     sg, hg = g.ngens, h.ngens
@@ -1002,7 +1098,9 @@ def right_inverse_exists(f: GroupHom):
     if sg < hg:
         return None
     rel_h = h.relation_matrix()
-    orders = _orders(h)
+    # the span of each generator's image: g[d] for order d, or all of
+    # g (key 0) for an endomorphism
+    orders = [0] * hg if g == h else _orders(h)
     basis = _scalar(1, hg).data
     cols = []
     # orders ascend with j, so the columns come out in generator order

@@ -62,6 +62,7 @@ from .fgab import (
     tensor,
     tor,
     _cyclic_canonical,
+    _injections,
     _json_field,
     _json_ints,
     _json_known,
@@ -246,9 +247,9 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     an = PairAnalysis(a, b)
     groups, summands = [], {}
     for degree, rows in enumerate(KUNNETH):
-        k, injs = direct_sum_many(an._parts(degree))
+        k, to_canon, _ = an._tensor_sum(degree)
         groups.append(k)
-        summands.update(zip([row[0] for row in rows], injs))
+        summands.update(zip([row[0] for row in rows], _injections(an._parts(degree), k, to_canon)))
     return KPair(k0=groups[0], k1=groups[1], summands=summands, unit=an.tensor_unit, extra_z=False)
 
 
@@ -311,11 +312,18 @@ def _sparse_sum(g: FgAbGroup, h: FgAbGroup):
     gives it, and row k of lifts coordinate k of each generator's lift,
     as (generator, entry) pairs."""
     s, to_canon, lift = _cyclic_canonical(_orders(g) + _orders(h))
-    lifts = [[] for _ in range(g.ngens + h.ngens)]
-    for r, v in enumerate(lift):
+    return s, to_canon, _by_coordinate(lift, g.ngens + h.ngens)
+
+
+def _by_coordinate(columns, n):
+    """Row k of the matrix whose columns are the sparse ``columns`` of
+    (position, entry) pairs, for each k < n, as a list of (column,
+    entry) pairs."""
+    rows = [[] for _ in range(n)]
+    for r, v in enumerate(columns):
         for p, e in v:
-            lifts[p].append((r, e))
-    return s, to_canon, lifts
+            rows[p].append((r, e))
+    return rows
 
 
 def _times(rows, other):
@@ -331,6 +339,12 @@ def _times(rows, other):
                 acc[j] = acc.get(j, 0) + c * y
         out.append(acc)
     return out
+
+
+def _apply(rows, v):
+    """The product of the sparse ``rows`` of (position, entry) pairs with
+    the vector ``v``."""
+    return [sum([e * v[p] for p, e in row]) for row in rows]
 
 
 def _dense(rows, width) -> IntMatrix:
@@ -349,10 +363,13 @@ class PairAnalysis:
 
     Callers that need more than one answer about a pair (groups, maps,
     cokernels, verdict, sections) build one analysis and read them all
-    from it; nothing is computed that no caller reads.  The classifier
-    and the sections read the same cokernels, so a pair pays for each
-    degree's cokernel once; each is a sum of Kunneth parts and tensor
-    products of ``unit_quotients``, with no map or Smith normal form.
+    from it; each piece is computed once, when first read.
+    ``kunneth_parts`` builds all eight Kunneth summands even for a
+    caller that reads one: building them on demand measured no gain
+    once groups were built in one pass.  The classifier and the sections
+    read the same cokernels, so a pair pays for each degree's cokernel
+    once; each is a sum of Kunneth parts and tensor products of
+    ``unit_quotients``, with no map or Smith normal form.
 
     >>> from .fgab import FgAbGroup
     >>> z = FgAbGroup(1)
@@ -365,6 +382,7 @@ class PairAnalysis:
     def __init__(self, a: KInvariant, b: KInvariant):
         self.a = a
         self.b = b
+        self._sums = [None, None]
 
     @cached_property
     def kunneth_parts(self) -> dict[str, FgAbGroup]:
@@ -380,6 +398,15 @@ class PairAnalysis:
     def _parts(self, degree):
         """The Kunneth parts of ``degree``, in summand order."""
         return [self.kunneth_parts[row[0]] for row in KUNNETH[degree]]
+
+    def _tensor_sum(self, degree):
+        """The tensor K-group of ``degree`` as the canonical sum of its
+        Kunneth parts, (group, to_canon, lift) as ``_cyclic_canonical``
+        gives them, built once: the induced maps, the tensor unit and
+        the summand injections of ``kunneth`` read it."""
+        if self._sums[degree] is None:
+            self._sums[degree] = _cyclic_canonical([c for p in self._parts(degree) for c in _orders(p)])
+        return self._sums[degree]
 
     @cached_property
     def tensor_groups(self):
@@ -409,7 +436,7 @@ class PairAnalysis:
     def _in_k0_sum(self, v):
         """The element of K0A + K0B with coordinates ``v`` on the summands."""
         s, to_canon, _ = self._k0_sum
-        return s.element([sum([e * v[p] for p, e in row]) for row in to_canon])
+        return s.element(_apply(to_canon, v))
 
     @cached_property
     def unit_relation(self) -> GroupElement:
@@ -418,9 +445,10 @@ class PairAnalysis:
 
     @cached_property
     def unital_quotient(self):
-        """(q, proj_q, lift): K0 of the unital free product as the
-        quotient of K0A + K0B by the unit relation, its projection, and
-        a lift of each generator of q back to K0A + K0B."""
+        """(q, to_canon, lift): K0 of the unital free product as the
+        quotient of K0A + K0B by the unit relation, the rows of its
+        projection and a lift of each generator of q back to K0A + K0B,
+        both sparse (``_quotient_full``): no projection hom is built."""
         return _quotient_full(self._k0_sum[0], self.unit_relation)
 
     @cached_property
@@ -431,8 +459,8 @@ class PairAnalysis:
     @cached_property
     def unital_free_product(self) -> KPair:
         a, b = self.a, self.b
-        q, proj_q, _ = self.unital_quotient
-        unit = proj_q(self._in_k0_sum(a.unit.coords + (0,) * b.k0.ngens))
+        q, to_canon, _ = self.unital_quotient
+        unit = q.element(_apply(to_canon, self._in_k0_sum(a.unit.coords + (0,) * b.k0.ngens).coords))
         parts = {K1A: a.k1, K1B: b.k1}
         if self.extra_z:
             parts[EXTRA_Z] = FgAbGroup(1)
@@ -459,7 +487,7 @@ class PairAnalysis:
         """
         a, b = self.a, self.b
         parts = self._parts(degree)
-        target, to_canon, _ = _cyclic_canonical([c for p in parts for c in _orders(p)])
+        target, to_canon, _ = self._tensor_sum(degree)
         na = _group(a, degree).ngens
         ua, ub = a.unit.coords, b.unit.coords
         coords = {}  # sum position -> its sparse row over the source
@@ -513,7 +541,7 @@ class PairAnalysis:
         if any(target.reduce([sum([c * u[k] for k, c in row.items()]) for row in rows])):
             raise AssertionError("induced map does not kill the unit relation")
         q, _, lift = self.unital_quotient
-        lift_rows = [[(j, e) for j, e in enumerate(r) if e] for r in lift.data]
+        lift_rows = _by_coordinate(lift, len(u))
         return GroupHom(q, target, _dense(_times(rows, lift_rows), q.ngens))
 
     @cached_property

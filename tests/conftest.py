@@ -39,7 +39,7 @@ import pytest
 
 from kobstruct import FgAbGroup, GroupHom, IntMatrix, smith_normal_form
 from kobstruct.catalog import catalog_entries
-from kobstruct.fgab import _cyclic_canonical
+from kobstruct.fgab import _canonicalize_full, _cyclic_canonical, _quotient_full
 
 # bench/test_bench.py imports the same module under the same name, so
 # ``pytest tests bench`` in one process loads it once
@@ -202,6 +202,88 @@ def direct_sum_projections(groups):
         projections.append(GroupHom(s, g, IntMatrix(rows[offset : offset + g.ngens], cols=s.ngens)))
         offset += g.ngens
     return tuple(projections)
+
+
+def dense_rows(vectors, n):
+    """The sparse ``vectors`` of (position, entry) pairs, as
+    ``_cyclic_canonical`` and ``_quotient_full`` give them, as dense
+    rows of length ``n``."""
+    rows = [[0] * n for _ in vectors]
+    for row, v in zip(rows, vectors):
+        for p, e in v:
+            row[p] = e
+    return rows
+
+
+def unital_quotient_maps(an):
+    """(q, proj_q, lift) of ``an.unital_quotient`` in dense form: the
+    projection of K0A + K0B onto q as a hom, and the lift of each
+    generator of q as a column of a matrix."""
+    q, to_canon, lift = an.unital_quotient
+    s = an.unit_relation.group
+    proj = GroupHom(s, q, IntMatrix(dense_rows(to_canon, s.ngens), cols=s.ngens))
+    return q, proj, IntMatrix.from_columns(dense_rows(lift, s.ngens), s.ngens)
+
+
+def quotient_reference(m: IntMatrix):
+    """(group, to_canon rows, lift columns) of Z^n / columnspan(m), read
+    off dense transforms: the rows of the u of ``smith_normal_form``,
+    tracked dense as trailing entries of the rows, at the free positions
+    of its diagonal, each with its first nonzero entry made positive,
+    then at the torsion positions; and the same columns of u^-1 (column
+    j solves u z = e_j, by ``integer_solution``), with the same signs."""
+    u, d, _ = smith_normal_form(m)
+    n = m.rows
+    diag = [d[i, i] for i in range(min(n, m.cols))]
+    free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
+    tors = [i for i in range(len(diag)) if diag[i] > 1]
+    inverse = [integer_solution(u.data, [int(i == j) for i in range(n)]) for j in range(n)]
+    rows, cols = [], []
+    for p in free + tors:
+        sign = -1 if p in free and next(e for e in u.row(p) if e) < 0 else 1
+        rows.append([sign * e for e in u.row(p)])
+        cols.append([sign * e for e in inverse[p]])
+    return FgAbGroup(len(free), [diag[i] for i in tors]), rows, cols
+
+
+def assert_quotient_path(g, x):
+    """``_quotient_full(g, x)``, sparse, against ``_canonicalize_full``
+    of the presentation [R_g | x] and against ``quotient_reference``."""
+    m = g.relation_matrix().hstack(IntMatrix.from_columns([x.coords], g.ngens))
+    q, to_canon, lift = _quotient_full(g, x)
+    rows, cols = dense_rows(to_canon, g.ngens), dense_rows(lift, g.ngens)
+    group, dense_to_canon, dense_lift = _canonicalize_full(m)
+    assert q == group and tuple(map(tuple, rows)) == dense_to_canon.data, (g, x.coords)
+    assert IntMatrix.from_columns(cols, g.ngens) == dense_lift, (g, x.coords)
+    assert (q, rows, cols) == quotient_reference(m), (g, x.coords)
+
+
+def invariant_factors_by_primes(factors):
+    """(rank, torsion) of Z/f_1 + ... + Z/f_k, Z/0 counting as Z, by its
+    primary decomposition: factor each f_i by trial division, then give
+    the largest invariant factor the largest power of every prime, the
+    next one the next largest, and so on."""
+    rank, powers = 0, {}
+    for f in map(abs, factors):
+        if not f:
+            rank += 1
+        p = 2
+        while f > 1:
+            if p * p > f:
+                p = f
+            e = 0
+            while f % p == 0:
+                f //= p
+                e += 1
+            if e:
+                powers.setdefault(p, []).append(p**e)
+            p += 1
+    length = max(map(len, powers.values()), default=0)
+    torsion = [1] * length
+    for qs in powers.values():
+        for k, q in enumerate(sorted(qs, reverse=True)):
+            torsion[length - 1 - k] *= q
+    return rank, tuple(torsion)
 
 
 def injective_by_snf(f: GroupHom) -> bool:

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -298,6 +300,24 @@ def test_input_at_the_size_limits_runs():
     code, out, _ = run_cli("kgroups", "C^100 (x) C^100 (x) C^2")
     assert code == EXIT_OK and f"Z^{MAX_GENERATORS}" in out
     assert run_cli("classify", "C^3 (x) C^50", "C^100")[0] == EXIT_OBSTRUCTED
+
+
+def test_unital_quotient_of_a_thousand_generators_costs_its_relations():
+    # (C^10 (x) C^100) (*C) C quotients K0A + K0B = Z^1001 by one
+    # relation.  With dense n x n transforms that took 0.33-0.38 s and
+    # about 40 MiB; with sparse ones about 10 ms and 1 MiB (2-vCPU VM).
+    argv = ("kgroups", "(C^10 (x) C^100) (*C) C", "--format", "json")
+    start = time.perf_counter()
+    code, out, _ = run_cli(*argv)
+    assert time.perf_counter() - start < 0.15
+    assert code == EXIT_OK and json.loads(out)["result"]["k0"] == {"rank": 1000, "torsion": []}
+    tracemalloc.start()
+    try:
+        run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 _FLAGGED_OPERANDS = [

@@ -3,7 +3,7 @@
 import json
 import random
 import time
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -11,6 +11,7 @@ from kobstruct import (
     FgAbGroup,
     GroupHom,
     GroupMismatchError,
+    IntMatrix,
     KInvariant,
     classify_analysis,
     cokernel,
@@ -47,7 +48,7 @@ from kobstruct.kinv import (
     PairAnalysis,
 )
 import oracle
-from conftest import direct_sum_projections
+from conftest import assert_quotient_path, direct_sum_projections, integer_solution, unital_quotient_maps
 
 Z = FgAbGroup(1)
 TRIVIAL = FgAbGroup()
@@ -248,7 +249,7 @@ def test_pi_star_full_factorizes(catalog):
         for _, b in catalog[:10]:
             pi0, pi1, _ = pi_star(a, b)
             f0, f1 = pi_star_full(a, b)
-            _, proj_q, _ = PairAnalysis(a, b).unital_quotient
+            _, proj_q, _ = unital_quotient_maps(PairAnalysis(a, b))
             assert compose(proj_q, pi0) == f0
             assert pi1 == f1
 
@@ -299,7 +300,7 @@ def _reference_maps(a, b):
     inj00 = kun.summands[K0A_K0B]
     s0, lifted = unit_map(a.k0, b.k0, inj00, inj00, orders[0])
     s1, pi1 = unit_map(a.k1, b.k1, kun.summands[K1A_K0B], kun.summands[K0A_K1B], orders[1])
-    q, _, lift = PairAnalysis(a, b).unital_quotient
+    q, _, lift = unital_quotient_maps(PairAnalysis(a, b))
     pi0 = reduced(oracle.matmul(lifted, lift.data, lift.rows), orders[0])
     return (s0, kun.k0, lifted), (q, kun.k0, pi0), (s1, kun.k1, pi1)
 
@@ -359,7 +360,7 @@ def test_pi_star_formula_against_hand_lift(catalog):
         an = PairAnalysis(a, b)
         maps = (an.lifted_pi0, an.pi0, an.pi1)
         assert tuple((f.source, f.target, f.matrix.data) for f in maps) == _reference_maps(a, b)
-        _, proj_q, _ = an.unital_quotient
+        _, proj_q, _ = unital_quotient_maps(an)
         assert compose(proj_q, an.pi0) == an.lifted_pi0
 
 
@@ -589,5 +590,89 @@ def test_free_pair_maps_cost_their_size():
     # the sparse products agree with the dense one on smaller pairs
     for a, b in (("C^7", "C^5"), ("M_6 (x) C^2", "O_5 (x) CT"), ("O_4 (x) CT", "O_7 (x) C^2")):
         an = PairAnalysis(evaluate(a), evaluate(b))
-        q, _, lift = an.unital_quotient
+        q, _, lift = unital_quotient_maps(an)
         assert an.pi0 == GroupHom(q, an.pi0.target, an.lifted_pi0.matrix @ lift), (a, b)
+
+
+def _per_order_section(f):
+    """The section of f solved generator by generator in the span of its
+    order: e_j of order d goes to S_d y_j, with S_d the columns
+    (c / gcd(c, d)) e_i of each source generator of order c (the
+    identity for d = 0) and [f S_d | R_h] (y_j, z) = e_j solved by
+    ``integer_solution``; None when some e_j has no solution."""
+    g, h = f.source, f.target
+    cols = []
+    for j, d in enumerate([0] * h.rank + list(h.torsion)):
+        if d:
+            span = [[c // gcd(c, d) * (i == k) for k, c in enumerate(g.torsion, g.rank)] for i in range(g.ngens)]
+        else:
+            span = [[int(i == k) for k in range(g.ngens)] for i in range(g.ngens)]
+        image = [[sum(x * y for x, y in zip(row, col)) for col in zip(*span)] for row in f.matrix.data]
+        rel = [[e * (i == h.rank + k) for k, e in enumerate(h.torsion)] for i in range(h.ngens)]
+        y = integer_solution([r + s for r, s in zip(image, rel)], [int(i == j) for i in range(h.ngens)])
+        if y is None:
+            return None
+        cols.append([sum(x * w for x, w in zip(row, y)) for row in span])
+    return GroupHom(h, g, IntMatrix.from_columns(cols, g.ngens))
+
+
+def _literal_pairs(count, seed):
+    """``count`` pairs of ``_prime_power_literal``s, on shared primes for
+    even k and on disjoint ones for odd k."""
+    rng = random.Random(seed)
+    pairs = []
+    for k in range(count):
+        primes = [2, 3, 5, 7]
+        rng.shuffle(primes)
+        cut = rng.randint(1, 3)
+        pa, pb = (primes, primes) if k % 2 == 0 else (primes[:cut], primes[cut:])
+        pairs.append((_prime_power_literal(rng, pa), _prime_power_literal(rng, pb)))
+    return pairs
+
+
+def test_automorphism_sections_match_the_per_order_solve(catalog):
+    # An onto induced map whose source equals its target is solved in one
+    # system; its section is still the one the per-order rule finds, and
+    # a two-sided inverse.
+    pairs = [(a, b) for _, a in catalog for _, b in catalog] + _literal_pairs(300, 14)
+    seen = set()
+    for a, b in pairs:
+        an = PairAnalysis(a, b)
+        for name in ("pi0", "pi1", "lifted_pi0"):
+            f = getattr(an, name)
+            if f.source != f.target or not is_surjective(f):
+                continue
+            s = right_inverse_exists(f)
+            assert s == _per_order_section(f), (str(a), str(b), name)
+            assert compose(s, f) == GroupHom.identity(f.target) == compose(f, s), (str(a), str(b), name)
+            seen.add((f.source.rank > 0, bool(f.source.torsion)))
+    # free, torsion and mixed groups all occur
+    assert {(True, False), (False, True), (True, True)} <= seen, seen
+
+
+def test_quotient_path_on_the_unit_relations(catalog):
+    # The unital quotient of every catalog pair and of seeded literal
+    # pairs, against _canonicalize_full and the dense-transform reference.
+    pairs = [(a, b) for _, a in catalog for _, b in catalog] + _literal_pairs(300, 15)
+    for a, b in pairs:
+        an = PairAnalysis(a, b)
+        assert_quotient_path(an.unit_relation.group, an.unit_relation)
+
+
+def test_kunneth_canonicalizes_each_degree_once(monkeypatch):
+    # The unit [1_A] (x) [1_B] and the summand injections read one
+    # canonical sum per degree.  Here K0A (x) K0B = (Z/2)^6, so two
+    # calls see six orders 2: its Kronecker presentation and the sum.
+    a, b = evaluate("C^3"), evaluate("O_3 (x) C^2")
+    calls = []
+    real = fgab._cyclic_canonical
+
+    def counting(orders):
+        calls.append(list(orders))
+        return real(orders)
+
+    monkeypatch.setattr(fgab, "_cyclic_canonical", counting)
+    monkeypatch.setattr(kinv, "_cyclic_canonical", counting)
+    kp = kunneth(a, b)
+    assert kp.k0 == FgAbGroup(0, (2,) * 6) and kp.unit is not None
+    assert calls.count([2] * 6) == 2, calls
