@@ -127,9 +127,9 @@ MAX_POWER = 100
 # K1A (x) K1B in degree 0): two atoms or literals have at most this many.
 MAX_GENERATORS = 2 * MAX_POWER**2
 # The most entries of a dense matrix a free product or a pair builds.  For
-# n generators in K0A + K0B, the injections of the sum and the transforms
-# of the unital quotient are n x n, and the induced map pi0 has one row
-# per generator of the tensor K0 and n columns; K1 alike.  Two atoms or
+# n generators in K0A + K0B, k of them torsion, (*) builds n x n injections
+# and the unital quotient n x (k + 1) relations, and pi0 has one row per
+# generator of the tensor K0 and n columns; K1 alike.  Two atoms or
 # literals need at most this many, C^100 against C^100 a 10000 x 200 pi0.
 MAX_ENTRIES = 4 * MAX_POWER**3
 
@@ -446,9 +446,11 @@ def eval_expr(expr, root: bool = True):
             )
         left = eval_expr(expr.left, root=False)
         right = eval_expr(expr.right, root=False)
-        check_pair(left, right, maps=False)
         if isinstance(expr, FreeProd):
+            n, m = left.k0.ngens + right.k0.ngens, left.k1.ngens + right.k1.ngens
+            _refuse_oversized([("K0A + K0B", n, n), ("K1A + K1B", m, m)])
             return free_product_k(left, right)
+        check_pair(left, right, maps=False)
         return unital_free_product_k(left, right)
     raise TypeError(f"not an algebra expression: {expr!r}")
 
@@ -468,13 +470,21 @@ def _check_tensor(a: KInvariant, b: KInvariant):
 
 def check_pair(a: KInvariant, b: KInvariant, maps: bool = True):
     """Refuse, from generator counts alone and before anything is built,
-    a pair whose free products, or with ``maps`` whose tensor product
-    and induced maps (``classify``, ``section``), exceed the limits."""
+    a pair whose unital free product, or with ``maps`` whose tensor
+    product and induced maps (``classify``, ``section``), exceed the
+    limits."""
     n, m = a.k0.ngens + b.k0.ngens, a.k1.ngens + b.k1.ngens
-    shapes = [("K0A + K0B", n, n), ("K1A + K1B", m, m)]
+    k = len(a.k0.torsion) + len(b.k0.torsion)
+    shapes = [("the unital quotient of K0A + K0B", n, k + 1), ("K1A + K1B", m, m)]
     if maps:
         t0, t1 = _check_tensor(a, b)
         shapes += [("the induced map in degree 0", t0, n), ("the induced map in degree 1", t1, m)]
+    _refuse_oversized(shapes)
+
+
+def _refuse_oversized(shapes):
+    """Refuse the first of ``shapes``, (what, rows, cols), whose dense
+    matrix would have more than ``MAX_ENTRIES`` entries."""
     for what, rows, cols in shapes:
         if rows * cols > MAX_ENTRIES:
             raise SizeLimitError(

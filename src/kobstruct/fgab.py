@@ -17,13 +17,13 @@ chain.  Direct sums and the Kronecker presentation of a tensor product
 are sums of cyclic groups, so they skip the Smith normal form:
 ``_cyclic_canonical`` merges their orders into a divisibility chain with
 2x2 Bezout steps and never factors an integer.  Its basis changes are
-sparse, so input that is already canonical (a free group, a sum with
+dict rows, so input that is already canonical (a free group, a sum with
 one nonzero part) costs its length, not its square.  A quotient by one
 element, as a group only, is read off gcds (``_quotient_group``).  The
 Smith normal form handles the general presentations: quotients,
 cokernels and the solvers' systems.  A quotient by one element, whose
 relations are a diagonal plus one column, carries its transforms as
-sparse rows (``_quotient_full``), so it costs about its relations.
+dict rows (``_quotient_full``), so it costs about its relations.
 
 The Smith normal form engine ``_snf_engine`` alternates Hermite
 stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
@@ -34,8 +34,8 @@ none for ``cokernel`` and ``is_surjective`` (the group is read off the
 diagonal), u and v for ``smith_normal_form`` and so ``_solve_mod``,
 and u and u^-1 for quotients.  A stage carries v or u as trailing
 entries of the rows it reduces; for quotients the row stages carry u
-and u^-1, which takes other operations, as sparse rows apart from
-them, with the same row operations.  u depends only on the lattice the
+and u^-1, which takes other operations, as dict rows apart from them,
+with the same row operations.  u depends only on the lattice the
 columns span, so the generators a quotient reads off it do too.
 Matrices the package builds from its own integer tuples skip the
 public constructor's conversion and checks (``IntMatrix._trusted``).
@@ -52,6 +52,9 @@ Conventions
   coordinates.
 * A presentation's relation matrix has one row per generator and one
   column per relation (the matrix of the map Z^relations -> Z^generators).
+* The one sparse format is the dict row, from column to nonzero entry.
+  The canonical forms give lists of them, no dict in two places;
+  ``_transpose`` turns such a list around and ``_dense`` fills it in.
 
 All values are immutable, every operation is a pure function and no
 state is kept between calls, so everything can be shared freely across
@@ -208,9 +211,8 @@ def _hnf_rows(lines, tail, inv=None):
     by tail[i]: pivots are sought among the first ``width`` entries
     only, and each operation is one pass over the whole row.  With
     ``inv``, which takes the inverse transposes (an operation on two
-    rows of tail changes the other row of inv), both are sparse rows,
-    dicts from column to nonzero entry, kept apart from the rows, so an
-    operation costs the entries it touches.
+    rows of tail changes the other row of inv), both are dict rows kept
+    apart from the rows, so an operation costs the entries it touches.
     """
     width = len(lines[0])
     sparse = inv is not None
@@ -299,8 +301,8 @@ def _snf_engine(m: IntMatrix, track=None):
 
     Only d is always computed.  ``track`` is one of three modes: None
     tracks nothing (``cokernel``), "uinv" tracks u and uinv_t, the
-    transpose of u^-1, as sparse rows (``_snf_rows``, for quotients)
-    and returns them dense, and "v" tracks u and v_t, the transpose of v
+    transpose of u^-1, as dict rows (``_snf_rows``, for quotients) and
+    returns them dense, and "v" tracks u and v_t, the transpose of v
     (``smith_normal_form``).  An untracked transform is None;
     transposed, each update is a whole-row operation.  Every step reads
     only the matrix being reduced, so d and u are the same in every mode
@@ -308,15 +310,15 @@ def _snf_engine(m: IntMatrix, track=None):
     """
     u, uinv_t, d, v_t = _snf_rows(m.data, m.cols, track)
     if track == "uinv":
-        u, uinv_t = (_densified(map(dict.items, x), m.rows) for x in (u, uinv_t))
+        u, uinv_t = (list(map(list, _dense(x, m.rows).data)) for x in (u, uinv_t))
     return u, uinv_t, d, v_t
 
 
 def _snf_rows(rows, ncols, track):
     """``_snf_engine`` on the matrix with rows ``rows``, ``ncols`` wide,
-    with u and uinv_t in mode "uinv" as sparse rows (dicts from column
-    to nonzero entry), so that a relation matrix that is mostly zero,
-    such as a diagonal plus one column, costs about its nonzero entries."""
+    with u and uinv_t in mode "uinv" as dict rows, so that a relation
+    matrix that is mostly zero, such as a diagonal plus one column,
+    costs about its nonzero entries."""
     if track not in (None, "uinv", "v"):
         raise ValueError(f"unknown tracking mode {track!r}")
     n = len(rows)
@@ -360,7 +362,7 @@ def _mix(rows, i, j, a, b, c, d):
 
 
 def _mix_sparse(rows, i, j, a, b, c, d):
-    """``_mix`` on sparse rows (dicts)."""
+    """``_mix`` on dict rows."""
     if rows:
         p, q = rows[i], rows[j]
         rows[i], rows[j] = _combine(a, p, b, q), _combine(c, p, d, q)
@@ -755,28 +757,17 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 # Presentations and canonical forms
 
 
-def _canonicalize_full(relations: IntMatrix):
-    """Canonical form of Z^n / columnspan(relations), n = relations.rows.
-
-    Returns (group, to_canon, lift): ``to_canon`` maps old generator
-    coordinates to canonical coordinates, ``lift`` picks an old-
-    coordinate representative for each canonical generator, and
-    to_canon @ lift is the identity.  All three depend only on the
-    lattice the relations span, not on how its columns are listed.
-    They are the dense form of ``_canonicalize_sparse``.
-    """
-    n = relations.rows
-    group, to_canon, lift = _canonicalize_sparse(relations.data, relations.cols)
-    to_canon = IntMatrix._trusted(tuple(map(tuple, _densified(to_canon, n))), n)
-    return group, to_canon, IntMatrix.from_columns(_densified(lift, n), n)
-
-
 def _canonicalize_sparse(rows, ncols):
-    """``_canonicalize_full`` of the relation matrix with rows ``rows``,
-    ``ncols`` wide, with to_canon (one row per canonical generator) and
-    lift (one column each) sparse as ``_cyclic_canonical`` gives them:
-    the rows of u and uinv_t of ``_snf_rows`` at the free and then the
-    torsion positions of the diagonal."""
+    """Canonical form of Z^n / columnspan(relations), the relation
+    matrix having the n rows ``rows``, ``ncols`` wide.
+
+    Returns (group, to_canon, lift), one dict row of each per canonical
+    generator: ``to_canon`` maps old generator coordinates to canonical
+    ones, ``lift`` is an old-coordinate representative of the generator,
+    and to_canon @ lift is the identity.  They are the rows of u and
+    uinv_t of ``_snf_rows`` at the free and then the torsion positions
+    of the diagonal, so they depend only on the lattice the relations
+    span, not on how its columns are listed."""
     u, uinv_t, d, _ = _snf_rows(rows, ncols, "uinv")
     group, free_pos, tors_pos = _diagonal_group(d, ncols)
     # orient free generators: first nonzero coefficient positive (the
@@ -785,7 +776,7 @@ def _canonicalize_sparse(rows, ncols):
         if u[p][min(u[p])] < 0:
             u[p], uinv_t[p] = _combine(-1, u[p]), _combine(-1, uinv_t[p])
     order = free_pos + tors_pos
-    return group, [tuple(u[p].items()) for p in order], [tuple(uinv_t[p].items()) for p in order]
+    return group, [u[p] for p in order], [uinv_t[p] for p in order]
 
 
 def _diagonal_group(d, relations: int):
@@ -813,22 +804,20 @@ def _bezout(x, y):
 def _cyclic_canonical(orders):
     """Canonical form of (+)_k Z/c_k, where c_k = 0 stands for Z.
 
-    Returns (group, to_canon, lift) as ``_canonicalize_full`` does for
-    the diagonal presentation, without a Smith normal form, and sparse:
-    to_canon holds one row per canonical generator and lift one column,
-    each a tuple of (position in ``orders``, nonzero entry) pairs.  Free
-    generators come first in their given order.  The torsion orders are
-    merged into a divisibility chain until none changes: sort, and
-    replace each adjacent pair x, y with y % x by gcd g = s*x + t*y and
-    lcm(x, y), rows r_i, r_j of to_canon by s*r_i + t*r_j and
-    (x/g)*r_j - (y/g)*r_i, and columns c_i, c_j of lift by
-    (x/g)*c_i + (y/g)*c_j and s*c_j - t*c_i.  Each step is unimodular
-    with its inverse applied to lift, so to_canon @ lift stays the
-    identity; no integer is ever factored.  Input that is already
-    canonical takes one pass and keeps one entry per row, so a free
-    group of rank n costs n, not n^2.
+    Returns (group, to_canon, lift) as ``_canonicalize_sparse`` does for
+    the diagonal presentation, in dict rows, without a Smith normal form:
+    keys are positions in ``orders``.  Free generators come first in
+    their given order.  The torsion orders are merged into a divisibility
+    chain until none changes: sort, and replace each adjacent pair x, y
+    with y % x by gcd g = s*x + t*y and lcm(x, y), rows r_i, r_j of
+    to_canon by s*r_i + t*r_j and (x/g)*r_j - (y/g)*r_i, and columns
+    c_i, c_j of lift by (x/g)*c_i + (y/g)*c_j and s*c_j - t*c_i.  Each
+    step is unimodular with its inverse applied to lift, so
+    to_canon @ lift stays the identity; no integer is ever factored.
+    Input that is already canonical takes one pass and keeps one entry
+    per row, so a free group of rank n costs n, not n^2.
     """
-    free = [((k, 1),) for k, c in enumerate(orders) if c == 0]
+    free = [k for k, c in enumerate(orders) if c == 0]
     # one [order, to_canon row, lift column] per torsion generator
     tors = [[c, {k: 1}, {k: 1}] for k, c in enumerate(orders) if c > 1]
     changed = True
@@ -845,19 +834,19 @@ def _cyclic_canonical(orders):
                 changed = True
         tors = [e for e in tors if e[0] > 1]
     group = FgAbGroup(len(free), [c for c, _, _ in tors])
-    to_canon = free + [tuple(r.items()) for _, r, _ in tors]
-    return group, to_canon, free + [tuple(c.items()) for _, _, c in tors]
+    to_canon = [{k: 1} for k in free] + [r for _, r, _ in tors]
+    return group, to_canon, [{k: 1} for k in free] + [c for _, _, c in tors]
 
 
 def _combine(a, p, b=0, q=None):
-    """The sparse vector a*p + b*q, without zero entries."""
+    """The dict row a*p + b*q, without zero entries."""
     out = {k: a * e for k, e in p.items()} if a else {}
     return _axpy(out, b, q) if b else out
 
 
 def _axpy(p, b, q):
-    """p += b*q for sparse vectors (dicts), in place, dropping the
-    entries that cancel; returns p."""
+    """p += b*q for dict rows, in place, dropping the entries that
+    cancel; returns p."""
     for k, e in q.items():
         e = p.get(k, 0) + b * e
         if e:
@@ -883,11 +872,11 @@ def direct_sum_many(groups):
 
 def _injections(groups, s, to_canon):
     """The injection of each of ``groups`` into their sum ``s``, whose
-    sparse rows ``to_canon`` (``_cyclic_canonical``) map the summands'
+    dict rows ``to_canon`` (``_cyclic_canonical``) map the summands'
     coordinates onto those of s."""
     n = s.ngens
     # per generator p of the summands: its image
-    columns = _transposed(to_canon, sum(g.ngens for g in groups))
+    columns = _dense(_transpose(to_canon, sum(g.ngens for g in groups)), n).data
     injections, offset = [], 0
     for g in groups:
         injections.append(GroupHom(g, s, IntMatrix.from_columns(columns[offset : offset + g.ngens], n)))
@@ -895,33 +884,32 @@ def _injections(groups, s, to_canon):
     return tuple(injections)
 
 
-def _transposed(vectors, n):
-    """The ``n`` dense rows of the matrix whose columns are the sparse
-    ``vectors`` of (position, entry) pairs that ``_cyclic_canonical`` gives."""
-    rows = [[0] * len(vectors) for _ in range(n)]
+def _transpose(vectors, n):
+    """The ``n`` dict rows of the matrix whose columns are the dict rows
+    ``vectors``."""
+    rows = [{} for _ in range(n)]
     for r, v in enumerate(vectors):
-        for p, e in v:
+        for p, e in v.items():
             rows[p][r] = e
     return rows
 
 
-def _densified(vectors, n):
-    """The sparse ``vectors`` of (position, entry) pairs as dense lists of
-    length ``n``."""
-    rows = []
+def _dense(vectors, n) -> IntMatrix:
+    """The matrix of the dict rows ``vectors``, ``n`` columns wide."""
+    out = []
     for v in vectors:
         row = [0] * n
-        for p, e in v:
+        for p, e in v.items():
             row[p] = e
-        rows.append(row)
-    return rows
+        out.append(tuple(row))
+    return IntMatrix._trusted(tuple(out), n)
 
 
 def _quotient_full(g: FgAbGroup, x: GroupElement):
-    """(q, to_canon, lift) of g / <x>, sparse as ``_canonicalize_sparse``
-    gives them, from the relation matrix [R_g | x], a diagonal plus one
-    column built row by row: row i holds d_i, if generator i has order
-    d_i, and x_i."""
+    """(q, to_canon, lift) of g / <x>, in dict rows as
+    ``_canonicalize_sparse`` gives them, from the relation matrix
+    [R_g | x], a diagonal plus one column built row by row: row i holds
+    d_i, if generator i has order d_i, and x_i."""
     if x.group != g:
         raise GroupMismatchError("quotient element is not in the group")
     k = len(g.torsion)
@@ -940,7 +928,7 @@ def quotient_by(g: FgAbGroup, x: GroupElement):
     FgAbGroup(3, ())
     """
     q, to_canon, _ = _quotient_full(g, x)
-    return q, GroupHom(g, q, IntMatrix._trusted(tuple(map(tuple, _densified(to_canon, g.ngens))), g.ngens))
+    return q, GroupHom(g, q, _dense(to_canon, g.ngens))
 
 
 def _quotient_group(g: FgAbGroup, x: GroupElement) -> FgAbGroup:
@@ -1008,7 +996,7 @@ def _tensor_structure(g: FgAbGroup, h: FgAbGroup):
 
     Generator (i, j) of the presentation is u_i (x) v_j at flat index
     i * h.ngens + j, of order gcd(c_i, c_j) for generator orders c_i of
-    g and c_j of h (0 for free); the returned sparse rows (as
+    g and c_j of h (0 for free); the returned dict rows (as
     ``_cyclic_canonical`` gives them) map those Kronecker coordinates
     onto canonical coordinates of tensor(g, h).
     """
@@ -1031,7 +1019,7 @@ def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
     tg, to_canon = _tensor_structure(x.group, y.group)
     xs, ys, n = x.coords, y.coords, y.group.ngens
     return GroupElement(
-        tg, [sum([c * xs[p // n] * ys[p % n] for p, c in row]) for row in to_canon]
+        tg, [sum([c * xs[p // n] * ys[p % n] for p, c in row.items()]) for row in to_canon]
     )
 
 

@@ -19,11 +19,12 @@ e_i (x) [1_B], block i of the Kronecker presentation filled with the
 coordinates of [1_B]; so only the canonical rows of that presentation
 are read, then only the columns of the canonical sum of the Kunneth
 parts that fall in that tensor pairing, and likewise for
-[1_A] (x) e_j.  The sparse rows that result are multiplied once by the
-lifts of the source sum, K0A + K0B or K1A + K1B in the sparse form of
-``_cyclic_canonical``, and checked once as a ``GroupHom`` (the map on
-the unital quotient is that of K0A + K0B times the lift of each
-quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
+[1_A] (x) e_j.  The rows that result are dict rows (dicts from column
+to nonzero entry, the one sparse format of ``fgab``); they are
+multiplied once by the lifts of the source sum, K0A + K0B or K1A + K1B
+as ``_cyclic_canonical`` gives it, and checked once as a ``GroupHom``
+(the map on the unital quotient is that of K0A + K0B times the lift of
+each quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
 injection or projection is built, so a map costs about the size of its
 matrix; the same rows give the unit [1_A] (x) [1_B] of the tensor
 product (``tensor_unit``).
@@ -56,12 +57,12 @@ from .fgab import (
     GroupElement,
     GroupHom,
     GroupMismatchError,
-    IntMatrix,
     direct_sum_many,
     right_inverse_exists,
     tensor,
     tor,
     _cyclic_canonical,
+    _dense,
     _injections,
     _json_field,
     _json_ints,
@@ -70,6 +71,7 @@ from .fgab import (
     _quotient_full,
     _quotient_group,
     _tensor_structure,
+    _transpose,
 )
 
 __all__ = [
@@ -308,54 +310,30 @@ def pi_star_full(a: KInvariant, b: KInvariant):
 
 
 def _sparse_sum(g: FgAbGroup, h: FgAbGroup):
-    """(g + h, to_canon, lifts): to_canon sparse as ``_cyclic_canonical``
-    gives it, and row k of lifts coordinate k of each generator's lift,
-    as (generator, entry) pairs."""
+    """(g + h, to_canon, lifts) in dict rows: to_canon as
+    ``_cyclic_canonical`` gives it, and row k of lifts coordinate k of
+    each generator's lift (``_transpose`` of the lift columns)."""
     s, to_canon, lift = _cyclic_canonical(_orders(g) + _orders(h))
-    return s, to_canon, _by_coordinate(lift, g.ngens + h.ngens)
-
-
-def _by_coordinate(columns, n):
-    """Row k of the matrix whose columns are the sparse ``columns`` of
-    (position, entry) pairs, for each k < n, as a list of (column,
-    entry) pairs."""
-    rows = [[] for _ in range(n)]
-    for r, v in enumerate(columns):
-        for p, e in v:
-            rows[p].append((r, e))
-    return rows
+    return s, to_canon, _transpose(lift, g.ngens + h.ngens)
 
 
 def _times(rows, other):
-    """The product of the sparse ``rows`` (dicts from column to entry)
-    with the matrix whose rows ``other`` are lists of (column, entry)
-    pairs, as sparse rows again: one step per pair of nonzero entries
-    that meet."""
+    """The product of the dict rows ``rows`` with the matrix of the dict
+    rows ``other``, as dict rows again: one step per pair of nonzero
+    entries that meet."""
     out = []
     for row in rows:
         acc = {}
         for k, c in row.items():
-            for j, y in other[k]:
+            for j, y in other[k].items():
                 acc[j] = acc.get(j, 0) + c * y
         out.append(acc)
     return out
 
 
 def _apply(rows, v):
-    """The product of the sparse ``rows`` of (position, entry) pairs with
-    the vector ``v``."""
-    return [sum([e * v[p] for p, e in row]) for row in rows]
-
-
-def _dense(rows, width) -> IntMatrix:
-    """The matrix of the sparse ``rows``, ``width`` columns wide."""
-    out = []
-    for row in rows:
-        acc = [0] * width
-        for j, e in row.items():
-            acc[j] = e
-        out.append(tuple(acc))
-    return IntMatrix._trusted(tuple(out), width)
+    """The product of the dict rows ``rows`` with the vector ``v``."""
+    return [sum([e * v[p] for p, e in row.items()]) for row in rows]
 
 
 class PairAnalysis:
@@ -423,7 +401,7 @@ class PairAnalysis:
     @cached_property
     def tensor_unit(self) -> GroupElement:
         """[1_A] (x) [1_B] in the tensor K0: the image of [1_A] under
-        x |-> x (x) [1_B], read off the sparse rows of the induced maps."""
+        x |-> x (x) [1_B], read off the dict rows of the induced maps."""
         target, rows = self._images(0)
         ua = self.a.unit.coords
         return target.element([sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows])
@@ -448,7 +426,7 @@ class PairAnalysis:
         """(q, to_canon, lift): K0 of the unital free product as the
         quotient of K0A + K0B by the unit relation, the rows of its
         projection and a lift of each generator of q back to K0A + K0B,
-        both sparse (``_quotient_full``): no projection hom is built."""
+        both dict rows (``_quotient_full``): no projection hom is built."""
         return _quotient_full(self._k0_sum[0], self.unit_relation)
 
     @cached_property
@@ -470,7 +448,7 @@ class PairAnalysis:
 
     def _images(self, degree):
         """(target, rows): the tensor K-group of ``degree`` and, per
-        canonical generator of it, a sparse row from each generator of
+        canonical generator of it, a dict row from each generator of
         the source (those of the A side, then those of the B side) to
         that coordinate of its image under x |-> x (x) [1_B] on the A
         side and y |-> [1_A] (x) y on the B side.
@@ -490,7 +468,7 @@ class PairAnalysis:
         target, to_canon, _ = self._tensor_sum(degree)
         na = _group(a, degree).ngens
         ua, ub = a.unit.coords, b.unit.coords
-        coords = {}  # sum position -> its sparse row over the source
+        coords = {}  # sum position -> its dict row over the source
         offset = 0
         for (_, da, db, is_tor), part in zip(KUNNETH[degree], parts):
             if not is_tor and 0 in (da, db):  # a pairing a unit class enters
@@ -498,7 +476,7 @@ class PairAnalysis:
                 n = h.ngens
                 for k, row in enumerate(_tensor_structure(g, h)[1]):
                     acc = coords[offset + k] = {}
-                    for q, c in row:
+                    for q, c in row.items():
                         i, j = divmod(q, n)
                         if db == 0 and ub[j]:
                             acc[i] = acc.get(i, 0) + c * ub[j]
@@ -508,7 +486,7 @@ class PairAnalysis:
         rows = []
         for row in to_canon:
             acc = {}
-            for p, c in row:
+            for p, c in row.items():
                 for k, e in coords.get(p, {}).items():
                     acc[k] = acc.get(k, 0) + c * e
             rows.append(acc)
@@ -517,7 +495,7 @@ class PairAnalysis:
     @cached_property
     def _lifted_rows0(self):
         """(target, rows): the images of the generators of K0A + K0B as
-        sparse rows, one per generator of the tensor K0, before
+        dict rows, one per generator of the tensor K0, before
         reduction; lifted_pi0 and pi0 both read them."""
         target, rows = self._images(0)
         return target, _times(rows, self._k0_sum[2])
@@ -541,8 +519,7 @@ class PairAnalysis:
         if any(target.reduce([sum([c * u[k] for k, c in row.items()]) for row in rows])):
             raise AssertionError("induced map does not kill the unit relation")
         q, _, lift = self.unital_quotient
-        lift_rows = _by_coordinate(lift, len(u))
-        return GroupHom(q, target, _dense(_times(rows, lift_rows), q.ngens))
+        return GroupHom(q, target, _dense(_times(rows, _transpose(lift, len(u))), q.ngens))
 
     @cached_property
     def pi1(self) -> GroupHom:

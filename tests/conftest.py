@@ -39,7 +39,7 @@ import pytest
 
 from kobstruct import FgAbGroup, GroupHom, IntMatrix, smith_normal_form
 from kobstruct.catalog import catalog_entries
-from kobstruct.fgab import _canonicalize_full, _cyclic_canonical, _quotient_full
+from kobstruct.fgab import _canonicalize_sparse, _cyclic_canonical, _quotient_full
 
 # bench/test_bench.py imports the same module under the same name, so
 # ``pytest tests bench`` in one process loads it once
@@ -195,7 +195,7 @@ def direct_sum_projections(groups):
     s, _, lift = _cyclic_canonical([c for g in groups for c in [0] * g.rank + list(g.torsion)])
     rows = [[0] * s.ngens for _ in range(sum(g.ngens for g in groups))]
     for r, column in enumerate(lift):
-        for p, e in column:
+        for p, e in column.items():
             rows[p][r] = e
     projections, offset = [], 0
     for g in groups:
@@ -205,14 +205,23 @@ def direct_sum_projections(groups):
 
 
 def dense_rows(vectors, n):
-    """The sparse ``vectors`` of (position, entry) pairs, as
-    ``_cyclic_canonical`` and ``_quotient_full`` give them, as dense
-    rows of length ``n``."""
+    """The dict rows ``vectors``, as ``_cyclic_canonical`` and
+    ``_quotient_full`` give them, as dense rows of length ``n``."""
     rows = [[0] * n for _ in vectors]
     for row, v in zip(rows, vectors):
-        for p, e in v:
+        for p, e in v.items():
             row[p] = e
     return rows
+
+
+def canonical_form(m: IntMatrix):
+    """(group, to_canon, lift) of Z^n / columnspan(m), n = m.rows, as
+    ``_canonicalize_sparse`` gives them, with to_canon and lift densified
+    into matrices: a row of to_canon and a column of lift per canonical
+    generator."""
+    group, to_canon, lift = _canonicalize_sparse(m.data, m.cols)
+    n = m.rows
+    return group, IntMatrix(dense_rows(to_canon, n), cols=n), IntMatrix.from_columns(dense_rows(lift, n), n)
 
 
 def unital_quotient_maps(an):
@@ -247,12 +256,12 @@ def quotient_reference(m: IntMatrix):
 
 
 def assert_quotient_path(g, x):
-    """``_quotient_full(g, x)``, sparse, against ``_canonicalize_full``
-    of the presentation [R_g | x] and against ``quotient_reference``."""
+    """``_quotient_full(g, x)``, sparse, against ``canonical_form`` of
+    the presentation [R_g | x] and against ``quotient_reference``."""
     m = g.relation_matrix().hstack(IntMatrix.from_columns([x.coords], g.ngens))
     q, to_canon, lift = _quotient_full(g, x)
     rows, cols = dense_rows(to_canon, g.ngens), dense_rows(lift, g.ngens)
-    group, dense_to_canon, dense_lift = _canonicalize_full(m)
+    group, dense_to_canon, dense_lift = canonical_form(m)
     assert q == group and tuple(map(tuple, rows)) == dense_to_canon.data, (g, x.coords)
     assert IntMatrix.from_columns(cols, g.ngens) == dense_lift, (g, x.coords)
     assert (q, rows, cols) == quotient_reference(m), (g, x.coords)

@@ -272,6 +272,8 @@ def test_large_power_of_c_is_an_expression_error():
 
 _MAP_OVER = f"the induced map in degree 0 needs a 16100 x 261 matrix, more than the {MAX_ENTRIES} entries accepted"
 _SUM_OVER = f"K0A + K0B needs a 2001 x 2001 matrix, more than the {MAX_ENTRIES} entries accepted"
+# (Z/2)^60, so K0 of its square is (Z/2)^3600
+_Z2_60 = json.dumps({"k0": {"rank": 0, "torsion": [2] * 60}, "k1": {"rank": 0, "torsion": []}, "unit": [1] * 60})
 # Each input is just over a size limit, so without the limits it would
 # build its groups and matrices in full.
 _OVERSIZED = [
@@ -279,8 +281,13 @@ _OVERSIZED = [
         ("kgroups", "C^100 (x) C^100 (x) C^3"),
         f"the tensor product's K0 has 30000 generators, more than the {MAX_GENERATORS} accepted",
     ),
-    (("kgroups", "(C^20 (x) C^100) (*C) C"), _SUM_OVER),
     (("kgroups", "(C^20 (x) C^100) (*) C", "--format", "json"), _SUM_OVER),
+    (
+        # its unital quotient has 3601 generators and 3601 relations, and
+        # ran for minutes without the limit
+        ("kgroups", f"({_Z2_60} (x) {_Z2_60}) (*C) C"),
+        f"the unital quotient of K0A + K0B needs a 3601 x 3601 matrix, more than the {MAX_ENTRIES} entries accepted",
+    ),
     (("classify", "C^7 (x) C^23", "C^100"), _MAP_OVER),
     (("classify", "C^7 (x) C^23", "C^100", "--format", "json"), _MAP_OVER),
     (("section", "C^100", "C^7 (x) C^23"), _MAP_OVER),
@@ -300,6 +307,15 @@ def test_input_at_the_size_limits_runs():
     code, out, _ = run_cli("kgroups", "C^100 (x) C^100 (x) C^2")
     assert code == EXIT_OK and f"Z^{MAX_GENERATORS}" in out
     assert run_cli("classify", "C^3 (x) C^50", "C^100")[0] == EXIT_OBSTRUCTED
+
+
+def test_unital_free_product_of_two_thousand_generators_runs():
+    # K0A + K0B = Z^2001 takes one relation, 2001 x 1; the limit on n x n
+    # matrices that the unital quotient no longer builds refused it.
+    start = time.perf_counter()
+    code, out, _ = run_cli("kgroups", "(C^20 (x) C^100) (*C) C", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK and json.loads(out)["result"]["k0"] == {"rank": 2000, "torsion": []}
 
 
 def test_unital_quotient_of_a_thousand_generators_costs_its_relations():

@@ -27,10 +27,11 @@ from kobstruct import (
 )
 from kobstruct import fgab
 from kobstruct.catalog import evaluate
-from kobstruct.fgab import _canonicalize_full, _cyclic_canonical
+from kobstruct.fgab import _cyclic_canonical
 from kobstruct.kinv import PairAnalysis
 from conftest import (
     assert_quotient_path,
+    canonical_form,
     direct_sum_projections,
     injective_by_snf,
     integer_solution,
@@ -135,10 +136,10 @@ DENSE_8X8 = [
 
 def _engine_outputs(rows):
     """(u, d, v) of smith_normal_form and (group, to_canon, lift) of
-    _canonicalize_full, as plain tuples."""
+    canonical_form, as plain tuples."""
     m = IntMatrix(rows)
     u, d, v = smith_normal_form(m)
-    group, to_canon, lift = _canonicalize_full(m)
+    group, to_canon, lift = canonical_form(m)
     return u.data, d.data, v.data, group, to_canon.data, lift.data
 
 
@@ -195,7 +196,7 @@ _MODES = {None: (False, False, False), "uinv": (True, True, False), "v": (True, 
 
 def test_engine_outputs_pinned_on_dense_shapes():
     # Every output of the engine, in each of its three modes: none
-    # (cokernel), u with u^-1 (_canonicalize_full) and u with v
+    # (cokernel), u with u^-1 (quotients) and u with v
     # (smith_normal_form).  Inputs are two seeded matrices of each
     # dense-snf benchmark shape, entries in [-20, 20], and quotient
     # presentations, a diagonal plus one column.
@@ -248,6 +249,31 @@ def test_free_unital_quotient_costs_its_relations():
     assert time.perf_counter() - start < 0.25
     assert q == FgAbGroup(n - 1)
     assert sum(map(len, to_canon)) + sum(map(len, lift)) <= 4 * n
+
+
+def _assert_own_dict_rows(to_canon, lift):
+    """Each row of ``to_canon`` and of ``lift`` is a dict with no zero
+    entry, and no two share one: after one in-place ``_axpy`` per row,
+    each row has changed once."""
+    rows = [*to_canon, *lift]
+    assert all(type(r) is dict and all(r.values()) for r in rows)
+    for r in rows:
+        fgab._axpy(r, 1, {-1: 1})
+    assert all(r[-1] == 1 for r in rows)
+
+
+def test_canonical_forms_hand_out_their_own_dict_rows():
+    for group, coords in _QUOTIENT_CASES:
+        _assert_own_dict_rows(*fgab._quotient_full(group, group.element(coords))[1:])
+    for m in _engine_matrices(41, 300):
+        _assert_own_dict_rows(*fgab._canonicalize_sparse(m.data, m.cols)[1:])
+    # free generators, whose rows start as {k: 1} in both, torsion ones
+    # and repeated orders
+    rng = random.Random(47)
+    for orders in [[0, 0, 0], [0, 2, 0, 2, 3, 1, 0, 6], [4] * 5 + [0] * 5 + [6] * 5]:
+        _assert_own_dict_rows(*_cyclic_canonical(orders)[1:])
+    for _ in range(200):
+        _assert_own_dict_rows(*_cyclic_canonical([rng.choice(CYCLIC_ORDERS) for _ in range(rng.randrange(0, 9))])[1:])
 
 
 # Shapes the random engine inputs cycle through besides random ones:
@@ -355,7 +381,7 @@ def test_transform_free_questions_agree_with_the_full_engine():
         f = random_hom(rng, g, h)
         stacked = f.matrix.hstack(h.relation_matrix())
         coker = cokernel(f)
-        assert coker == _canonicalize_full(stacked)[0]
+        assert coker == canonical_form(stacked)[0]
         assert is_surjective(f) == coker.is_trivial
         if h == g and is_surjective(f):
             assert injective_by_snf(f), (g, f.matrix)
@@ -383,7 +409,7 @@ def test_quotient_coordinates_depend_only_on_the_relation_lattice():
         coeffs = [rng.randint(-2, 2) for _ in cols]
         cols.append([sum(q * c[r] for q, c in zip(coeffs, cols)) for r in range(n)])
         again = IntMatrix.from_columns(cols, n)
-        assert _canonicalize_full(again) == _canonicalize_full(m), m
+        assert canonical_form(again) == canonical_form(m), m
 
 
 def _plain_tuples(m):
@@ -578,7 +604,7 @@ def test_group_normalization():
 
 
 def test_basis_change_is_onto_canonical_coords():
-    g, to_canon, _ = _canonicalize_full(IntMatrix([[2, 0], [0, 3], [0, 0]]))
+    g, to_canon, _ = canonical_form(IntMatrix([[2, 0], [0, 3], [0, 0]]))
     assert g == FgAbGroup(1, (6,))
     assert is_surjective(GroupHom(FgAbGroup(3), g, to_canon))
 

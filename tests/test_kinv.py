@@ -652,7 +652,7 @@ def test_automorphism_sections_match_the_per_order_solve(catalog):
 
 def test_quotient_path_on_the_unit_relations(catalog):
     # The unital quotient of every catalog pair and of seeded literal
-    # pairs, against _canonicalize_full and the dense-transform reference.
+    # pairs, against the canonical form and the dense-transform reference.
     pairs = [(a, b) for _, a in catalog for _, b in catalog] + _literal_pairs(300, 15)
     for a, b in pairs:
         an = PairAnalysis(a, b)
