@@ -203,7 +203,7 @@ def builtin(kind: str, param: int | None = None) -> KInvariant:
     """The invariant table for the named algebra.
 
     >>> builtin("O", 3)
-    KInvariant(k0=FgAbGroup(0, (2,)), k1=FgAbGroup(0, ()), unit=GroupElement(FgAbGroup(0, (2,)), (1,)), finitely_generated=True)
+    KInvariant(k0=FgAbGroup(0, (2,)), k1=FgAbGroup(0, ()), unit=GroupElement(FgAbGroup(0, (2,)), (1,)))
     >>> builtin("O", 2).k0
     FgAbGroup(0, ())
     """
@@ -410,9 +410,7 @@ def eval_expr(expr, root: bool = True):
 
     Free products may appear only at the root: their K-theory is a
     K-pair, not an invariant triple of an algebra that could be fed
-    back into the tensor formula.  A literal flagged as not finitely
-    generated may stand alone, for the decision layer to refuse, but is
-    refused as an operand, since the formulas would drop the flag.
+    back into the tensor formula.
 
     >>> eval_expr(parse("M_2 (x) M_3")).unit.coords
     (6,)
@@ -420,11 +418,6 @@ def eval_expr(expr, root: bool = True):
     if isinstance(expr, Atom):
         return builtin(expr.kind, expr.param)
     if isinstance(expr, Literal):
-        if not (root or expr.invariant.finitely_generated):
-            raise NonFinitelyGeneratedError(
-                'a literal flagged "finitely_generated": false cannot be an operand; '
-                "the K-theory formulas only cover finitely generated inputs"
-            )
         return expr.invariant
     if isinstance(expr, Tensor):
         # A chain A (x) B (x) C ... parses left-deep; walk its spine

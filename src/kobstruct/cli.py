@@ -8,8 +8,9 @@ Subcommands
     paper-examples          replay the fixed regression suite
 
 Exit codes: 0 success / splitting possible, 1 obstructed or a failing
-regression item, 2 usage or expression errors, 3 non-finitely-generated
-input, 4 an internal error (a fault of the program, not of its input).
+regression item, 2 usage or expression errors, 3 an algebra whose
+K-theory is not finitely generated (CAR), 4 an internal error (a fault
+of the program, not of its input).
 Output is deterministic; JSON output is key-sorted.
 """
 
@@ -76,11 +77,6 @@ def _kpair_lines(kp: KPair) -> list[str]:
 
 def _cmd_kgroups(args, out) -> int:
     result = evaluate(args.expr)
-    if isinstance(result, KInvariant) and not result.finitely_generated:
-        raise NonFinitelyGeneratedError(
-            'the literal is flagged "finitely_generated": false; '
-            "K-groups are computed only for finitely generated inputs"
-        )
     payload = {"command": "kgroups", "expr": args.expr, "result": result.to_json()}
     if isinstance(result, KInvariant):
         lines = [f"expr: {args.expr}", f"L = {result}"]
@@ -139,11 +135,6 @@ def _cmd_classify(args, out) -> int:
     }
     lines = _invariant_lines(f"A = {args.expr_a}", a)
     lines += _invariant_lines(f"B = {args.expr_b}", b)
-    if verdict.outcome == obstruct.NOT_APPLICABLE:
-        # a refusal: no group or map of the pair is computed
-        lines += [f"verdict: {verdict.outcome}", f"reason: {verdict.reason}"]
-        _emit(payload, lines, args.format, out)
-        return EXIT_NOT_FG
     ufp = an.unital_free_product
     k0, k1 = an.tensor_groups
     payload["groups"] = {
@@ -178,9 +169,6 @@ def _cmd_classify(args, out) -> int:
 def _cmd_section(args, out) -> int:
     an = _analysis(args)
     a, b = an.a, an.b
-    if not (a.finitely_generated and b.finitely_generated):
-        # refuse the pair as classify does, before any solving
-        raise NonFinitelyGeneratedError(classify_analysis(an).reason)
     report = section_exists_analysis(an, args.mode)
     payload = {
         "command": "section",

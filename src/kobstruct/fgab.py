@@ -25,7 +25,7 @@ cokernels and the solvers' systems.  A quotient by one element, whose
 relations are a diagonal plus one column, carries its transforms as
 dict rows (``_quotient_full``), so it costs about its relations.
 
-The Smith normal form engine ``_snf_engine`` alternates Hermite
+The Smith normal form engine ``_snf_rows`` alternates Hermite
 stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
 rows of a matrix until it is diagonal, then makes the diagonal a
 divisibility chain with 2x2 Bezout steps.  It has three modes, one
@@ -63,7 +63,7 @@ threads; a caller that reads a structure more than once keeps it itself.
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from math import gcd, inf, lcm
 from operator import add, index, itemgetter, mul
 
@@ -281,8 +281,9 @@ def _hnf_rows(lines, tail, inv=None):
     return len(cols), a
 
 
-def _snf_engine(m: IntMatrix, track=None):
-    """Diagonalize m, returning (u, uinv_t, d, v_t) with d = u m v.
+def _snf_rows(rows, ncols, track=None):
+    """Diagonalize the matrix m with rows ``rows``, ``ncols`` wide,
+    returning (u, uinv_t, d, v_t) with d = u m v.
 
     u and v are unimodular; d is diagonal, nonnegative, and its entries
     form a divisibility chain.  Hermite stages (``_hnf_rows``) alternate
@@ -301,24 +302,14 @@ def _snf_engine(m: IntMatrix, track=None):
 
     Only d is always computed.  ``track`` is one of three modes: None
     tracks nothing (``cokernel``), "uinv" tracks u and uinv_t, the
-    transpose of u^-1, as dict rows (``_snf_rows``, for quotients) and
-    returns them dense, and "v" tracks u and v_t, the transpose of v
-    (``smith_normal_form``).  An untracked transform is None;
-    transposed, each update is a whole-row operation.  Every step reads
-    only the matrix being reduced, so d and u are the same in every mode
-    that computes them.
-    """
-    u, uinv_t, d, v_t = _snf_rows(m.data, m.cols, track)
-    if track == "uinv":
-        u, uinv_t = (list(map(list, _dense(x, m.rows).data)) for x in (u, uinv_t))
-    return u, uinv_t, d, v_t
-
-
-def _snf_rows(rows, ncols, track):
-    """``_snf_engine`` on the matrix with rows ``rows``, ``ncols`` wide,
-    with u and uinv_t in mode "uinv" as dict rows, so that a relation
+    transpose of u^-1, as dict rows (for quotients), so that a relation
     matrix that is mostly zero, such as a diagonal plus one column,
-    costs about its nonzero entries."""
+    costs about its nonzero entries, and "v" tracks u and v_t, the
+    transpose of v (``smith_normal_form``).  An untracked transform is
+    None; transposed, each update is a whole-row operation.  Every step
+    reads only the matrix being reduced, so d and u are the same in
+    every mode that computes them.
+    """
     if track not in (None, "uinv", "v"):
         raise ValueError(f"unknown tracking mode {track!r}")
     n = len(rows)
@@ -389,7 +380,7 @@ def smith_normal_form(m: IntMatrix):
     >>> [d[0, 0], d[1, 1]]
     [2, 4]
     """
-    u, _, d, v_t = _snf_engine(m, "v")
+    u, _, d, v_t = _snf_rows(m.data, m.cols, "v")
     return (
         IntMatrix._trusted(tuple(map(tuple, u)), m.rows),
         IntMatrix._trusted(tuple(map(tuple, d)), m.cols),
@@ -472,6 +463,13 @@ class FgAbGroup:
                 i -= 1
                 c = chain[i]
                 g = gcd(c, d)
+                if g == d:
+                    # d divides c, so c keeps its value, as does each
+                    # factor below c that d divides; these form one run (d
+                    # divides every factor above one it divides): skip it
+                    if i and chain[i - 1] % d == 0:
+                        i = bisect_left(chain, True, 0, i - 1, key=lambda e: e % d == 0)
+                    continue
                 chain[i] = c // g * d
                 d = g
         object.__setattr__(self, "rank", rank)
@@ -1030,7 +1028,7 @@ def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
 def cokernel(f: GroupHom) -> FgAbGroup:
     """Canonical form of target / image."""
     stacked = f.matrix.hstack(f.target.relation_matrix())
-    _, _, d, _ = _snf_engine(stacked)
+    _, _, d, _ = _snf_rows(stacked.data, stacked.cols)
     return _diagonal_group(d, stacked.cols)[0]
 
 

@@ -118,17 +118,11 @@ EXTRA_Z = "ExtraZ"
 
 @dataclass(frozen=True)
 class KInvariant:
-    """The triple (K0, K1, unit class) of a unital algebra.
-
-    ``finitely_generated`` is an extension hook: every invariant built
-    here is finitely generated by construction, but callers may flag an
-    input so the decision layer refuses it cleanly.
-    """
+    """The triple (K0, K1, unit class) of a unital algebra."""
 
     k0: FgAbGroup
     k1: FgAbGroup
     unit: GroupElement
-    finitely_generated: bool = True
 
     def __post_init__(self):
         if self.unit.group != self.k0:
@@ -142,14 +136,11 @@ class KInvariant:
         return f"({self.k0}, {self.k1}, {list(self.unit.coords)})"
 
     def to_json(self):
-        obj = {
+        return {
             "k0": self.k0.to_json(),
             "k1": self.k1.to_json(),
             "unit": list(self.unit.coords),
         }
-        if not self.finitely_generated:
-            obj["finitely_generated"] = False
-        return obj
 
     @classmethod
     def from_json(cls, obj):
@@ -159,18 +150,15 @@ class KInvariant:
         K1 carries no coordinates and is normalized as ``FgAbGroup`` does."""
         k0 = FgAbGroup.from_json(_json_field(obj, "k0", "literal"), "k0")
         k1 = FgAbGroup.from_json(_json_field(obj, "k1", "literal"), "k1")
-        _json_known(obj, ("k0", "k1", "unit", "finitely_generated"))
+        _json_known(obj, ("k0", "k1", "unit"))
         torsion = list(obj["k0"].get("torsion", ()))
         if torsion != list(k0.torsion):
             raise ValueError(
                 f"k0 torsion {torsion} is not in invariant-factor form (each factor at least 2 "
                 f"and dividing the next): its invariant factors are {list(k0.torsion)}"
             )
-        flag = obj.get("finitely_generated", True)
-        if type(flag) is not bool:
-            raise ValueError(f"finitely_generated must be a boolean, not {type(flag).__name__}")
         unit = _json_ints(_json_field(obj, "unit", "literal"), "unit")
-        return cls(k0, k1, k0.element(unit), finitely_generated=flag)
+        return cls(k0, k1, k0.element(unit))
 
 
 @dataclass(eq=True)

@@ -62,7 +62,6 @@ __all__ = [
     "POSSIBLE_CASE_II",
     "POSSIBLE_CASE_III",
     "OBSTRUCTED",
-    "NOT_APPLICABLE",
     "K1_TENSOR_NONZERO",
     "RANK_INEQUALITY",
     "TOR_NONZERO",
@@ -76,7 +75,6 @@ POSSIBLE_CASE_I = "PossibleCaseI"
 POSSIBLE_CASE_II = "PossibleCaseII"
 POSSIBLE_CASE_III = "PossibleCaseIII"
 OBSTRUCTED = "Obstructed"
-NOT_APPLICABLE = "NotApplicable"
 
 K1_TENSOR_NONZERO = "K1TensorNonzero"
 RANK_INEQUALITY = "RankInequality"
@@ -110,26 +108,18 @@ class Verdict:
     """Outcome of the classifier.
 
     Exactly one of ``parameters`` (for a Possible* outcome) and
-    ``witness`` (for Obstructed) is populated; NotApplicable carries
-    only ``reason``.
+    ``witness`` (for Obstructed) is populated.
     """
 
     outcome: str
     parameters: tuple | None = None
     witness: ObstructionWitness | None = None
-    reason: str | None = None
 
     def __post_init__(self):
         if self.outcome in _POSSIBLE:
             ok = self.parameters is not None and self.witness is None
         elif self.outcome == OBSTRUCTED:
             ok = self.witness is not None and self.parameters is None
-        elif self.outcome == NOT_APPLICABLE:
-            ok = (
-                self.parameters is None
-                and self.witness is None
-                and self.reason is not None
-            )
         else:
             raise ValueError(f"unknown outcome {self.outcome!r}")
         if not ok:
@@ -151,7 +141,8 @@ class Verdict:
             "case": case,
             "parameters": self.parameters_dict(),
             "witness": self.witness.to_json() if self.witness else None,
-            "reason": self.reason,
+            # kept for the output schema; no outcome carries a reason
+            "reason": None,
         }
 
 
@@ -342,13 +333,6 @@ def classify_analysis(an: PairAnalysis) -> Verdict:
     I needs K0 = Z and case III rank-one K0 on both sides, so neither
     pattern matches a side with finite K-theory."""
     a, b = an.a, an.b
-    if not (a.finitely_generated and b.finitely_generated):
-        return Verdict(
-            NOT_APPLICABLE,
-            reason="K-theory is not finitely generated; the case analysis "
-            "and the exact solvers only cover finitely generated inputs.",
-        )
-
     a_fin = a.is_torsion_invariant()
     b_fin = b.is_torsion_invariant()
     if a_fin and b_fin and gcd(_finite_order(a), _finite_order(b)) == 1:

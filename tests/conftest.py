@@ -39,7 +39,7 @@ import pytest
 
 from kobstruct import FgAbGroup, GroupHom, IntMatrix, smith_normal_form
 from kobstruct.catalog import catalog_entries
-from kobstruct.fgab import _canonicalize_sparse, _cyclic_canonical, _quotient_full
+from kobstruct.fgab import _canonicalize_sparse, _cyclic_canonical, _quotient_full, _snf_rows
 
 # bench/test_bench.py imports the same module under the same name, so
 # ``pytest tests bench`` in one process loads it once
@@ -212,6 +212,16 @@ def dense_rows(vectors, n):
         for p, e in v.items():
             row[p] = e
     return rows
+
+
+def snf_engine(m: IntMatrix, track=None):
+    """(u, uinv_t, d, v_t) of ``_snf_rows`` on m, with u and uinv_t of
+    mode "uinv" densified into lists of rows, so that every mode gives
+    the same shape."""
+    u, uinv_t, d, v_t = _snf_rows(m.data, m.cols, track)
+    if track == "uinv":
+        u, uinv_t = dense_rows(u, m.rows), dense_rows(uinv_t, m.rows)
+    return u, uinv_t, d, v_t
 
 
 def canonical_form(m: IntMatrix):

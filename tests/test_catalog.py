@@ -258,7 +258,7 @@ FRONT_END_ERRORS = [
     (
         _literal(extra=', "finitely_generated": 0'),
         ParseError,
-        "bad literal invariant: finitely_generated must be a boolean, not int (at position 0)",
+        "bad literal invariant: unknown field finitely_generated (at position 0)",
     ),
     (
         "M_2 (x) " + _literal(k0='{"rank": [[[]]]}'),

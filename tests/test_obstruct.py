@@ -31,7 +31,6 @@ from kobstruct.obstruct import (
     K1_TENSOR_NONZERO,
     NO_SECTION_0,
     NO_SECTION_1,
-    NOT_APPLICABLE,
     OBSTRUCTED,
     PI0_NOT_SURJECTIVE,
     PI1_NOT_SURJECTIVE,
@@ -160,18 +159,12 @@ def test_classify_swap_symmetry(catalog):
                 assert va.witness.clause == vb.witness.clause
 
 
-def test_classify_not_applicable_hook():
-    flagged = KInvariant(Z, TRIVIAL, Z.element((1,)), finitely_generated=False)
-    v = classify(flagged, evaluate("O_2"))
-    assert v.outcome == NOT_APPLICABLE and v.reason
-
-
 def test_verdict_field_consistency():
     with pytest.raises(ValueError):
         Verdict(OBSTRUCTED)
     with pytest.raises(ValueError):
         Verdict(POSSIBLE_CASE_I)
-    for name in ("PossibleCaseIV", "PossibleCaseV"):
+    for name in ("PossibleCaseIV", "PossibleCaseV", "NotApplicable"):
         with pytest.raises(ValueError, match="unknown outcome"):
             Verdict(name, parameters=())
     w = ObstructionWitness(TOR_NONZERO, (("tor", "Z/2"),), "nonzero Tor")
