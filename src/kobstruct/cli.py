@@ -11,7 +11,9 @@ Exit codes: 0 success / splitting possible, 1 obstructed or a failing
 regression item, 2 usage or expression errors, 3 an algebra whose
 K-theory is not finitely generated (CAR), 4 an internal error (a fault
 of the program, not of its input).
-Output is deterministic; JSON output is key-sorted.
+Output is deterministic.  JSON output is the text of
+``json.dumps(payload, sort_keys=True, indent=2)``, written by a small
+writer for the shapes the commands emit, a matrix row at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 
 from . import obstruct
@@ -54,9 +56,55 @@ class UsageError(ValueError):
     """A command-line argument that argparse cannot check itself."""
 
 
+def _json_parts(value, indent: str, parts: list[str], write) -> None:
+    """Append to ``parts`` the text ``json.dumps(value, sort_keys=True,
+    indent=2)`` gives ``value`` nested at ``indent`` (a newline and its
+    spaces), and ``write`` the parts out after each element of a list
+    that is not all ints, so a matrix goes out a row at a time.  Only
+    the shapes the commands emit are accepted: dicts with str keys,
+    lists, ints, strs, bools and None; anything else is a TypeError,
+    an internal error rather than different bytes."""
+    kind = type(value)
+    if kind is str:
+        parts.append(_json_str(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif kind is bool:
+        parts.append("true" if value else "false")
+    elif value is None:
+        parts.append("null")
+    elif kind is not list and kind is not dict:
+        raise TypeError(f"the JSON writer takes no {kind.__name__}")
+    elif not value:
+        parts.append("[]" if kind is list else "{}")
+    elif kind is list and all(type(v) is int for v in value):
+        inner = indent + "  "
+        parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]")
+    elif kind is list:
+        inner, sep = indent + "  ", "["
+        for item in value:
+            parts.append(sep + inner)
+            _json_parts(item, inner, parts, write)
+            write("".join(parts))
+            parts.clear()
+            sep = ","
+        parts.append(indent + "]")
+    else:
+        inner, sep = indent + "  ", "{"
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"the JSON writer takes no {type(key).__name__} key")
+            parts.append(sep + inner + _json_str(key) + ": ")
+            _json_parts(value[key], inner, parts, write)
+            sep = ","
+        parts.append(indent + "}")
+
+
 def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        parts = []
+        _json_parts(payload, "\n", parts, out.write)
+        out.write("".join(parts) + "\n")
     else:
         out.write("\n".join(lines) + "\n")
 
@@ -337,8 +385,10 @@ def _cmd_paper_examples(args, out) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
-    ``parse_args`` fills a fresh namespace each time, so no state
-    carries from one call to the next."""
+    parsing fills a fresh namespace each time, so no state carries from
+    one call to the next.  Its ``commands`` map each subcommand's name
+    to the subparser, which ``main`` calls directly when the first
+    argument names one."""
     parser = argparse.ArgumentParser(
         prog="kobstruct",
         description=(
@@ -382,6 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_paper_examples)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -389,11 +440,20 @@ def main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
     try:
         # argparse writes --help to sys.stdout and usage errors to
         # sys.stderr; send them to this call's streams
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            if command is None:
+                args = parser.parse_args(argv)
+            else:
+                # what parse_args does after reading the subcommand,
+                # without parsing the arguments a second time
+                args, extra = command.parse_known_args(argv[1:])
+                if extra:
+                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -25,8 +28,8 @@ from kobstruct import (
     unital_free_product_k,
 )
 import kobstruct
-from kobstruct import fgab, kinv, obstruct
-from kobstruct.catalog import MAX_ENTRIES, MAX_GENERATORS, MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER
+from kobstruct import cli, fgab, kinv, obstruct
+from kobstruct.catalog import MAX_ENTRIES, MAX_GENERATORS, MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER, ParseError
 from kobstruct.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -35,6 +38,8 @@ from kobstruct.cli import (
     EXIT_OK,
     main,
 )
+
+from conftest import random_element, random_finite_group
 
 
 def run_cli(*argv):
@@ -248,6 +253,88 @@ def test_argparse_text_goes_to_the_given_streams(capsys):
         assert main(argv, out=out, err=err) == EXIT_OK
         assert out.getvalue().startswith("usage: kobstruct") and not err.getvalue()
     assert capsys.readouterr() == ("", "")
+
+
+def _record_namespace(seen, command, args, out):
+    seen.append({k: v for k, v in vars(args).items() if k != "subcommand"})
+    return command(args, out)
+
+
+@pytest.fixture
+def namespaces(monkeypatch):
+    """The namespaces the commands are called with, from a parser built
+    with each command wrapped to record them, and dropped after the test."""
+    seen = []
+    for name in ("_cmd_kgroups", "_cmd_classify", "_cmd_section", "_cmd_paper_examples"):
+        monkeypatch.setattr(cli, name, functools.partial(_record_namespace, seen, getattr(cli, name)))
+    cli._build_parser.cache_clear()
+    yield seen
+    cli._build_parser.cache_clear()
+
+
+def _reference_main(argv):
+    """Exit code, stdout and stderr of one ``parse_args`` on the top
+    parser, followed by the command it picks."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return (EXIT_OK if exc.code in (0, None) else EXIT_ERROR), out.getvalue(), err.getvalue()
+    try:
+        code = args.func(args, out)
+    except ParseError as exc:
+        err.write(f"error: {exc}\n")
+        code = EXIT_ERROR
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kgroups", "C^2 (*) C^2"],
+        ["kgroups", "M_2", "--format", "json"],
+        ["classify", "M_2", "M_3", "--mode", "full", "--format", "json"],
+        ["classify", "--mode", "unital", "O_4", "O_7"],
+        ["section", "M_2", "M_3"],
+        ["section", "C^2", "C^2", "--mode=full", "--format=json"],
+        ["paper-examples", "--only", "ex4"],
+        ["-h"],
+        ["--help"],
+        ["kgroups", "-h"],
+        ["classify", "M_2", "--help"],
+        ["section", "-h"],
+        ["paper-examples", "--help"],
+        [],
+        ["classfy", "M_2", "M_3"],
+        ["--format", "json", "kgroups", "M_2"],
+        ["classify", "M_2"],
+        ["section", "M_2", "M_3", "--mode", "half"],
+        ["kgroups", "M_2", "--format"],
+        ["kgroups", "M_2", "--form", "json"],
+        ["kgroups", "-C"],
+        ["kgroups", "--", "-C"],
+        ["kgroups", "-C (x) C"],
+        ["classify", "O_2", "O_3", "extra", "--bogus"],
+        ["paper-examples", "extra"],
+    ],
+)
+def test_dispatch_matches_one_top_level_parse(argv, namespaces):
+    # main parses a command's arguments with its subparser alone; exit
+    # code, output, errors and namespace are those of parse_args on the
+    # top parser, leftovers reported by the top parser included
+    got = run_cli(*argv)
+    got_namespaces = list(namespaces)
+    namespaces.clear()
+    assert got == _reference_main(argv)
+    assert got_namespaces == namespaces
+
+
+def test_leftover_arguments_are_a_top_parser_error():
+    code, out, err = run_cli("classify", "O_2", "O_3", "extra", "--bogus")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("usage: kobstruct [-h] ")
+    assert err.endswith("\nkobstruct: error: unrecognized arguments: extra --bogus\n")
 
 
 def test_large_power_of_c_is_an_expression_error():
@@ -682,3 +769,94 @@ def test_catalog_invariants_pinned(catalog):
     for code, out in _catalog_runs(catalog):
         digest.update(_coordinate_free(code, out).encode())
     assert digest.hexdigest() == CATALOG_INVARIANTS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps
+
+
+def _writer_text(value):
+    out = io.StringIO()
+    cli._emit(value, [], "json", out)
+    return out.getvalue()
+
+
+def _emitted_payloads(monkeypatch, argvs):
+    """The payloads the commands of ``argvs`` hand to the writer."""
+    payloads = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_emit", lambda payload, lines, fmt, out: payloads.append(payload))
+        for argv in argvs:
+            run_cli(*argv, "--format", "json")
+    return payloads
+
+
+def _assert_writer_matches_json_dumps(payloads):
+    for payload in payloads:
+        assert _writer_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n", payload
+
+
+def test_json_writer_matches_json_dumps_on_catalog_payloads(catalog, monkeypatch):
+    argvs = [("paper-examples",)]
+    for a, _ in catalog:
+        for b, _ in catalog:
+            for mode in ("unital", "full"):
+                argvs += [("classify", a, b, "--mode", mode), ("section", a, b, "--mode", mode)]
+            argvs += [("kgroups", f"{a} {op} {b}") for op in ("(*C)", "(*)", "(x)")]
+    payloads = _emitted_payloads(monkeypatch, argvs)
+    assert len(payloads) == len(argvs) == 1 + 7 * len(catalog) ** 2
+    _assert_writer_matches_json_dumps(payloads)
+
+
+def _torsion_literal(rng):
+    k0 = FgAbGroup(rng.randint(0, 1), random_finite_group(rng, max_order=60, max_factors=3).torsion)
+    k1 = FgAbGroup(rng.randint(0, 1), random_finite_group(rng).torsion)
+    return json.dumps({"k0": k0.to_json(), "k1": k1.to_json(), "unit": list(random_element(rng, k0).coords)})
+
+
+def test_json_writer_matches_json_dumps_on_torsion_literals(monkeypatch):
+    rng = random.Random(27)
+    argvs = []
+    for _ in range(60):
+        a, b = _torsion_literal(rng), _torsion_literal(rng)
+        argvs += [
+            ("classify", a, b, "--mode", "full"),
+            ("section", a, b, "--mode", "unital"),
+            ("kgroups", f"{a} (*) {b}"),
+        ]
+    payloads = _emitted_payloads(monkeypatch, argvs)
+    assert len(payloads) == len(argvs)
+    _assert_writer_matches_json_dumps(payloads)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], {}, [[]]]},
+        [[[]]],
+        {"n": [-1, 0, -(2**1000), 2**1000 - 1], "m": -(2**1000)},
+        {"t": True, "f": False, "z": None, "l": [True, False, None], "mixed": [1, True, None, "1"]},
+        {"s": ["é", "\u2603", "\U0001f600", "\ud800", "\x00\x1f\x7f", '"\\/\n\r\t\b\f', ""]},
+        {"é": 1, "\n": 2, "b": 3, "a": 4, "B": 5, "": 6, "\x00": 7, "\U0001f600": 8, "aa": 9},
+        {"z": {"y": [1, [2, [3]]], "x": "s"}, "a": [{"k": [[1, 2], [3]], "j": {}}], "m": [[0] * 3] * 4},
+        "top-level string",
+        7,
+    ],
+)
+def test_json_writer_matches_json_dumps_on_edge_cases(value):
+    _assert_writer_matches_json_dumps([value])
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {"a": [0.0]}, (1, 2), {"a": (1,)}, {1: "a"}, {"a": {2: 0}}, _Int(3), [1, _Int(3)], {"a": _Int(0)}],
+)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _writer_text(value)
