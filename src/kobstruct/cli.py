@@ -100,13 +100,14 @@ def _json_parts(value, indent: str, parts: list[str], write) -> None:
         parts.append(indent + "}")
 
 
-def _emit(payload: dict, lines: list[str], fmt: str, out) -> None:
-    if fmt == "json":
-        parts = []
-        _json_parts(payload, "\n", parts, out.write)
-        out.write("".join(parts) + "\n")
-    else:
-        out.write("\n".join(lines) + "\n")
+def _emit_json(payload: dict, out) -> None:
+    parts = []
+    _json_parts(payload, "\n", parts, out.write)
+    out.write("".join(parts) + "\n")
+
+
+def _emit_text(lines: list[str], out) -> None:
+    out.write("\n".join(lines) + "\n")
 
 
 def _invariant_lines(label: str, inv: KInvariant) -> list[str]:
@@ -125,12 +126,12 @@ def _kpair_lines(kp: KPair) -> list[str]:
 
 def _cmd_kgroups(args, out) -> int:
     result = evaluate(args.expr)
-    payload = {"command": "kgroups", "expr": args.expr, "result": result.to_json()}
-    if isinstance(result, KInvariant):
-        lines = [f"expr: {args.expr}", f"L = {result}"]
+    if args.format == "json":
+        _emit_json({"command": "kgroups", "expr": args.expr, "result": result.to_json()}, out)
+    elif isinstance(result, KInvariant):
+        _emit_text([f"expr: {args.expr}", f"L = {result}"], out)
     else:
-        lines = [f"expr: {args.expr}"] + _kpair_lines(result)
-    _emit(payload, lines, args.format, out)
+        _emit_text([f"expr: {args.expr}"] + _kpair_lines(result), out)
     return EXIT_OK
 
 
@@ -173,44 +174,47 @@ def _cmd_classify(args, out) -> int:
     an = _analysis(args)
     a, b = an.a, an.b
     verdict = classify_analysis(an)
-    payload = {
-        "command": "classify",
-        "expr_a": args.expr_a,
-        "expr_b": args.expr_b,
-        "invariant_a": a.to_json(),
-        "invariant_b": b.to_json(),
-        "verdict": verdict.to_json(),
-    }
-    lines = _invariant_lines(f"A = {args.expr_a}", a)
-    lines += _invariant_lines(f"B = {args.expr_b}", b)
     ufp = an.unital_free_product
     k0, k1 = an.tensor_groups
-    payload["groups"] = {
-        "unital_free_product": ufp.to_json(),
-        "tensor": {"k0": k0.to_json(), "k1": k1.to_json()},
-    }
+    report = section_exists_analysis(an, args.mode) if args.mode else None
     if args.format == "json":
-        # text output never prints the maps: build them only for JSON,
-        # or when the verdict or the sections read them
-        payload["maps"] = {"pi0": an.pi0.to_json(), "pi1": an.pi1.to_json()}
-    lines += [
-        f"K(unital free product): K0 = {ufp.k0}, K1 = {ufp.k1}"
-        + (" (with extra Z)" if ufp.extra_z else ""),
-        f"K(tensor product): K0 = {k0}, K1 = {k1}",
-        f"verdict: {verdict.outcome}",
-    ]
-    if verdict.parameters is not None:
-        params = ", ".join(f"{k}={v}" for k, v in verdict.parameters)
-        lines.append(f"case parameters: {params}")
-    if verdict.witness is not None:
-        lines.append(f"witness: {verdict.witness.clause}")
-        lines.append(f"  {verdict.witness.explanation}")
-    if args.mode:
-        report = section_exists_analysis(an, args.mode)
-        payload["sections"] = {"mode": args.mode, **_section_payload(report)}
-        lines.append(f"sections ({args.mode} mode):")
-        lines.extend("  " + s for s in _section_lines(report))
-    _emit(payload, lines, args.format, out)
+        payload = {
+            "command": "classify",
+            "expr_a": args.expr_a,
+            "expr_b": args.expr_b,
+            "invariant_a": a.to_json(),
+            "invariant_b": b.to_json(),
+            "verdict": verdict.to_json(),
+            "groups": {
+                "unital_free_product": ufp.to_json(),
+                "tensor": {"k0": k0.to_json(), "k1": k1.to_json()},
+            },
+            # text output never prints the maps: build them only for
+            # JSON, or when the verdict or the sections read them
+            "maps": {"pi0": an.pi0.to_json(), "pi1": an.pi1.to_json()},
+        }
+        if report is not None:
+            payload["sections"] = {"mode": args.mode, **_section_payload(report)}
+        _emit_json(payload, out)
+    else:
+        lines = _invariant_lines(f"A = {args.expr_a}", a)
+        lines += _invariant_lines(f"B = {args.expr_b}", b)
+        lines += [
+            f"K(unital free product): K0 = {ufp.k0}, K1 = {ufp.k1}"
+            + (" (with extra Z)" if ufp.extra_z else ""),
+            f"K(tensor product): K0 = {k0}, K1 = {k1}",
+            f"verdict: {verdict.outcome}",
+        ]
+        if verdict.parameters is not None:
+            params = ", ".join(f"{k}={v}" for k, v in verdict.parameters)
+            lines.append(f"case parameters: {params}")
+        if verdict.witness is not None:
+            lines.append(f"witness: {verdict.witness.clause}")
+            lines.append(f"  {verdict.witness.explanation}")
+        if report is not None:
+            lines.append(f"sections ({args.mode} mode):")
+            lines.extend("  " + s for s in _section_lines(report))
+        _emit_text(lines, out)
     return EXIT_OBSTRUCTED if verdict.outcome == OBSTRUCTED else EXIT_OK
 
 
@@ -218,20 +222,22 @@ def _cmd_section(args, out) -> int:
     an = _analysis(args)
     a, b = an.a, an.b
     report = section_exists_analysis(an, args.mode)
-    payload = {
-        "command": "section",
-        "expr_a": args.expr_a,
-        "expr_b": args.expr_b,
-        "mode": args.mode,
-        "sections": _section_payload(report),
-    }
-    lines = (
-        _invariant_lines(f"A = {args.expr_a}", a)
-        + _invariant_lines(f"B = {args.expr_b}", b)
-        + [f"mode: {args.mode}"]
-        + _section_lines(report)
-    )
-    _emit(payload, lines, args.format, out)
+    if args.format == "json":
+        _emit_json({
+            "command": "section",
+            "expr_a": args.expr_a,
+            "expr_b": args.expr_b,
+            "mode": args.mode,
+            "sections": _section_payload(report),
+        }, out)
+    else:
+        _emit_text(
+            _invariant_lines(f"A = {args.expr_a}", a)
+            + _invariant_lines(f"B = {args.expr_b}", b)
+            + [f"mode: {args.mode}"]
+            + _section_lines(report),
+            out,
+        )
     return EXIT_OK if report.all_clear else EXIT_OBSTRUCTED
 
 
@@ -368,18 +374,17 @@ def _cmd_paper_examples(args, out) -> int:
         results.append(
             {"id": ident, "description": description, "passed": passed, "detail": detail}
         )
-    payload = {
-        "command": "paper-examples",
-        "passed": all(r["passed"] for r in results),
-        "results": results,
-    }
-    lines = [
-        f"{'PASS' if r['passed'] else 'FAIL'} {r['id']:<14} {r['description']}"
-        for r in results
-    ]
-    lines.append(f"{sum(r['passed'] for r in results)}/{len(results)} examples passed")
-    _emit(payload, lines, args.format, out)
-    return EXIT_OK if payload["passed"] else EXIT_OBSTRUCTED
+    passed = all(r["passed"] for r in results)
+    if args.format == "json":
+        _emit_json({"command": "paper-examples", "passed": passed, "results": results}, out)
+    else:
+        lines = [
+            f"{'PASS' if r['passed'] else 'FAIL'} {r['id']:<14} {r['description']}"
+            for r in results
+        ]
+        lines.append(f"{sum(r['passed'] for r in results)}/{len(results)} examples passed")
+        _emit_text(lines, out)
+    return EXIT_OK if passed else EXIT_OBSTRUCTED
 
 
 @functools.cache

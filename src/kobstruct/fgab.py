@@ -968,11 +968,14 @@ def tensor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     """Canonical form of the tensor product over Z.
 
     Distributes over the cyclic decomposition: Z (x) G = G and
-    Z/d (x) Z/e = Z/gcd(d, e).
+    Z/d (x) Z/e = Z/gcd(d, e).  A factor with no generators gives the
+    trivial group, with no factors to merge.
 
     >>> tensor(FgAbGroup(0, (2,)), FgAbGroup(0, (3,)))
     FgAbGroup(0, ())
     """
+    if not (g.ngens and h.ngens):
+        return FgAbGroup()
     factors = [gcd(d, e) for d in g.torsion for e in h.torsion]
     factors += list(g.torsion) * h.rank
     factors += list(h.torsion) * g.rank
@@ -981,11 +984,14 @@ def tensor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
 
 def tor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     """Canonical form of Tor_1(g, h): free parts vanish, cyclic parts
-    contribute Z/gcd(d, e).
+    contribute Z/gcd(d, e), so a factor with no torsion gives the
+    trivial group, with no factors to merge.
 
     >>> tor(FgAbGroup(0, (2,)), FgAbGroup(0, (4,)))
     FgAbGroup(0, (2,))
     """
+    if not (g.torsion and h.torsion):
+        return FgAbGroup()
     return FgAbGroup(0, [gcd(d, e) for d in g.torsion for e in h.torsion])
 
 

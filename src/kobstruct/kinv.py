@@ -27,7 +27,11 @@ as ``_cyclic_canonical`` gives it, and checked once as a ``GroupHom``
 each quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
 injection or projection is built, so a map costs about the size of its
 matrix; the same rows give the unit [1_A] (x) [1_B] of the tensor
-product (``tensor_unit``).
+product (``tensor_unit``).  Zero is read off generator counts: a map
+whose source has no generators (pi1 whenever K1A + K1B = 0, as for
+every pair of algebras with K1 = 0; pi0 and lifted_pi0 when their
+source is 0, as for O_2 against O_2) is the matrix with no columns
+onto the tensor K-group, and no row is built for it.
 
 The cokernels of the induced maps need no map.  With
 Q_A = K0A/<[1_A]> and Q_B = K0B/<[1_B]> (``unit_quotients``, read off
@@ -40,10 +44,11 @@ The maps reach only the tensor pairings a unit class enters, through
 x (x) [1_B] and [1_A] (x) y; by right exactness of the tensor product,
 (M/M') (x) (N/N') = M (x) N / (M' (x) N + M (x) N'), so such a pairing
 leaves the tensor of the quotients, and every other summand is left
-whole.  A section of an induced map is settled by the cokernel first:
-only a map that is onto is built and has its section solved, so one
-that is not never builds the unital quotient for it.  No state is kept
-from one call to the next.
+whole.  A section onto a tensor K-group with no generators is the hom
+from it, with no columns, and no map is built for it.  Any other
+section is settled by the cokernel first: only a map that is onto is
+built and has its section solved, so one that is not never builds the
+unital quotient for it.  No state is kept from one call to the next.
 """
 
 from __future__ import annotations
@@ -297,6 +302,12 @@ def pi_star_full(a: KInvariant, b: KInvariant):
     return an.lifted_pi0, an.pi1
 
 
+def _from_zero(source: FgAbGroup, target: FgAbGroup) -> GroupHom:
+    """The one hom from ``source``, a group with no generators, to
+    ``target``: the matrix with ``target.ngens`` rows and no columns."""
+    return GroupHom(source, target, _dense([{}] * target.ngens, 0))
+
+
 def _sparse_sum(g: FgAbGroup, h: FgAbGroup):
     """(g + h, to_canon, lifts) in dict rows: to_canon as
     ``_cyclic_canonical`` gives it, and row k of lifts coordinate k of
@@ -492,30 +503,41 @@ class PairAnalysis:
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
-        K0A (x) K0B summand of the tensor K0."""
+        K0A (x) K0B summand of the tensor K0.  From a K0A + K0B with no
+        generators it is the matrix with no columns, built from no rows."""
+        s = _sum_group((self.a.k0, self.b.k0))
+        if not s.ngens:
+            return _from_zero(s, self.tensor_groups[0])
         target, rows = self._lifted_rows0
-        s = self._k0_sum[0]
         return GroupHom(s, target, _dense(rows, s.ngens))
 
     @cached_property
     def pi0(self) -> GroupHom:
         """The degree-0 induced map on the unital quotient: the rows of
         lifted_pi0 times the lift of each quotient generator to
-        K0A + K0B, one sparse product."""
+        K0A + K0B, one sparse product.  From a quotient with no
+        generators it is the matrix with no columns, built from no rows."""
+        q, _, lift = self.unital_quotient
+        if not q.ngens:
+            return _from_zero(q, self.tensor_groups[0])
         target, rows = self._lifted_rows0
         u = self.unit_relation.coords
         if any(target.reduce([sum([c * u[k] for k, c in row.items()]) for row in rows])):
             raise AssertionError("induced map does not kill the unit relation")
-        q, _, lift = self.unital_quotient
         return GroupHom(q, target, _dense(_times(rows, _transpose(lift, len(u))), q.ngens))
 
     @cached_property
     def pi1(self) -> GroupHom:
         """Degree-1 induced map on the well-defined part K1A + K1B:
         (x, y) |-> (x (x) [1_B]) + ([1_A] (x) y), landing in the
-        K1A (x) K0B and K0A (x) K1B summands of the tensor K1."""
+        K1A (x) K0B and K0A (x) K1B summands of the tensor K1.  When
+        K1A + K1B has no generators, as for every pair of algebras with
+        K1 = 0, it is the matrix with no columns, built from no rows."""
+        s = _sum_group((self.a.k1, self.b.k1))
+        if not s.ngens:
+            return _from_zero(s, self.tensor_groups[1])
         target, rows = self._images(1)
-        s, _, lifts = _sparse_sum(self.a.k1, self.b.k1)
+        lifts = _sparse_sum(self.a.k1, self.b.k1)[2]
         return GroupHom(s, target, _dense(_times(rows, lifts), s.ngens))
 
     def _cokernel(self, degree):
@@ -541,11 +563,17 @@ class PairAnalysis:
         K1A (x) Q_B + Q_A (x) K1B + Tor(K0A, K0B) + Tor(K1A, K1B)."""
         return self._cokernel(1)
 
-    def _section(self, degree, name):
-        """A section of the induced map ``name`` of ``degree``, or None.
-        A nontrivial cokernel, read off the groups (``_cokernel``),
-        leaves none; only a map that is onto is built and has its
-        section solved."""
+    def _section(self, degree, name, source):
+        """A section of the induced map ``name`` of ``degree``, whose
+        source is the group ``source()``, or None.  Onto a tensor
+        K-group with no generators the one section is the hom from it
+        to ``source()``, with no columns: no map is built or solved.
+        Otherwise a nontrivial cokernel, read off the groups
+        (``_cokernel``), leaves none; only a map that is onto is built
+        and has its section solved."""
+        target = self.tensor_groups[degree]
+        if not target.ngens:
+            return _from_zero(target, source())
         if not getattr(self, f"cokernel{degree}").is_trivial:
             return None
         return right_inverse_exists(getattr(self, name))
@@ -553,15 +581,16 @@ class PairAnalysis:
     @cached_property
     def section0(self):
         """A section (right inverse) of pi0, or None if it has none.  The
-        unital quotient is built only for an onto pi0."""
-        return self._section(0, "pi0")
+        unital quotient is built only for an onto pi0, or as the source
+        of the section onto a tensor K0 of 0."""
+        return self._section(0, "pi0", lambda: self.unital_quotient[0])
 
     @cached_property
     def section1(self):
         """A section of pi1, or None if it has none."""
-        return self._section(1, "pi1")
+        return self._section(1, "pi1", lambda: _sum_group((self.a.k1, self.b.k1)))
 
     @cached_property
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
-        return self._section(0, "lifted_pi0")
+        return self._section(0, "lifted_pi0", lambda: _sum_group((self.a.k0, self.b.k0)))

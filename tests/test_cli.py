@@ -101,7 +101,9 @@ def test_classify_json_schema():
 
 def test_classify_text_builds_no_map_it_does_not_print(monkeypatch):
     # The rank clause decides C^24 against C^24, and text output never
-    # prints pi0 or pi1, so neither map is built; JSON still carries both.
+    # prints pi0 or pi1, so neither map is built; JSON still carries both,
+    # but K1 of C^2 is 0, so pi1 is the matrix with no columns, built
+    # without the images of any generator.
     built = []
     images = kinv.PairAnalysis._images
 
@@ -114,8 +116,10 @@ def test_classify_text_builds_no_map_it_does_not_print(monkeypatch):
     assert code == EXIT_OBSTRUCTED and "RankInequality" in out
     assert built == []
     code, out, _ = run_cli("classify", "C^2", "C^2", "--format", "json")
-    assert code == EXIT_OBSTRUCTED and len(built) == 2
+    assert code == EXIT_OBSTRUCTED and built == [(0,)]
     assert set(json.loads(out)["maps"]) == {"pi0", "pi1"}
+    pi1 = kinv.PairAnalysis(kobstruct.evaluate("C^2"), kobstruct.evaluate("C^2")).pi1
+    assert (pi1.source, pi1.matrix.cols, pi1.matrix.rows) == (FgAbGroup(), 0, pi1.target.ngens)
 
 
 # Runs one classify through cli.main in this interpreter and prints the
@@ -698,6 +702,62 @@ def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
     assert total, "no classify command reached the solver"
 
 
+# Z + Z/2 against Z + Z/3: K1 = 0 on both sides, and the Tor of the K0s is 0
+_Z_Z2 = '{"k0": {"rank": 1, "torsion": [2]}, "k1": {"rank": 0, "torsion": []}, "unit": [1, 1]}'
+_Z_Z3 = '{"k0": {"rank": 1, "torsion": [3]}, "k1": {"rank": 0, "torsion": []}, "unit": [2, 1]}'
+
+
+@pytest.mark.parametrize("command, mode", [("classify", "unital"), ("section", "full")])
+@pytest.mark.parametrize(
+    "expr_a, expr_b, k1",
+    [("M_2", "M_3", False), (_Z_Z2, _Z_Z3, False), ("CT", "CT", True)],
+    ids=["M_2-M_3", "literals", "CT-CT"],
+)
+def test_degree_one_costs_nothing_when_k1_is_zero(command, mode, expr_a, expr_b, k1, monkeypatch):
+    # With K1A + K1B = 0, pi1 is the matrix with no columns and its
+    # section the hom from a tensor K1 of 0: neither reads the images of
+    # a generator nor reaches the solver.  CT against CT, with K1 = Z,
+    # still builds pi1 and solves its section.
+    pi1 = kinv.PairAnalysis(kobstruct.evaluate(expr_a), kobstruct.evaluate(expr_b)).pi1
+    images, solve = kinv.PairAnalysis._images, fgab.right_inverse_exists
+    built, solved = [], []
+
+    def counting_images(self, degree):
+        built.append(degree)
+        return images(self, degree)
+
+    def counting_solve(f):
+        solved.append(f)
+        return solve(f)
+
+    monkeypatch.setattr(kinv.PairAnalysis, "_images", counting_images)
+    for module in (fgab, kinv, obstruct):
+        if hasattr(module, "right_inverse_exists"):
+            monkeypatch.setattr(module, "right_inverse_exists", counting_solve)
+    code, out, err = run_cli(command, expr_a, expr_b, "--mode", mode, "--format", "json")
+    assert code in (EXIT_OK, EXIT_OBSTRUCTED) and out and not err
+    assert (1 in built) == k1
+    assert (pi1 in solved) == k1
+
+
+def test_json_commands_build_no_text_lines(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a text line built for JSON output")
+
+    for name in ("_invariant_lines", "_kpair_lines", "_section_lines"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(kinv.KInvariant, "__str__", refuse)
+    for argv in (
+        ("classify", "M_2", "M_3", "--mode", "unital"),
+        ("section", "O_2", "O_3", "--mode", "full"),
+        ("kgroups", "M_2 (*C) M_3"),
+        ("kgroups", "M_2"),
+    ):
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert (code, err) == (EXIT_OK, ""), argv
+        assert json.loads(out)["command"] == argv[0]
+
+
 def _catalog_runs(catalog):
     """Exit code and stdout of three JSON commands on every ordered
     catalog pair."""
@@ -771,13 +831,58 @@ def test_catalog_invariants_pinned(catalog):
     assert digest.hexdigest() == CATALOG_INVARIANTS_DIGEST
 
 
+def _literal(rng):
+    """A seeded literal triple: K0 of rank 0-2 with 0-2 factors (so
+    sometimes 0, and sometimes finite with a torsion unit class), K1 of
+    rank 0-1 with 0-1 factors (0 in four draws of nine), and a random
+    unit class."""
+    k0 = FgAbGroup(rng.randint(0, 2), [rng.choice((2, 3, 4, 6, 9)) for _ in range(rng.randint(0, 2))])
+    k1 = FgAbGroup(rng.choice((0, 0, 1)), [rng.choice((2, 3, 4)) for _ in range(rng.choice((0, 0, 1)))])
+    unit = [rng.randint(-4, 4) for _ in range(k0.rank)] + [rng.randrange(d) for d in k0.torsion]
+    return {"k0": k0.to_json(), "k1": k1.to_json(), "unit": unit}
+
+
+def _literal_pairs():
+    rng = random.Random(28)
+    return [(_literal(rng), _literal(rng)) for _ in range(80)]
+
+
+# SHA-256 of exit code, stdout and stderr of the commands of
+# test_literal_outputs_pinned over _literal_pairs, recorded before the
+# induced maps, sections and tensor parts of zero groups were read off
+# generator counts.
+LITERAL_DIGEST = "7499e8627949b2b1075333ecde4f97a6b73d1446d137d30d7d3cdc1ba63d1151"
+
+
+def test_literal_outputs_pinned():
+    pairs = _literal_pairs()
+    sides = [x for pair in pairs for x in pair]
+    # the list reaches K1 != 0, a zero K0 and torsion unit classes
+    assert any(x["k1"] != {"rank": 0, "torsion": []} for x in sides)
+    assert any(x["k0"] == {"rank": 0, "torsion": []} for x in sides)
+    assert any(x["k0"]["rank"] == 0 and any(x["unit"]) for x in sides)
+    digest = hashlib.sha256()
+    for lit_a, lit_b in pairs:
+        a, b = json.dumps(lit_a), json.dumps(lit_b)
+        for argv in (
+            ("classify", a, b, "--mode", "unital"),
+            ("classify", a, b, "--mode", "unital", "--format", "json"),
+            ("section", a, b, "--mode", "unital", "--format", "json"),
+            ("section", a, b, "--mode", "full", "--format", "json"),
+            ("kgroups", f"{a} (*C) {b}", "--format", "json"),
+        ):
+            code, out, err = run_cli(*argv)
+            digest.update(f"{code}\n{out}\n{err}".encode())
+    assert digest.hexdigest() == LITERAL_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # The JSON writer against json.dumps
 
 
 def _writer_text(value):
     out = io.StringIO()
-    cli._emit(value, [], "json", out)
+    cli._emit_json(value, out)
     return out.getvalue()
 
 
@@ -785,7 +890,7 @@ def _emitted_payloads(monkeypatch, argvs):
     """The payloads the commands of ``argvs`` hand to the writer."""
     payloads = []
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_emit", lambda payload, lines, fmt, out: payloads.append(payload))
+        patch.setattr(cli, "_emit_json", lambda payload, out: payloads.append(payload))
         for argv in argvs:
             run_cli(*argv, "--format", "json")
     return payloads
