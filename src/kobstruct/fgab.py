@@ -5,11 +5,14 @@ integer matrix, computed exactly with Python's unbounded integers.  On
 top of it sit canonical invariant-factor forms, group elements with
 reduced coordinates, integer-matrix homomorphisms, tensor and Tor,
 quotients, and solvers for divisibility and section (right inverse)
-problems.  The solvers share one routine for integer systems modulo a
-lattice, ``_solve_mod``.  A section solves the image of a generator of
-order d inside the span of the elements d kills (``_torsion_span``),
-or, for a map of a group to itself, in one system for all generators:
-an onto endomorphism is an automorphism, whose inverse is the section.
+problems.  Every Smith-form system is laid out by one builder,
+``_presentation``, as [m | R_g]: the rows of m, each followed by its
+generator's order in the column of its invariant factor.  The solvers
+share one routine for such systems, ``_solve_mod``.  A section solves
+the image of a generator of order d inside the span of the elements d
+kills, a list of (generator, scale) pairs, or, for a map of a group to
+itself, in one system for all generators: an onto endomorphism is an
+automorphism, whose inverse is the section.
 
 A group's invariant factors are built in one pass: a factor that the
 top of the chain divides is appended, any other carries gcds down the
@@ -388,18 +391,31 @@ def smith_normal_form(m: IntMatrix):
     )
 
 
-def _solve_mod(a: IntMatrix, rel: IntMatrix, rhs_list):
-    """Solve a @ x = b modulo the column span of ``rel``, for each b.
+def _presentation(rows, g):
+    """The rows of [m | R_g] for the matrix m with rows ``rows``, one
+    per generator of g: each row of m, then, for a generator of order d,
+    d in the column of its invariant factor.  Every Smith-form system
+    of the package is laid out here."""
+    zeros = (0,) * len(g.torsion)
+    out = [tuple(row) + zeros for row in rows[: g.rank]]
+    for j, (row, d) in enumerate(zip(rows[g.rank :], g.torsion)):
+        out.append(tuple(row) + zeros[:j] + (d,) + zeros[j + 1 :])
+    return tuple(out)
 
-    One Smith normal form d = u [a | rel] v serves every right-hand
-    side: [a | rel] (x, y) = b has an integer solution exactly when each
-    entry of c = u b is divisible by the matching diagonal entry of d
-    (zero where that entry is zero or absent), and then (x, y) = v c'
-    with c'_i = c_i / d_ii.  Yields one entry per right-hand side, in
-    order and only as far as the caller reads: the a.cols entries of x,
-    or None when there is no solution.
+
+def _solve_mod(rows, n, rhs_list):
+    """Solve m @ x = b modulo the relations of a presentation, for each b.
+
+    ``rows`` are those of the system [m | R] (``_presentation``), whose
+    first n columns are m.  One Smith normal form d = u [m | R] v serves
+    every right-hand side: [m | R] (x, y) = b has an integer solution
+    exactly when each entry of c = u b is divisible by the matching
+    diagonal entry of d (zero where that entry is zero or absent), and
+    then (x, y) = v c' with c'_i = c_i / d_ii.  Yields one entry per
+    right-hand side, in order and only as far as the caller reads: the
+    n entries of x, or None when there is no solution.
     """
-    m = a.hstack(rel)
+    m = IntMatrix._trusted(rows, len(rows[0]) if rows else n)
     u, d, v = smith_normal_form(m)
     for rhs in rhs_list:
         c = u @ tuple(rhs)
@@ -411,12 +427,7 @@ def _solve_mod(a: IntMatrix, rel: IntMatrix, rhs_list):
                 break
             if di:
                 y[i] = c[i] // di
-        yield None if y is None else list(v @ tuple(y))[: a.cols]
-
-
-def _scalar(d, n):
-    """d times the n x n identity."""
-    return IntMatrix([[d * (r == c) for c in range(n)] for r in range(n)], cols=n)
+        yield None if y is None else list(v @ tuple(y))[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +513,7 @@ class FgAbGroup:
 
     def relation_matrix(self):
         """One column d_i * e_(rank+i) per invariant factor."""
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * self.ngens
-            col[self.rank + i] = d
-            cols.append(col)
-        return IntMatrix.from_columns(cols, self.ngens)
+        return IntMatrix._trusted(_presentation([()] * self.ngens, self), len(self.torsion))
 
     def reduce(self, coords):
         coords = list(map(index, coords))
@@ -906,15 +912,11 @@ def _dense(vectors, n) -> IntMatrix:
 def _quotient_full(g: FgAbGroup, x: GroupElement):
     """(q, to_canon, lift) of g / <x>, in dict rows as
     ``_canonicalize_sparse`` gives them, from the relation matrix
-    [R_g | x], a diagonal plus one column built row by row: row i holds
-    d_i, if generator i has order d_i, and x_i."""
+    [x | R_g], one column plus a diagonal.  They depend only on the
+    lattice its columns span, so they are those of [R_g | x] too."""
     if x.group != g:
         raise GroupMismatchError("quotient element is not in the group")
-    k = len(g.torsion)
-    rows = [[0] * k + [c] for c in x.coords]
-    for j, d in enumerate(g.torsion):
-        rows[g.rank + j][j] = d
-    return _canonicalize_sparse(rows, k + 1)
+    return _canonicalize_sparse(_presentation([[c] for c in x.coords], g), len(g.torsion) + 1)
 
 
 def quotient_by(g: FgAbGroup, x: GroupElement):
@@ -1032,10 +1034,10 @@ def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
 
 
 def cokernel(f: GroupHom) -> FgAbGroup:
-    """Canonical form of target / image."""
-    stacked = f.matrix.hstack(f.target.relation_matrix())
-    _, _, d, _ = _snf_rows(stacked.data, stacked.cols)
-    return _diagonal_group(d, stacked.cols)[0]
+    """Canonical form of target / image, presented by [f | R_h]."""
+    ncols = f.matrix.cols + len(f.target.torsion)
+    _, _, d, _ = _snf_rows(_presentation(f.matrix.data, f.target), ncols)
+    return _diagonal_group(d, ncols)[0]
 
 
 def is_surjective(f: GroupHom) -> bool:
@@ -1048,25 +1050,18 @@ def is_surjective(f: GroupHom) -> bool:
     return cokernel(f).is_trivial
 
 
-def _torsion_span(g: FgAbGroup, d: int) -> IntMatrix:
-    """Columns spanning g[d] = {x : d*x = 0} modulo the relations of g:
-    the identity for d = 0, otherwise (c / gcd(c, d)) e_i for each
-    torsion generator i of order c, and none for a free generator."""
-    n = g.ngens
-    if not d:
-        return _scalar(1, n)
-    cols = [[c // gcd(c, d) * (r == i) for r in range(n)] for i, c in enumerate(g.torsion, g.rank)]
-    return IntMatrix.from_columns(cols, n)
-
-
 def right_inverse_exists(f: GroupHom):
     """A hom s with f . s = id on f.target, or None if none exists.
 
     Decided exactly over the integers by ``_solve_mod``.  A target
-    generator e_j of order d must go to g[d], so s(e_j) = S_d y_j with
-    S_d = ``_torsion_span(f.source, d)``, and y_j solves
-    [f S_d | R_h] (y_j, z) = e_j.  Generators of the same order share
-    that matrix, so each distinct order takes one Smith normal form.
+    generator e_j of order d must go to g[d] = {x : d*x = 0}, so
+    s(e_j) = S_d y_j, where S_d spans g[d] modulo the relations of g.
+    S_d is a list of (generator, scale) pairs: every generator at scale
+    1 for d = 0, otherwise (i, c / gcd(c, d)) for each torsion generator
+    i of order c.  y_j solves [f S_d | R_h] (y_j, z) = e_j, where f S_d
+    is f at the pairs' generators times their scales.  Generators of the
+    same order share that system, so each distinct order takes one
+    Smith normal form.
 
     An endomorphism (source equal to target) needs one system, [f | R_h]
     for every generator: a finitely generated abelian group is Hopfian,
@@ -1089,20 +1084,22 @@ def right_inverse_exists(f: GroupHom):
     # generate the group, so f cannot be onto a target with more
     if sg < hg:
         return None
-    rel_h = h.relation_matrix()
     # the span of each generator's image: g[d] for order d, or all of
     # g (key 0) for an endomorphism
     orders = [0] * hg if g == h else _orders(h)
-    basis = _scalar(1, hg).data
     cols = []
     # orders ascend with j, so the columns come out in generator order
     for d in dict.fromkeys(orders):
-        span = _torsion_span(g, d)
-        rhs = [basis[j] for j in range(hg) if orders[j] == d]
-        for y in _solve_mod(f.matrix @ span, rel_h, rhs):
+        span = [(i, c // gcd(c, d)) for i, c in enumerate(g.torsion, g.rank)] if d else [(i, 1) for i in range(sg)]
+        rows = _presentation([[row[i] * e for i, e in span] for row in f.matrix.data], h)
+        rhs = ([int(i == j) for i in range(hg)] for j in range(hg) if orders[j] == d)
+        for y in _solve_mod(rows, len(span), rhs):
             if y is None:
                 return None
-            cols.append(span @ y)
+            col = [0] * sg
+            for (i, e), yi in zip(span, y):
+                col[i] = e * yi
+            cols.append(col)
     return GroupHom(h, g, IntMatrix.from_columns(cols, sg))
 
 
@@ -1110,7 +1107,7 @@ def solve_divisibility(g: FgAbGroup, target: GroupElement, n: int):
     """An element x of g with n*x = target, or None.
 
     Solves n * x = target modulo the relations of g, the system
-    [n*I | R_g], through ``_solve_mod``.
+    [n*I | R_g] (``_presentation``), through ``_solve_mod``.
 
     >>> z = FgAbGroup(1)
     >>> solve_divisibility(z, z.element((6,)), 2).coords
@@ -1123,5 +1120,7 @@ def solve_divisibility(g: FgAbGroup, target: GroupElement, n: int):
     n = index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    (sol,) = _solve_mod(_scalar(n, g.ngens), g.relation_matrix(), [target.coords])
+    k = g.ngens
+    rows = _presentation([[n * (i == j) for j in range(k)] for i in range(k)], g)
+    (sol,) = _solve_mod(rows, k, [target.coords])
     return None if sol is None else GroupElement(g, sol)

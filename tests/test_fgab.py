@@ -177,8 +177,9 @@ def test_generic_engine_outputs_pinned():
 
 
 def _quotient_presentation(group, coords):
-    """The relation matrix ``_quotient_full`` builds for group / <coords>:
-    one column per invariant factor, then the element's column."""
+    """The relation matrix of group / <coords> in relations-first order:
+    one column per invariant factor, then the element's column.  It spans
+    the lattice that ``_quotient_full`` presents element first."""
     return group.relation_matrix().hstack(IntMatrix.from_columns([coords], group.ngens))
 
 
@@ -722,11 +723,9 @@ def test_quotient_group_costs_its_gcds():
 
 
 def _solve_multiple(g, x, target):
-    """Find k with k * x = target, via a one-unknown linear system."""
-    from kobstruct.fgab import _solve_mod
-
-    column = IntMatrix.from_columns([x.coords], g.ngens)
-    (sol,) = _solve_mod(column, g.relation_matrix(), [target.coords])
+    """Find k with k * x = target, via the one-unknown system [x | R_g]."""
+    rows = fgab._presentation([[c] for c in x.coords], g)
+    (sol,) = fgab._solve_mod(rows, 1, [target.coords])
     return sol
 
 
@@ -1023,6 +1022,68 @@ def test_sections_agree_with_the_torsion_equation_reference():
             assert compose(got, f) == GroupHom.identity(h), (g, h, f.matrix)
         found += want
     assert found >= 30
+
+
+def _pin_group(rng):
+    """A small group: free, torsion or mixed, sometimes trivial, its
+    torsion often of two or more orders."""
+    primes = rng.sample((2, 3, 5), rng.randint(1, 2))
+    torsion = [rng.choice(primes) ** rng.randint(1, 3) for _ in range(rng.randint(0, 3))]
+    return FgAbGroup(rng.choice((0, 0, 1, 1, 2)), torsion)
+
+
+def _pin_hom(rng):
+    """A well-defined hom of one of four kinds: random between two
+    groups, an endomorphism, onto the first summand of a sum with a
+    section through its injection, or from a free group through a
+    unimodular change of basis."""
+    kind = rng.randrange(4)
+    g, h = _pin_group(rng), _pin_group(rng)
+    if kind == 0:
+        return random_hom(rng, g, h)
+    if kind == 1:
+        if rng.random() < 0.3:
+            return GroupHom.identity(g)
+        return random_hom(rng, g, g)
+    if kind == 2:
+        proj_h, proj_g = direct_sum_projections((h, g))
+        r = random_hom(rng, g, h).matrix @ proj_g.matrix
+        rows = [[a + b for a, b in zip(p, q)] for p, q in zip(proj_h.matrix.data, r.data)]
+        return GroupHom(proj_h.source, h, IntMatrix(rows, cols=proj_h.source.ngens))
+    n = rng.randint(0, 3)
+    w = random_unimodular(rng, n)
+    free = FgAbGroup(n)
+    f = random_hom(rng, free, free)
+    return GroupHom(free, free, w if rng.random() < 0.5 else f.matrix @ w)
+
+
+def test_solver_outputs_pinned():
+    # Every exact answer of the solvers on 3,000 seeded homs: sections,
+    # cokernels, divisibility for n = 1, 2, 3, 6, the quotient by one
+    # element with its projection, and the target's relation matrix.
+    # The kinds of hom cover free, torsion and mixed groups, trivial
+    # ones, endomorphisms, maps that are not onto and targets with
+    # several torsion orders, whose sections solve one system per order.
+    rng = random.Random(2029)
+    digest = hashlib.sha256()
+    sections = 0
+    for _ in range(3000):
+        f = _pin_hom(rng)
+        h = f.target
+        s = right_inverse_exists(f)
+        sections += s is not None
+        x = random_element(rng, h)
+        y = f(random_element(rng, f.source))
+        out = [s, cokernel(f), quotient_by(h, x), h.relation_matrix()]
+        for n in (1, 2, 3, 6):
+            target = y * n if rng.random() < 0.5 else x
+            out.append(solve_divisibility(h, target, n))
+        digest.update(repr(out).encode())
+    assert sections >= 1000
+    # recorded before the solvers' systems were built by _presentation
+    assert digest.hexdigest() == (
+        "bd68a1ad2e4a3b3056f52983039d848aaf1a31dd287bc464fd79f338ed122675"
+    )
 
 
 def test_solve_divisibility_examples():

@@ -92,3 +92,17 @@ def test_only_kinv_builds_tensor_and_tor_groups():
             and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("tensor", "tor")
         ]
         assert not calls, (path.name, calls)
+
+
+def test_only_presentation_lays_out_relations():
+    # fgab._presentation writes [m | R_g] for every Smith-form system;
+    # stacking a relation matrix by hand would be a second layout
+    for path in sorted((ROOT / "src" / "kobstruct").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) in ("hstack", "relation_matrix")
+        ]
+        assert not calls, (path.name, calls)
