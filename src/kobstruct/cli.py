@@ -10,7 +10,17 @@ Subcommands
 Exit codes: 0 success / splitting possible, 1 obstructed or a failing
 regression item, 2 usage or expression errors, 3 an algebra whose
 K-theory is not finitely generated (CAR), 4 an internal error (a fault
-of the program, not of its input).
+of the program, not of its input), 141 (128 + SIGPIPE, what a shell
+reports for a writer SIGPIPE ended) when the reader of the output has
+gone, as in ``kobstruct ... | head``, with nothing printed.
+
+Each command's grammar (positionals, options with their choices,
+defaults and help, and its function) is declared once, in
+``_build_parser``.  A well-formed command line is read straight from
+it (``_read``); anything else (``-h``, ``--mode=full``, an abbreviation,
+a missing argument, a bad choice) goes to argparse, which prints its
+help, usage and errors unchanged.  Only that path redirects the
+streams, since only argparse writes to ``sys.stdout`` and ``sys.stderr``.
 Output is deterministic.  JSON output is the text of
 ``json.dumps(payload, sort_keys=True, indent=2)``, written by a small
 writer for the shapes the commands emit, a matrix row at a time.
@@ -21,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
@@ -50,6 +61,7 @@ EXIT_OBSTRUCTED = 1
 EXIT_ERROR = 2
 EXIT_NOT_FG = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer SIGPIPE ended
 
 
 class UsageError(ValueError):
@@ -391,9 +403,12 @@ def _cmd_paper_examples(args, out) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     parsing fills a fresh namespace each time, so no state carries from
-    one call to the next.  Its ``commands`` map each subcommand's name
-    to the subparser, which ``main`` calls directly when the first
-    argument names one."""
+    one call to the next.  Each command is declared once, below: its
+    help, its positionals, its options (name, choices or None for any
+    value, default and help) and its function.  ``commands`` maps each
+    command's name to (subparser, positionals, the argparse action of
+    each option by its name), from which ``_read`` reads a well-formed
+    command line."""
     parser = argparse.ArgumentParser(
         prog="kobstruct",
         description=(
@@ -402,67 +417,123 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-
-    p = sub.add_parser("kgroups", help="K-groups of an algebra expression")
-    p.add_argument("expr")
-    add_common(p)
-    p.set_defaults(func=_cmd_kgroups)
-
-    p = sub.add_parser("classify", help="classify a pair of algebras")
-    p.add_argument("expr_a")
-    p.add_argument("expr_b")
-    p.add_argument(
-        "--mode",
-        choices=("unital", "full"),
-        default=None,
-        help="additionally solve for sections of the induced maps",
+    fmt = ("--format", ("text", "json"), "text", "output format")
+    modes = ("unital", "full")
+    grammar = (
+        ("kgroups", "K-groups of an algebra expression", ("expr",), (fmt,), _cmd_kgroups),
+        (
+            "classify", "classify a pair of algebras", ("expr_a", "expr_b"),
+            (("--mode", modes, None, "additionally solve for sections of the induced maps"), fmt),
+            _cmd_classify,
+        ),
+        (
+            "section", "solve for sections of the induced maps", ("expr_a", "expr_b"),
+            (("--mode", modes, "unital", None), fmt),
+            _cmd_section,
+        ),
+        (
+            "paper-examples", "run the fixed regression suite", (),
+            (("--only", None, None, "run a single example by id"), fmt),
+            _cmd_paper_examples,
+        ),
     )
-    add_common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("section", help="solve for sections of the induced maps")
-    p.add_argument("expr_a")
-    p.add_argument("expr_b")
-    p.add_argument("--mode", choices=("unital", "full"), default="unital")
-    add_common(p)
-    p.set_defaults(func=_cmd_section)
-
-    p = sub.add_parser("paper-examples", help="run the fixed regression suite")
-    p.add_argument("--only", default=None, help="run a single example by id")
-    add_common(p)
-    p.set_defaults(func=_cmd_paper_examples)
-
-    parser.commands = sub.choices
+    parser.commands = {}
+    for name, text, positionals, options, func in grammar:
+        p = sub.add_parser(name, help=text)
+        for dest in positionals:
+            p.add_argument(dest)
+        actions = {
+            option: p.add_argument(option, choices=choices, default=default, help=help_text)
+            for option, choices, default, help_text in options
+        }
+        p.set_defaults(func=func)
+        parser.commands[name] = (p, positionals, actions)
     return parser
 
 
+def _read(command, tokens):
+    """The namespace the subparser of ``command`` (an entry of
+    ``commands``) gives ``tokens``, read without argparse, or None for
+    a command line this reader leaves to argparse.
+
+    A token is a positional unless it is exactly one of the command's
+    option names, which takes the next token as its value; the last of
+    a repeated option wins, and options may stand between positionals.
+    Any other token that starts with ``-`` (``-h``, ``--``, ``--mode=full``,
+    an abbreviation, ``-1``), an option with no value or with one that
+    starts with ``-`` or is not among its choices, a missing or extra
+    positional and a token that is not a str all give None: argparse
+    then prints the help or the usage error, or reads what it accepts."""
+    subparser, positionals, actions = command
+    values = {action.dest: action.default for action in actions.values()}
+    free = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if not isinstance(token, str):
+            return None
+        if token[:1] != "-":
+            free.append(token)
+            continue
+        action = actions.get(token)
+        value = next(tokens, None)
+        if (
+            action is None
+            or not isinstance(value, str)
+            or value[:1] == "-"
+            or (action.choices is not None and value not in action.choices)
+        ):
+            return None
+        values[action.dest] = value
+    if len(free) != len(positionals):
+        return None
+    values.update(zip(positionals, free))
+    values["func"] = subparser.get_default("func")
+    return argparse.Namespace(**values)
+
+
 def main(argv=None, out=None, err=None) -> int:
+    """Run one command line and return its exit code.  A well-formed
+    command line is read straight from the command's declaration
+    (``_read``); anything else goes to argparse, which prints help and
+    usage errors unchanged, and only then are the streams redirected."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
+    args = _read(command, argv[1:]) if command is not None else None
+    code = None
     try:
-        # argparse writes --help to sys.stdout and usage errors to
-        # sys.stderr; send them to this call's streams
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            if command is None:
-                args = parser.parse_args(argv)
-            else:
-                # what parse_args does after reading the subcommand,
-                # without parsing the arguments a second time
-                args, extra = command.parse_known_args(argv[1:])
-                if extra:
-                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args, out)
+        if args is None:
+            try:
+                # argparse writes --help to sys.stdout and usage errors to
+                # sys.stderr; send them to this call's streams
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    if command is None:
+                        args = parser.parse_args(argv)
+                    else:
+                        # what parse_args does after reading the subcommand,
+                        # without parsing the arguments a second time
+                        args, extra = command[0].parse_known_args(argv[1:])
+                        if extra:
+                            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            except SystemExit as exc:
+                code = EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
+        if code is None:
+            code = args.func(args, out)
+        if out is sys.stdout:
+            # a reader that has gone shows here, not in the flush at exit;
+            # this covers argparse's help as well as a command's output
+            out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of the output has gone (``| head``): no fault of the
+        # program.  As the Python documentation's recipe for SIGPIPE has
+        # it, stdout is pointed at devnull, so the flush at exit meets no
+        # closed pipe and prints nothing.
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except NonFinitelyGeneratedError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_NOT_FG

@@ -685,7 +685,10 @@ class GroupHom:
     Column j holds the image of the j-th source generator in target
     coordinates.  Construction verifies well-definedness: each torsion
     generator of order d must map to an element killed by d.  Columns
-    are stored reduced, so hom equality is plain field equality.
+    are stored reduced, so hom equality is plain field equality.  A hom
+    with an empty side, whose source or target has no generators, is
+    read off the generator counts: its matrix, with no rows or no
+    columns, has nothing to reduce or check and is stored as it is.
     """
 
     __slots__ = ("source", "target", "matrix")
@@ -696,23 +699,24 @@ class GroupHom:
                 f"hom matrix must be {target.ngens} x {source.ngens}, "
                 f"got {matrix.rows} x {matrix.cols}"
             )
-        # reduce row by row: the row of a generator of order d mod d
-        rank = target.rank
-        reduced = IntMatrix._trusted(
-            matrix.data[:rank]
-            + tuple([tuple([e % d for e in row]) for row, d in zip(matrix.data[rank:], target.torsion)]),
-            matrix.cols,
-        )
-        orders = _orders(target)
-        for j, d in enumerate(source.torsion, source.rank):
-            if any(d * row[j] % t if t else row[j] for row, t in zip(reduced.data, orders)):
-                raise ValueError(
-                    f"not a well-defined hom: generator of order {d} maps to "
-                    f"an element not killed by {d}"
-                )
+        if matrix.rows and matrix.cols:
+            # reduce row by row: the row of a generator of order d mod d
+            rank = target.rank
+            matrix = IntMatrix._trusted(
+                matrix.data[:rank]
+                + tuple([tuple([e % d for e in row]) for row, d in zip(matrix.data[rank:], target.torsion)]),
+                matrix.cols,
+            )
+            orders = _orders(target)
+            for j, d in enumerate(source.torsion, source.rank):
+                if any(d * row[j] % t if t else row[j] for row, t in zip(matrix.data, orders)):
+                    raise ValueError(
+                        f"not a well-defined hom: generator of order {d} maps to "
+                        f"an element not killed by {d}"
+                    )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", reduced)
+        object.__setattr__(self, "matrix", matrix)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupHom is immutable")
@@ -863,13 +867,18 @@ def _axpy(p, b, q):
 def direct_sum_many(groups):
     """Canonical form of g1 (+) ... (+) gn with its injections.
 
-    Returns (sum, injections), one injection per summand.
+    Returns (sum, injections), one injection per summand.  A sum of
+    groups with no generators is read off the counts: the trivial group,
+    and from each summand the hom with the empty matrix.
 
     >>> s, _ = direct_sum_many((FgAbGroup(0, (2,)), FgAbGroup(0, (3,))))
     >>> s
     FgAbGroup(0, (6,))
     """
     groups = tuple(groups)
+    if not any(g.ngens for g in groups):
+        s = FgAbGroup()
+        return s, tuple(GroupHom(g, s, IntMatrix._trusted((), 0)) for g in groups)
     s, to_canon, _ = _cyclic_canonical([c for g in groups for c in _orders(g)])
     return s, _injections(groups, s, to_canon)
 

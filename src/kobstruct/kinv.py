@@ -54,7 +54,6 @@ unital quotient for it.  No state is kept from one call to the next.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import inf
 
 from .fgab import (
@@ -335,12 +334,34 @@ def _apply(rows, v):
     return [sum([e * v[p] for p, e in row.items()]) for row in rows]
 
 
+class _once:
+    """A property computed on its first read and stored in the
+    instance ``__dict__``, where every later read finds it first: what
+    ``functools.cached_property`` does from Python 3.12, without the
+    lock it takes on each first read before that.  The values are
+    deterministic, so two threads that race on one instance store
+    equal values."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class PairAnalysis:
     """The K-theory of one pair (A, B), each piece computed on first use.
 
     Callers that need more than one answer about a pair (groups, maps,
     cokernels, verdict, sections) build one analysis and read them all
-    from it; each piece is computed once, when first read.
+    from it; each piece is computed once per analysis, when first read,
+    and kept in the analysis with no lock (``_once``).  Nothing is kept
+    from one analysis to the next, so no state outlives a call.
     ``kunneth_parts`` builds all eight Kunneth summands even for a
     caller that reads one: building them on demand measured no gain
     once groups were built in one pass.  The classifier and the sections
@@ -361,7 +382,7 @@ class PairAnalysis:
         self.b = b
         self._sums = [None, None]
 
-    @cached_property
+    @_once
     def kunneth_parts(self) -> dict[str, FgAbGroup]:
         """Each summand of the Kunneth formula by its label, as a group,
         in the order of ``KUNNETH``."""
@@ -385,19 +406,19 @@ class PairAnalysis:
             self._sums[degree] = _cyclic_canonical([c for p in self._parts(degree) for c in _orders(p)])
         return self._sums[degree]
 
-    @cached_property
+    @_once
     def tensor_groups(self):
         """(K0, K1) of the tensor product, by the Kunneth formula: every
         tensor and Tor factor of a degree in one group."""
         return tuple(_sum_group(self._parts(degree)) for degree in (0, 1))
 
-    @cached_property
+    @_once
     def unit_quotients(self):
         """(Q_A, Q_B) = (K0A/<[1_A]>, K0B/<[1_B]>), from gcds
         (``_quotient_group``), without a Smith normal form."""
         return tuple(_quotient_group(x.k0, x.unit) for x in (self.a, self.b))
 
-    @cached_property
+    @_once
     def tensor_unit(self) -> GroupElement:
         """[1_A] (x) [1_B] in the tensor K0: the image of [1_A] under
         x |-> x (x) [1_B], read off the dict rows of the induced maps."""
@@ -405,7 +426,7 @@ class PairAnalysis:
         ua = self.a.unit.coords
         return target.element([sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows])
 
-    @cached_property
+    @_once
     def _k0_sum(self):
         """K0A + K0B as ``_sparse_sum`` gives it."""
         return _sparse_sum(self.a.k0, self.b.k0)
@@ -415,12 +436,12 @@ class PairAnalysis:
         s, to_canon, _ = self._k0_sum
         return s.element(_apply(to_canon, v))
 
-    @cached_property
+    @_once
     def unit_relation(self) -> GroupElement:
         """([1_A], -[1_B]) in K0A + K0B."""
         return self._in_k0_sum(self.a.unit.coords + tuple(-c for c in self.b.unit.coords))
 
-    @cached_property
+    @_once
     def unital_quotient(self):
         """(q, to_canon, lift): K0 of the unital free product as the
         quotient of K0A + K0B by the unit relation, the rows of its
@@ -428,12 +449,12 @@ class PairAnalysis:
         both dict rows (``_quotient_full``): no projection hom is built."""
         return _quotient_full(self._k0_sum[0], self.unit_relation)
 
-    @cached_property
+    @_once
     def extra_z(self) -> bool:
         """Both unit classes have finite order."""
         return self.a.unit.order() != inf and self.b.unit.order() != inf
 
-    @cached_property
+    @_once
     def unital_free_product(self) -> KPair:
         a, b = self.a, self.b
         q, to_canon, _ = self.unital_quotient
@@ -491,7 +512,7 @@ class PairAnalysis:
             rows.append(acc)
         return target, rows
 
-    @cached_property
+    @_once
     def _lifted_rows0(self):
         """(target, rows): the images of the generators of K0A + K0B as
         dict rows, one per generator of the tensor K0, before
@@ -499,7 +520,7 @@ class PairAnalysis:
         target, rows = self._images(0)
         return target, _times(rows, self._k0_sum[2])
 
-    @cached_property
+    @_once
     def lifted_pi0(self) -> GroupHom:
         """The degree-0 induced map before the quotient: on K0A + K0B it
         is (x, y) |-> x (x) [1_B] + [1_A] (x) y, landing in the
@@ -511,7 +532,7 @@ class PairAnalysis:
         target, rows = self._lifted_rows0
         return GroupHom(s, target, _dense(rows, s.ngens))
 
-    @cached_property
+    @_once
     def pi0(self) -> GroupHom:
         """The degree-0 induced map on the unital quotient: the rows of
         lifted_pi0 times the lift of each quotient generator to
@@ -526,7 +547,7 @@ class PairAnalysis:
             raise AssertionError("induced map does not kill the unit relation")
         return GroupHom(q, target, _dense(_times(rows, _transpose(lift, len(u))), q.ngens))
 
-    @cached_property
+    @_once
     def pi1(self) -> GroupHom:
         """Degree-1 induced map on the well-defined part K1A + K1B:
         (x, y) |-> (x (x) [1_B]) + ([1_A] (x) y), landing in the
@@ -551,13 +572,13 @@ class PairAnalysis:
             for label, i, j, is_tor in KUNNETH[degree]
         ])
 
-    @cached_property
+    @_once
     def cokernel0(self) -> FgAbGroup:
         """The cokernel of pi0 (and of lifted_pi0, which has the same
         image): Q_A (x) Q_B + K1A (x) K1B + Tor(K0A, K1B) + Tor(K1A, K0B)."""
         return self._cokernel(0)
 
-    @cached_property
+    @_once
     def cokernel1(self) -> FgAbGroup:
         """The cokernel of pi1:
         K1A (x) Q_B + Q_A (x) K1B + Tor(K0A, K0B) + Tor(K1A, K1B)."""
@@ -578,19 +599,19 @@ class PairAnalysis:
             return None
         return right_inverse_exists(getattr(self, name))
 
-    @cached_property
+    @_once
     def section0(self):
         """A section (right inverse) of pi0, or None if it has none.  The
         unital quotient is built only for an onto pi0, or as the source
         of the section onto a tensor K0 of 0."""
         return self._section(0, "pi0", lambda: self.unital_quotient[0])
 
-    @cached_property
+    @_once
     def section1(self):
         """A section of pi1, or None if it has none."""
         return self._section(1, "pi1", lambda: _sum_group((self.a.k1, self.b.k1)))
 
-    @cached_property
+    @_once
     def lifted_section0(self):
         """A section of lifted_pi0, or None if it has none."""
         return self._section(0, "lifted_pi0", lambda: _sum_group((self.a.k0, self.b.k0)))

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -31,6 +33,7 @@ import kobstruct
 from kobstruct import cli, fgab, kinv, obstruct
 from kobstruct.catalog import MAX_ENTRIES, MAX_GENERATORS, MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER, ParseError
 from kobstruct.cli import (
+    EXIT_CLOSED_PIPE,
     EXIT_ERROR,
     EXIT_INTERNAL,
     EXIT_NOT_FG,
@@ -287,7 +290,7 @@ def _reference_main(argv):
         return (EXIT_OK if exc.code in (0, None) else EXIT_ERROR), out.getvalue(), err.getvalue()
     try:
         code = args.func(args, out)
-    except ParseError as exc:
+    except (ParseError, cli.UsageError) as exc:
         err.write(f"error: {exc}\n")
         code = EXIT_ERROR
     return code, out.getvalue(), err.getvalue()
@@ -321,6 +324,10 @@ def _reference_main(argv):
         ["kgroups", "-C (x) C"],
         ["classify", "O_2", "O_3", "extra", "--bogus"],
         ["paper-examples", "extra"],
+        ["section", "--format", "json", "M_2", "--mode", "full", "M_3"],
+        ["kgroups", "M_2", "--format", "json", "--format", "text"],
+        ["paper-examples", "--only", ""],
+        ["classify", "M_2", "M_3", "--mode"],
     ],
 )
 def test_dispatch_matches_one_top_level_parse(argv, namespaces):
@@ -339,6 +346,115 @@ def test_leftover_arguments_are_a_top_parser_error():
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("usage: kobstruct [-h] ")
     assert err.endswith("\nkobstruct: error: unrecognized arguments: extra --bogus\n")
+
+
+# Tokens for the two readers of a command line: positionals (one with
+# spaces, the empty string), every option name, values in and out of
+# their choices, and what only argparse reads (a lone "-", a negative
+# number, "--", help, the = form and an abbreviation).
+_ARGV_TOKENS = (
+    "M_2", "A (*C) B", "", "-", "-1", "--", "-h", "--help", "--mode", "--format", "--only",
+    "--mode=full", "--form", "full", "unital", "half", "json", "text", "ex4",
+)
+
+
+def test_direct_reader_agrees_with_argparse():
+    # every command line of up to 4 of the tokens, for each command: where
+    # the direct reader accepts one, the subparser reads the same
+    # namespace and leaves nothing over
+    accepted = 0
+    for name, command in cli._build_parser().commands.items():
+        subparser = command[0]
+        for size in range(5):
+            for argv in itertools.product(_ARGV_TOKENS, repeat=size):
+                got = cli._read(command, argv)
+                if got is None:
+                    continue
+                accepted += 1
+                with contextlib.redirect_stderr(io.StringIO()):
+                    want, extra = subparser.parse_known_args(list(argv))
+                assert (got, extra) == (want, []), (name, argv)
+    assert accepted > 1000
+
+
+def test_direct_reader_refuses_what_only_argparse_reads():
+    command = cli._build_parser().commands["section"]
+    assert cli._read(command, ["M_2", "M_3", "--mode", "full"]) is not None
+    for argv in (
+        ["M_2", "M_3", "--mode=full"],
+        ["M_2", "M_3", "--mo", "full"],
+        ["M_2", "M_3", "--mode"],
+        ["M_2", "M_3", "--mode", "half"],
+        ["M_2", "M_3", "--mode", "-1"],
+        ["M_2", "--", "M_3"],
+        ["M_2", "-1"],
+        ["M_2", "M_3", "-h"],
+        ["M_2"],
+        ["M_2", "M_3", "M_4"],
+        ["M_2", 3],
+    ):
+        assert cli._read(command, argv) is None, argv
+
+
+def test_well_formed_command_lines_skip_argparse(monkeypatch):
+    # the catalog's command lines and one with an option between the
+    # command and its positionals never reach argparse
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read a well-formed command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    for argv, want in (
+        (("classify", "M_2", "M_3", "--mode", "unital", "--format", "json"), EXIT_OK),
+        (("section", "O_2", "O_3", "--mode", "full", "--format", "json"), EXIT_OK),
+        (("kgroups", "M_2 (*C) M_3", "--format", "json"), EXIT_OK),
+        (("paper-examples", "--format", "json"), EXIT_OK),
+        (("classify", "--mode", "unital", "O_4", "O_7"), EXIT_OBSTRUCTED),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (want, ""), argv
+        assert out
+
+
+class _ClosedPipe(io.StringIO):
+    """An output stream whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_is_no_fault_of_the_program():
+    for argv in (("classify", "M_2", "M_3", "--format", "json"), ("kgroups", "C^2 (*) C^2")):
+        err = io.StringIO()
+        assert main(list(argv), out=_ClosedPipe(), err=err) == EXIT_CLOSED_PIPE
+        assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify", "C^30", "C^30", "--format", "json"), ("kgroups", "M_2"), ("--help",), ("classify", "-h")],
+    ids=["mid-write", "at-flush", "help", "command-help"],
+)
+def test_closed_pipe_exits_quietly_from_the_console(argv):
+    # stdout is a pipe whose reader has gone, as for `kobstruct ... | head`
+    # once head exits, and block-buffered, as a console script's piped
+    # stdout is: a large output meets the closed pipe while it is
+    # written, a small one (and argparse's help) when main flushes it.
+    # None prints anything, not even when the interpreter flushes stdout
+    # at exit.
+    src = str(Path(kobstruct.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kobstruct.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=50,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (EXIT_CLOSED_PIPE, b"")
 
 
 def test_large_power_of_c_is_an_expression_error():

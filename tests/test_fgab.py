@@ -652,6 +652,23 @@ def test_direct_sum_structure_maps():
         assert _presented(s.ngens, joint.hstack(s.relation_matrix())).is_trivial
 
 
+def test_zero_sums_are_read_off_the_counts(monkeypatch):
+    # a sum of groups with no generators is the trivial group and the
+    # empty injections, with no canonical form, transpose or fill built
+    def refuse(*args):
+        raise AssertionError("a zero sum built a canonical form")
+
+    for name in ("_cyclic_canonical", "_transpose", "_dense"):
+        monkeypatch.setattr(fgab, name, refuse)
+    for groups in ((), (FgAbGroup(),), (FgAbGroup(), FgAbGroup(0, (1,)), FgAbGroup())):
+        s, injections = direct_sum_many(groups)
+        assert s == FgAbGroup() and len(injections) == len(groups)
+        for g, inj in zip(groups, injections):
+            assert (inj.source, inj.target, inj.matrix) == (g, s, IntMatrix([]))
+    monkeypatch.undo()
+    assert direct_sum_many((FgAbGroup(), FgAbGroup(0, (2,))))[0] == FgAbGroup(0, (2,))
+
+
 def test_quotient_examples():
     z4 = FgAbGroup(4)
     q, proj = quotient_by(z4, z4.element((1, 1, -1, -1)))
@@ -929,6 +946,33 @@ def test_hom_well_definedness_enforced():
     with pytest.raises(ValueError):
         GroupHom(z2, Z, IntMatrix([[1]]))
     GroupHom(z2, Z, IntMatrix([[0]]))  # the zero hom is fine
+    with pytest.raises(ValueError):
+        GroupHom(z2, FgAbGroup(0, (2,)), IntMatrix([[3], [0]]))  # a wrong shape
+
+
+def test_hom_with_an_empty_side_is_read_off_the_counts(monkeypatch):
+    # no rows or no columns: nothing to reduce or check, so the matrix is
+    # stored as it is, and no row is reduced; the shape is still checked
+    def refuse(*args):
+        raise AssertionError("an empty hom reduced its rows")
+
+    monkeypatch.setattr(fgab, "_orders", refuse)
+    zero, z_z6 = FgAbGroup(), FgAbGroup(1, (6,))
+    for source, target, m in (
+        (zero, z_z6, IntMatrix([[], []], cols=0)),
+        (z_z6, zero, IntMatrix([], cols=2)),
+        (zero, zero, IntMatrix([])),
+    ):
+        assert GroupHom(source, target, m).matrix is m
+    with pytest.raises(ValueError, match="hom matrix must be 2 x 0, got 1 x 0"):
+        GroupHom(zero, z_z6, IntMatrix([[]], cols=0))
+    with pytest.raises(ValueError, match="hom matrix must be 0 x 2, got 0 x 1"):
+        GroupHom(z_z6, zero, IntMatrix([], cols=1))
+    monkeypatch.undo()
+    # a hom with generators on both sides is still reduced and checked
+    assert GroupHom(z_z6, z_z6, IntMatrix([[1, 0], [7, 5]])).matrix == IntMatrix([[1, 0], [1, 5]])
+    with pytest.raises(ValueError, match="not a well-defined hom"):
+        GroupHom(FgAbGroup(0, (4,)), z_z6, IntMatrix([[0], [1]]))
 
 
 def test_surjective_injective_examples():

@@ -1,7 +1,10 @@
 """Tests for the invariant triples and composite K-theory formulas."""
 
+import io
 import json
 import random
+import sys
+import threading
 import time
 from math import gcd, inf
 
@@ -676,3 +679,78 @@ def test_kunneth_canonicalizes_each_degree_once(monkeypatch):
     kp = kunneth(a, b)
     assert kp.k0 == FgAbGroup(0, (2,) * 6) and kp.unit is not None
     assert calls.count([2] * 6) == 2, calls
+
+
+def test_unital_free_product_of_zero_k1_sums_no_empty_group(monkeypatch):
+    # K1A + K1B = 0 for M_2 against M_3: the sum is read off the counts,
+    # with no canonical form of an empty list of orders
+    calls = []
+    real = fgab._cyclic_canonical
+
+    def counting(orders):
+        calls.append(list(orders))
+        return real(orders)
+
+    monkeypatch.setattr(fgab, "_cyclic_canonical", counting)
+    monkeypatch.setattr(kinv, "_cyclic_canonical", counting)
+    code = cli.main(["kgroups", "M_2 (*C) M_3", "--format", "json"], out=io.StringIO(), err=io.StringIO())
+    assert code == cli.EXIT_OK and calls
+    assert [] not in calls, calls
+
+
+def test_each_analysis_piece_is_computed_once_and_kept_without_a_lock(monkeypatch):
+    # every piece of PairAnalysis runs its function once per analysis and
+    # lands in the analysis's __dict__, where later reads find it; class
+    # access gives the descriptor with the function's docstring, and the
+    # descriptor holds no lock (functools.cached_property took one on
+    # each first read before Python 3.12)
+    pieces = {
+        name: attr for name, attr in vars(PairAnalysis).items() if isinstance(attr, kinv._once)
+    }
+    assert {"kunneth_parts", "pi0", "pi1", "section0", "unital_free_product"} <= set(pieces)
+    runs = []
+    for name, piece in pieces.items():
+        assert getattr(PairAnalysis, name) is piece
+        assert piece.__doc__ == piece.func.__doc__
+        assert not hasattr(piece, "lock")
+
+        def counted(self, name=name, func=piece.func):
+            runs.append(name)
+            return func(self)
+
+        monkeypatch.setattr(piece, "func", counted)
+    for a, b in (("M_2", "M_3"), ("CT", "CT"), ("O_2", "O_3")):
+        an = PairAnalysis(evaluate(a), evaluate(b))
+        runs.clear()
+        first = {name: getattr(an, name) for name in pieces}
+        assert sorted(runs) == sorted(pieces)
+        assert all(an.__dict__[name] is value for name, value in first.items())
+        assert all(getattr(an, name) is value for name, value in first.items())
+        assert sorted(runs) == sorted(pieces)
+
+
+def test_threads_racing_on_one_analysis_read_equal_pieces():
+    # no lock guards a first read, so threads that race on one analysis
+    # may each compute a piece; the pieces are deterministic, so every
+    # thread reads values equal to those of an analysis of its own
+    pieces = [name for name, attr in vars(PairAnalysis).items() if isinstance(attr, kinv._once)]
+    a, b = evaluate("M_2 (x) O_3"), evaluate("M_4")
+    want = PairAnalysis(a, b)
+    want = {name: getattr(want, name) for name in pieces}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, seen = PairAnalysis(a, b), []
+            threads = [
+                threading.Thread(target=lambda: seen.append({n: getattr(shared, n) for n in reversed(pieces)}))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [want] * len(threads)
+    finally:
+        sys.setswitchinterval(interval)
