@@ -224,6 +224,24 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
 _JSON = json.JSONDecoder()
 
 
+def _listed_generators(obj) -> int:
+    """The rank plus the torsion entries of the K0 of the JSON literal
+    ``obj``, or 0 where these fields are malformed, for ``from_json`` to
+    name the fault."""
+    k0 = obj.get("k0") if isinstance(obj, dict) else None
+    if not isinstance(k0, dict):
+        return 0
+    rank, torsion = k0.get("rank"), k0.get("torsion", [])
+    if type(rank) is not int or rank < 0 or type(torsion) is not list:
+        return 0
+    return rank + len(torsion)
+
+
+def _refuse_generators(name: str, count: int):
+    if count > MAX_POWER:
+        raise ValueError(f"{name} has {count} generators, more than the {MAX_POWER} accepted")
+
+
 def _tokenize(text: str):
     """Tokens: ("op", _Operator), ("lparen",), ("rparen",), ("atom", Atom),
     ("literal", KInvariant), each tagged with its source position."""
@@ -251,10 +269,12 @@ def _tokenize(text: str):
         if ch == "{":
             try:
                 obj, j = _JSON.raw_decode(text, i)
+                # K0 must be written as its invariant factors, so its size
+                # is read off the JSON before any group is built; K1 is
+                # normalized first, as it may shrink
+                _refuse_generators("K0", _listed_generators(obj))
                 inv = KInvariant.from_json(obj)
-                for name, group in (("K0", inv.k0), ("K1", inv.k1)):
-                    if group.ngens > MAX_POWER:
-                        raise ValueError(f"{name} has {group.ngens} generators, more than the {MAX_POWER} accepted")
+                _refuse_generators("K1", inv.k1.ngens)
             except (ValueError, RecursionError) as exc:
                 # RecursionError: an array or object nested too deep to decode
                 raise ParseError(f"bad literal invariant: {exc}", i) from None

@@ -14,13 +14,16 @@ of the program, not of its input), 141 (128 + SIGPIPE, what a shell
 reports for a writer SIGPIPE ended) when the reader of the output has
 gone, as in ``kobstruct ... | head``, with nothing printed.
 
-Each command's grammar (positionals, options with their choices,
-defaults and help, and its function) is declared once, in
-``_build_parser``.  A well-formed command line is read straight from
-it (``_read``); anything else (``-h``, ``--mode=full``, an abbreviation,
-a missing argument, a bad choice) goes to argparse, which prints its
-help, usage and errors unchanged.  Only that path redirects the
-streams, since only argparse writes to ``sys.stdout`` and ``sys.stderr``.
+Each command's grammar (its positionals, its options with the values
+they take, defaults and help, and its function) is declared once, as
+the data ``_COMMANDS``, and two readers read it.  A well-formed command
+line is read straight off it (``_read``); anything else (``-h``,
+``--mode=full``, an abbreviation, a missing argument, a bad choice)
+goes to the argparse parser built from it for that call
+(``_build_parser``), which prints its help, usage and errors unchanged.
+Nothing is kept from one call to the next.  Only the argparse path
+redirects the streams, since only argparse writes to ``sys.stdout``
+and ``sys.stderr``.
 Output is deterministic.  JSON output is the text of
 ``json.dumps(payload, sort_keys=True, indent=2)``, written by a small
 writer for the shapes the commands emit, a matrix row at a time.
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -62,10 +64,6 @@ EXIT_ERROR = 2
 EXIT_NOT_FG = 3
 EXIT_INTERNAL = 4
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer SIGPIPE ended
-
-
-class UsageError(ValueError):
-    """A command-line argument that argparse cannot check itself."""
 
 
 def _json_parts(value, indent: str, parts: list[str], write) -> None:
@@ -371,15 +369,11 @@ _EXAMPLES = (
     ("o2-absorb", "tensor square of the zero-K-theory Cuntz algebra stays trivial", _ex_o2_absorb),
     ("oinf-absorb", "tensoring with (Z, 0, 1) preserves every catalog invariant", _ex_oinf_absorb),
 )
+_EXAMPLE_IDS = tuple(ident for ident, _, _ in _EXAMPLES)
 
 
 def _cmd_paper_examples(args, out) -> int:
-    selected = _EXAMPLES
-    if args.only is not None:
-        selected = tuple(e for e in _EXAMPLES if e[0] == args.only)
-        if not selected:
-            known = ", ".join(e[0] for e in _EXAMPLES)
-            raise UsageError(f"unknown example id {args.only!r}; known ids: {known}")
+    selected = _EXAMPLES if args.only is None else [e for e in _EXAMPLES if e[0] == args.only]
     results = []
     for ident, description, runner in selected:
         passed, detail = runner()
@@ -399,16 +393,36 @@ def _cmd_paper_examples(args, out) -> int:
     return EXIT_OK if passed else EXIT_OBSTRUCTED
 
 
-@functools.cache
+# The command grammar, declared once and read by both readers of a
+# command line, ``_read`` and the parser of ``_build_parser``.  Each
+# command has its help, its positionals, its options by dest, each
+# ``--dest`` taking one value (the values it accepts, its default and
+# its help), and its function.
+_FORMAT = (("text", "json"), "text", "output format")
+_MODES = ("unital", "full")
+_COMMANDS = {
+    "kgroups": ("K-groups of an algebra expression", ("expr",), {"format": _FORMAT}, _cmd_kgroups),
+    "classify": (
+        "classify a pair of algebras", ("expr_a", "expr_b"),
+        {"mode": (_MODES, None, "additionally solve for sections of the induced maps"), "format": _FORMAT},
+        _cmd_classify,
+    ),
+    "section": (
+        "solve for sections of the induced maps", ("expr_a", "expr_b"),
+        {"mode": (_MODES, "unital", None), "format": _FORMAT},
+        _cmd_section,
+    ),
+    "paper-examples": (
+        "run the fixed regression suite", (),
+        {"only": (_EXAMPLE_IDS, None, "run a single example by id"), "format": _FORMAT},
+        _cmd_paper_examples,
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it:
-    parsing fills a fresh namespace each time, so no state carries from
-    one call to the next.  Each command is declared once, below: its
-    help, its positionals, its options (name, choices or None for any
-    value, default and help) and its function.  ``commands`` maps each
-    command's name to (subparser, positionals, the argparse action of
-    each option by its name), from which ``_read`` reads a well-formed
-    command line."""
+    """The argparse parser of ``_COMMANDS``, built for a command line
+    that ``_read`` leaves to it."""
     parser = argparse.ArgumentParser(
         prog="kobstruct",
         description=(
@@ -417,90 +431,64 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    fmt = ("--format", ("text", "json"), "text", "output format")
-    modes = ("unital", "full")
-    grammar = (
-        ("kgroups", "K-groups of an algebra expression", ("expr",), (fmt,), _cmd_kgroups),
-        (
-            "classify", "classify a pair of algebras", ("expr_a", "expr_b"),
-            (("--mode", modes, None, "additionally solve for sections of the induced maps"), fmt),
-            _cmd_classify,
-        ),
-        (
-            "section", "solve for sections of the induced maps", ("expr_a", "expr_b"),
-            (("--mode", modes, "unital", None), fmt),
-            _cmd_section,
-        ),
-        (
-            "paper-examples", "run the fixed regression suite", (),
-            (("--only", None, None, "run a single example by id"), fmt),
-            _cmd_paper_examples,
-        ),
-    )
-    parser.commands = {}
-    for name, text, positionals, options, func in grammar:
+    for name, (text, positionals, options, func) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for dest in positionals:
             p.add_argument(dest)
-        actions = {
-            option: p.add_argument(option, choices=choices, default=default, help=help_text)
-            for option, choices, default, help_text in options
-        }
+        for dest, (choices, default, help_text) in options.items():
+            p.add_argument("--" + dest, choices=choices, default=default, help=help_text)
         p.set_defaults(func=func)
-        parser.commands[name] = (p, positionals, actions)
     return parser
 
 
 def _read(command, tokens):
-    """The namespace the subparser of ``command`` (an entry of
-    ``commands``) gives ``tokens``, read without argparse, or None for
-    a command line this reader leaves to argparse.
+    """The namespace ``tokens`` give ``command`` (an entry of
+    ``_COMMANDS``), read off its declaration, or None for a command line
+    this reader leaves to argparse.
 
     A token is a positional unless it is exactly one of the command's
     option names, which takes the next token as its value; the last of
     a repeated option wins, and options may stand between positionals.
     Any other token that starts with ``-`` (``-h``, ``--``, ``--mode=full``,
-    an abbreviation, ``-1``), an option with no value or with one that
-    starts with ``-`` or is not among its choices, a missing or extra
-    positional and a token that is not a str all give None: argparse
-    then prints the help or the usage error, or reads what it accepts."""
-    subparser, positionals, actions = command
-    values = {action.dest: action.default for action in actions.values()}
+    an abbreviation, ``-1``), an option with no value or with one not
+    among the values it accepts, and a missing or extra positional all
+    give None: argparse then prints the help or the usage error, or
+    reads what it accepts."""
+    _, positionals, options, func = command
+    values = {dest: option[1] for dest, option in options.items()}
     free = []
     tokens = iter(tokens)
     for token in tokens:
-        if not isinstance(token, str):
-            return None
         if token[:1] != "-":
             free.append(token)
             continue
-        action = actions.get(token)
+        option = options.get(token[2:]) if token[:2] == "--" else None
         value = next(tokens, None)
-        if (
-            action is None
-            or not isinstance(value, str)
-            or value[:1] == "-"
-            or (action.choices is not None and value not in action.choices)
-        ):
+        if option is None or value not in option[0]:
             return None
-        values[action.dest] = value
+        values[token[2:]] = value
     if len(free) != len(positionals):
         return None
     values.update(zip(positionals, free))
-    values["func"] = subparser.get_default("func")
+    values["func"] = func
     return argparse.Namespace(**values)
 
 
 def main(argv=None, out=None, err=None) -> int:
-    """Run one command line and return its exit code.  A well-formed
-    command line is read straight from the command's declaration
-    (``_read``); anything else goes to argparse, which prints help and
-    usage errors unchanged, and only then are the streams redirected."""
+    """Run one command line and return its exit code.  Both readers
+    read the one declaration ``_COMMANDS``: a well-formed command line
+    is read straight off it (``_read``); anything else goes to one
+    ``parse_args`` of the argparse parser built from it, which prints
+    help and usage errors unchanged, and only then are the streams
+    redirected.  An argument that is not a str is a usage error."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
+    for token in argv:
+        if not isinstance(token, str):
+            err.write(f"error: command-line arguments must be str, not {type(token).__name__}\n")
+            return EXIT_ERROR
+    command = _COMMANDS.get(argv[0]) if argv else None
     args = _read(command, argv[1:]) if command is not None else None
     code = None
     try:
@@ -509,14 +497,7 @@ def main(argv=None, out=None, err=None) -> int:
                 # argparse writes --help to sys.stdout and usage errors to
                 # sys.stderr; send them to this call's streams
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    if command is None:
-                        args = parser.parse_args(argv)
-                    else:
-                        # what parse_args does after reading the subcommand,
-                        # without parsing the arguments a second time
-                        args, extra = command[0].parse_known_args(argv[1:])
-                        if extra:
-                            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+                    args = _build_parser().parse_args(argv)
             except SystemExit as exc:
                 code = EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
         if code is None:
@@ -537,7 +518,7 @@ def main(argv=None, out=None, err=None) -> int:
     except NonFinitelyGeneratedError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_NOT_FG
-    except (ParseError, SizeLimitError, UnsupportedNestingError, UsageError) as exc:
+    except (ParseError, SizeLimitError, UnsupportedNestingError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Exception as exc:

@@ -291,6 +291,25 @@ def test_front_end_errors_pinned(text, error, message):
     assert type(exc.value) is error and str(exc.value) == message
 
 
+def test_long_k0_literal_is_refused_before_any_group_is_built(monkeypatch):
+    # an accepted K0 lists its invariant factors, so a list longer than
+    # the limit is refused as written, not normalized first and then
+    # echoed in full by the invariant-factor error
+    built = []
+    init = FgAbGroup.__init__
+    monkeypatch.setattr(FgAbGroup, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    count = 2 * 80_000
+    text = _literal(k0=f'{{"rank": 0, "torsion": {[2, 3] * 80_000}}}', unit=str([1] * count))
+    with pytest.raises(ParseError) as exc:
+        evaluate(text)
+    assert str(exc.value) == f"bad literal invariant: K0 has {count} generators, more than the {MAX_POWER} accepted (at position 0)"
+    assert built == []
+    # the count is the rank plus the listed factors, as from_json reads them
+    with pytest.raises(ParseError, match=f"K0 has {MAX_POWER + 1} generators"):
+        evaluate(_literal(k0=f'{{"rank": 1, "torsion": {[2] * MAX_POWER}}}', unit=str([1] * (MAX_POWER + 1))))
+    assert built == []
+
+
 @pytest.mark.parametrize(
     "kind, param, error, message",
     [

@@ -100,6 +100,23 @@ matrices = st.integers(0, 5).flatmap(
 )
 
 
+def test_hermite_rows_flip_a_negative_pivot_with_the_dict_row_transform():
+    # the first row leads with a negative entry, so it becomes its
+    # column's pivot by a sign flip, which the dict-row transform and its
+    # inverse transpose take too; _snf_rows never flips one, since each
+    # of its row stages follows a column stage whose pivots are positive
+    rows = [[-2, 3, 1], [4, -1, 5], [-6, 2, 0]]
+    n = len(rows)
+    tail, inv = [{i: 1} for i in range(n)], [{i: 1} for i in range(n)]
+    rank, h = fgab._hnf_rows(rows, tail, inv)
+    assert rank == n and h[0][0] > 0
+    assert all(row[i] > 0 for i, row in enumerate(h))
+    t = IntMatrix([[r.get(j, 0) for j in range(n)] for r in tail])
+    t_inv = IntMatrix.from_columns([[r.get(j, 0) for j in range(n)] for r in inv], n)
+    assert t @ IntMatrix(rows) == IntMatrix(h)
+    assert t @ t_inv == IntMatrix.identity(n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices)
 def test_snf_soundness(m):

@@ -66,9 +66,8 @@ def _package_modules():
 
 def test_no_state_between_calls():
     # a memo (functools.cache, lru_cache) carries results from one call
-    # to the next; the one allowed is the command line's argument
-    # parser, which holds no result
-    allowed = {("kobstruct.cli", "_build_parser")}
+    # to the next; none is allowed
+    allowed = set()
     memos = [
         (module.__name__, name)
         for module in _package_modules()
