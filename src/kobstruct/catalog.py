@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple
 
 from .fgab import FgAbGroup
 from .kinv import (
+    MAX_POWER,
     KInvariant,
     _kronecker_gens,
     free_product_k,
@@ -119,9 +120,6 @@ MAX_NESTING = 100
 # Longest decimal index (O_n, M_n, C^k) accepted; Python refuses to
 # convert strings beyond 4300 digits, and no algebra here needs more.
 MAX_INDEX_DIGITS = 1000
-# Largest k in C^k (its K0 is Z^k, and a product of two such atoms has
-# k^2 generators), and the most generators a literal's K0 or K1 may have.
-MAX_POWER = 100
 # The most generators of a tensor product's K0 or K1, counted in the
 # Kronecker presentations the Kunneth formula builds (K0A (x) K0B plus
 # K1A (x) K1B in degree 0): two atoms or literals have at most this many.
@@ -224,24 +222,6 @@ _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
 _JSON = json.JSONDecoder()
 
 
-def _listed_generators(obj) -> int:
-    """The rank plus the torsion entries of the K0 of the JSON literal
-    ``obj``, or 0 where these fields are malformed, for ``from_json`` to
-    name the fault."""
-    k0 = obj.get("k0") if isinstance(obj, dict) else None
-    if not isinstance(k0, dict):
-        return 0
-    rank, torsion = k0.get("rank"), k0.get("torsion", [])
-    if type(rank) is not int or rank < 0 or type(torsion) is not list:
-        return 0
-    return rank + len(torsion)
-
-
-def _refuse_generators(name: str, count: int):
-    if count > MAX_POWER:
-        raise ValueError(f"{name} has {count} generators, more than the {MAX_POWER} accepted")
-
-
 def _tokenize(text: str):
     """Tokens: ("op", _Operator), ("lparen",), ("rparen",), ("atom", Atom),
     ("literal", KInvariant), each tagged with its source position."""
@@ -269,12 +249,7 @@ def _tokenize(text: str):
         if ch == "{":
             try:
                 obj, j = _JSON.raw_decode(text, i)
-                # K0 must be written as its invariant factors, so its size
-                # is read off the JSON before any group is built; K1 is
-                # normalized first, as it may shrink
-                _refuse_generators("K0", _listed_generators(obj))
                 inv = KInvariant.from_json(obj)
-                _refuse_generators("K1", inv.k1.ngens)
             except (ValueError, RecursionError) as exc:
                 # RecursionError: an array or object nested too deep to decode
                 raise ParseError(f"bad literal invariant: {exc}", i) from None

@@ -62,6 +62,8 @@ Conventions
 All values are immutable, every operation is a pure function and no
 state is kept between calls, so everything can be shared freely across
 threads; a caller that reads a structure more than once keeps it itself.
+The module is arithmetic only: it writes JSON (``to_json``) but reads
+none, as ``kinv.KInvariant.from_json`` reads every literal.
 """
 
 from __future__ import annotations
@@ -564,48 +566,6 @@ class FgAbGroup:
     def to_json(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json(cls, obj, field="group"):
-        rank = _json_int(_json_field(obj, "rank", field), "rank")
-        _json_known(obj, ("rank", "torsion"))
-        return cls(rank, _json_ints(obj.get("torsion", ()), "torsion"))
-
-
-def _json_field(obj, name, owner):
-    """``obj[name]``, or a ValueError naming what is wrong: ``owner``
-    (the JSON value ``obj``) is not an object, or has no field ``name``."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{owner} must be an object, not {type(obj).__name__}")
-    if name not in obj:
-        raise ValueError(f"missing field {name}")
-    return obj[name]
-
-
-def _json_known(obj, names):
-    """A ValueError naming the first field of the JSON object ``obj``
-    that is not in ``names``, so that a misspelled field is not ignored."""
-    for key in obj:
-        if key not in names:
-            raise ValueError(f"unknown field {key}")
-
-
-def _json_int(value, field):
-    """``value`` if it is an int; otherwise a ValueError naming ``field``.
-
-    A bool (JSON true or false) is refused too, as are floats and
-    strings, which ``int`` would truncate or coerce."""
-    if type(value) is not int:
-        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _json_ints(values, field):
-    """``values`` if it is a list or tuple of ints, as ``_json_int``
-    checks each; otherwise a ValueError naming ``field``."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{field} must be an array, not {type(values).__name__}")
-    return [_json_int(v, f"{field} entry") for v in values]
-
 
 class GroupElement:
     """An element of an FgAbGroup, coordinates always reduced."""
@@ -671,12 +631,6 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement({self.group!r}, {self.coords})"
-
-    def __str__(self):
-        return str(list(self.coords))
-
-    def to_json(self):
-        return {"coords": list(self.coords)}
 
 
 class GroupHom:

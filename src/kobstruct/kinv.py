@@ -1,12 +1,14 @@
 """K-theory invariant triples and the K-groups of composite algebras.
 
-A unital algebra enters as the triple L(A) = (K0, K1, [1_A]).  From two
-triples this module computes the K-theory of the tensor product (the
-Kunneth formula), of the free product (plain direct sums), and of the
-unital free product (a quotient in degree 0 and, when both unit classes
-are torsion, an extra indeterminate Z summand in degree 1).  It also
-constructs the maps induced on K-theory by the quotient onto the tensor
-product.
+A unital algebra enters as the triple L(A) = (K0, K1, [1_A]).  A JSON
+literal of one is read by ``KInvariant.from_json`` alone, which refuses
+a K0 or a K1 over its size limit as listed, before any group is built.
+From two triples this module computes the K-theory of the tensor
+product (the Kunneth formula), of the free product (plain direct sums),
+and of the unital free product (a quotient in degree 0 and, when both
+unit classes are torsion, an extra indeterminate Z summand in degree
+1).  It also constructs the maps induced on K-theory by the quotient
+onto the tensor product.
 
 The Kunneth formula is one table, ``KUNNETH``, and
 ``PairAnalysis.kunneth_parts`` builds each of its summands of a pair
@@ -68,9 +70,6 @@ from .fgab import (
     _cyclic_canonical,
     _dense,
     _injections,
-    _json_field,
-    _json_ints,
-    _json_known,
     _orders,
     _quotient_full,
     _quotient_group,
@@ -119,6 +118,11 @@ K1A = "K1A"
 K1B = "K1B"
 EXTRA_Z = "ExtraZ"
 
+# The most generators a literal's K0 or K1 may have, and the largest k
+# in the atom C^k (its K0 is Z^k).  A K1 may shrink when normalized, so
+# its listed torsion may be longer, up to MAX_POWER**2 factors.
+MAX_POWER = 100
+
 
 @dataclass(frozen=True)
 class KInvariant:
@@ -148,21 +152,85 @@ class KInvariant:
 
     @classmethod
     def from_json(cls, obj):
-        """The triple of a JSON literal.  The unit's coordinates are read
-        against K0's torsion as written, so that list must already be
-        the invariant factors (each at least 2 and dividing the next);
-        K1 carries no coordinates and is normalized as ``FgAbGroup`` does."""
-        k0 = FgAbGroup.from_json(_json_field(obj, "k0", "literal"), "k0")
-        k1 = FgAbGroup.from_json(_json_field(obj, "k1", "literal"), "k1")
-        _json_known(obj, ("k0", "k1", "unit"))
-        torsion = list(obj["k0"].get("torsion", ()))
-        if torsion != list(k0.torsion):
+        """The triple of a JSON literal.
+
+        Each group's ``rank`` and listed ``torsion`` are read once.  Before
+        any group is built, a K0 that lists more than ``MAX_POWER``
+        generators (rank plus torsion entries) is refused, as is a K1 that
+        lists more than ``MAX_POWER**2`` torsion factors.  The unit's
+        coordinates are read against K0's torsion as written, so that list
+        must already be the invariant factors (each at least 2 and
+        dividing the next); K1 carries no coordinates and is normalized as
+        ``FgAbGroup`` does, to at most ``MAX_POWER`` generators."""
+        rank0, torsion0 = _json_group(obj, "k0")
+        _refuse_generators("K0", rank0 + len(torsion0))
+        rank1, torsion1 = _json_group(obj, "k1")
+        if len(torsion1) > MAX_POWER**2:
             raise ValueError(
-                f"k0 torsion {torsion} is not in invariant-factor form (each factor at least 2 "
+                f"K1 lists {len(torsion1)} torsion factors, more than the {MAX_POWER**2} accepted"
+            )
+        k0, k1 = FgAbGroup(rank0, torsion0), FgAbGroup(rank1, torsion1)
+        _json_known(obj, ("k0", "k1", "unit"))
+        if torsion0 != list(k0.torsion):
+            raise ValueError(
+                f"k0 torsion {torsion0} is not in invariant-factor form (each factor at least 2 "
                 f"and dividing the next): its invariant factors are {list(k0.torsion)}"
             )
-        unit = _json_ints(_json_field(obj, "unit", "literal"), "unit")
-        return cls(k0, k1, k0.element(unit))
+        unit = k0.element(_json_ints(_json_field(obj, "unit", "literal"), "unit"))
+        _refuse_generators("K1", k1.ngens)
+        return cls(k0, k1, unit)
+
+
+def _refuse_generators(name: str, count: int):
+    if count > MAX_POWER:
+        raise ValueError(f"{name} has {count} generators, more than the {MAX_POWER} accepted")
+
+
+def _json_group(obj, name):
+    """The rank and the listed torsion of the group ``name`` of the JSON
+    literal ``obj``, checked field by field but not normalized."""
+    group = _json_field(obj, name, "literal")
+    rank = _json_int(_json_field(group, "rank", name), "rank")
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    _json_known(group, ("rank", "torsion"))
+    return rank, _json_ints(group.get("torsion", ()), "torsion")
+
+
+def _json_field(obj, name, owner):
+    """``obj[name]``, or a ValueError naming what is wrong: ``owner``
+    (the JSON value ``obj``) is not an object, or has no field ``name``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{owner} must be an object, not {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"missing field {name}")
+    return obj[name]
+
+
+def _json_known(obj, names):
+    """A ValueError naming the first field of the JSON object ``obj``
+    that is not in ``names``, so that a misspelled field is not ignored."""
+    for key in obj:
+        if key not in names:
+            raise ValueError(f"unknown field {key}")
+
+
+def _json_int(value, field):
+    """``value`` if it is an int; otherwise a ValueError naming ``field``.
+
+    A bool (JSON true or false) is refused too, as are floats and
+    strings, which ``int`` would truncate or coerce."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _json_ints(values, field):
+    """``values`` if it is a list or tuple of ints, as ``_json_int``
+    checks each; otherwise a ValueError naming ``field``."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{field} must be an array, not {type(values).__name__}")
+    return [_json_int(v, f"{field} entry") for v in values]
 
 
 @dataclass(eq=True)

@@ -310,6 +310,23 @@ def test_long_k0_literal_is_refused_before_any_group_is_built(monkeypatch):
     assert built == []
 
 
+def test_long_k1_literal_is_refused_before_any_group_is_built(monkeypatch):
+    # K1 may shrink when normalized, so its listed torsion may exceed
+    # MAX_POWER, but not MAX_POWER**2: a longer list is refused as
+    # written, not normalized first
+    built = []
+    init = FgAbGroup.__init__
+    monkeypatch.setattr(FgAbGroup, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    with pytest.raises(ParseError) as exc:
+        evaluate(_literal(k1=f'{{"rank": 0, "torsion": {[2, 3] * 40_000}}}'))
+    assert str(exc.value) == f"bad literal invariant: K1 lists 80000 torsion factors, more than the {MAX_POWER**2} accepted (at position 0)"
+    assert built == []
+    # a list of exactly MAX_POWER**2 factors that normalizes to MAX_POWER
+    # generators is accepted: units drop out, Z/2 + Z/3 = Z/6
+    torsion = [1] * (MAX_POWER**2 - 2 * MAX_POWER) + [2, 3] * MAX_POWER
+    assert evaluate(_literal(k1=f'{{"rank": 0, "torsion": {torsion}}}')).k1 == FgAbGroup(0, (6,) * MAX_POWER)
+
+
 @pytest.mark.parametrize(
     "kind, param, error, message",
     [

@@ -57,6 +57,23 @@ def test_kgroups_text():
     assert "K0 = Z^4" in out and "K1 = 0" in out
 
 
+@pytest.mark.parametrize(
+    "expr, lines",
+    [
+        ("M_2 (*C) M_3", ["K0 = Z", "unit class = [6]", "K1 = 0"]),
+        # both unit classes are torsion: K1 gains the indeterminate Z
+        (
+            "O_3 (*C) O_5",
+            ["K0 = Z/2", "unit class = [1]", "K1 = Z", "K1 contains an extra Z summand (not canonically placed)"],
+        ),
+    ],
+)
+def test_kgroups_unital_free_product_text(expr, lines):
+    code, out, err = run_cli("kgroups", expr)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "\n".join([f"expr: {expr}"] + lines) + "\n"
+
+
 def test_kgroups_tensor_json():
     code, out, _ = run_cli("kgroups", "O_3 (x) O_3", "--format", "json")
     assert code == EXIT_OK

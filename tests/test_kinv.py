@@ -490,6 +490,22 @@ def test_kinvariant_from_json_names_the_bad_field():
             KInvariant.from_json(obj)
 
 
+def test_kinvariant_from_json_applies_the_literal_limits():
+    # a library caller gets the command line's limits: K0 and K1 of at
+    # most MAX_POWER generators, K1 listing at most MAX_POWER**2 factors
+    over = kinv.MAX_POWER + 1
+    for obj, message in (
+        ({"k0": {"rank": over}, "k1": {"rank": 0}, "unit": [1] * over}, f"K0 has {over} generators"),
+        ({"k0": {"rank": 1}, "k1": {"rank": over}, "unit": [1]}, f"K1 has {over} generators"),
+        (
+            {"k0": {"rank": 1}, "k1": {"rank": 0, "torsion": [1] * (over * kinv.MAX_POWER)}, "unit": [1]},
+            f"K1 lists {over * kinv.MAX_POWER} torsion factors",
+        ),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}, more than the [0-9]+ accepted$"):
+            KInvariant.from_json(obj)
+
+
 def test_torsion_heavy_sections_stay_fast():
     # Every map below has fewer source than target generators, so none
     # is onto: its closed-form cokernel is nontrivial, and no system is

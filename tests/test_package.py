@@ -77,6 +77,17 @@ def test_no_state_between_calls():
     assert set(memos) == allowed, memos
 
 
+def test_kinvariant_from_json_is_the_only_json_reader():
+    readers = [
+        f"{module.__name__}.{name}"
+        for module in _package_modules()
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and "from_json" in vars(obj)
+    ]
+    assert readers == ["kobstruct.kinv.KInvariant"]
+    assert not [name for name in vars(kobstruct.fgab) if name.startswith("_json")]
+
+
 def test_only_kinv_builds_tensor_and_tor_groups():
     # the Kunneth summands of a pair are built once, by PairAnalysis in
     # kinv; every other module reads them from there
