@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
-from .fgab import FgAbGroup
+from .fgab import FgAbGroup, _Value
 from .kinv import (
     MAX_POWER,
     KInvariant,
@@ -81,33 +80,41 @@ class SizeLimitError(ValueError):
     beyond ``MAX_GENERATORS`` or ``MAX_ENTRIES``."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    kind: str  # the kind of a row of the atom table _ATOMS below
-    param: int | None = None
+class Atom(_Value):
+    __slots__ = ("kind", "param")  # the kind of a row of _ATOMS below, and its index
+
+    def __init__(self, kind: str, param: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: object
-    right: object
+class _Operation(_Value):
+    """An operator node; its type names the operator."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class FreeProd:
-    left: object
-    right: object
+class Tensor(_Operation):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnitalFreeProd:
-    left: object
-    right: object
+class FreeProd(_Operation):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Literal:
-    invariant: KInvariant
+class UnitalFreeProd(_Operation):
+    __slots__ = ()
+
+
+class Literal(_Value):
+    __slots__ = ("invariant",)
+
+    def __init__(self, invariant: KInvariant):
+        object.__setattr__(self, "invariant", invariant)
 
 
 _Z = FgAbGroup(1)
@@ -148,14 +155,15 @@ def _car(_):
     )
 
 
-class _AtomRow(NamedTuple):
-    kind: str
-    written: re.Pattern  # the whole name, with any suffix that belongs to it
-    printed: str  # str.format template of the index
-    least: int | None  # least index, None for an atom without one
-    most: int | None  # largest index, None where there is no limit
-    noun: str | None  # what the index counts, for the range messages
-    invariant: Callable[[int | None], KInvariant]
+class _AtomRow(namedtuple("_AtomRow", ("kind", "written", "printed", "least", "most", "noun", "invariant"))):
+    """One atom: its ``kind``; the pattern ``written`` of the whole name,
+    with any suffix that belongs to it; the str.format template
+    ``printed`` of the index; the ``least`` and the ``most`` index, None
+    for an atom without one or where there is no limit; the ``noun`` the
+    index counts, for the range messages; and the function ``invariant``
+    from the index to the atom's KInvariant."""
+
+    __slots__ = ()
 
 
 # The atoms in the order the lexer tries them: a form with a suffix
@@ -177,10 +185,11 @@ _ATOMS = tuple(
 _ATOM_OF_KIND = {row.kind: row for row in _ATOMS}
 
 
-class _Operator(NamedTuple):
-    written: str
-    node: type
-    strength: int  # binding strength: higher binds tighter
+class _Operator(namedtuple("_Operator", ("written", "node", "strength"))):
+    """One operator: how it is ``written``, the ``node`` type it builds
+    and its binding ``strength`` (higher binds tighter)."""
+
+    __slots__ = ()
 
 
 _OPERATORS = (

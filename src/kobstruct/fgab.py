@@ -59,10 +59,11 @@ Conventions
   The canonical forms give lists of them, no dict in two places;
   ``_transpose`` turns such a list around and ``_dense`` fills it in.
 
-All values are immutable, every operation is a pure function and no
-state is kept between calls, so everything can be shared freely across
-threads; a caller that reads a structure more than once keeps it itself.
-The module is arithmetic only: it writes JSON (``to_json``) but reads
+All values are immutable ``_Value`` records, as are those of the other
+modules; every operation is a pure function and no state is kept
+between calls, so everything can be shared freely across threads; a
+caller that reads a structure more than once keeps it itself.  The
+module is arithmetic only: it writes JSON (``to_json``) but reads
 none, as ``kinv.KInvariant.from_json`` reads every literal.
 """
 
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from bisect import bisect, bisect_left
 from math import gcd, inf, lcm
-from operator import add, index, itemgetter, mul
+from operator import add, attrgetter, index, itemgetter, mul
 
 __all__ = [
     "GroupMismatchError",
@@ -96,11 +97,48 @@ class GroupMismatchError(ValueError):
     """An element or hom was used with the wrong group."""
 
 
+class _Value:
+    """An immutable record: the base of every value type of the package.
+
+    A subclass names its fields in ``__slots__``, and its ``__init__``
+    checks its arguments and sets each field once with
+    ``object.__setattr__``; any later assignment or deletion raises
+    AttributeError.  Two values are equal when they have the same type
+    and equal fields, a value hashes as its fields, and its repr is
+    ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+    _names = ()  # the fields, in order, inherited fields first
+
+    def __init_subclass__(cls):
+        cls._names += cls.__slots__
+        cls._fields = attrgetter(*cls._names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # Integer matrices
 
 
-class IntMatrix:
+class IntMatrix(_Value):
     """An immutable integer matrix with unbounded entries, row-major."""
 
     __slots__ = ("rows", "cols", "data")
@@ -130,9 +168,6 @@ class IntMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -174,17 +209,6 @@ class IntMatrix:
         if self.cols != len(vec):
             raise ValueError("shape mismatch in matrix-vector product")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.data]!r})"
@@ -436,7 +460,7 @@ def _solve_mod(rows, n, rhs_list):
 # Groups, elements, homomorphisms
 
 
-class FgAbGroup:
+class FgAbGroup(_Value):
     """A finitely generated abelian group in invariant-factor form.
 
     ``FgAbGroup(rank, torsion)`` normalizes its input: zero factors are
@@ -488,9 +512,6 @@ class FgAbGroup:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tuple(chain))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FgAbGroup is immutable")
-
     @property
     def ngens(self):
         return self.rank + len(self.torsion)
@@ -541,16 +562,6 @@ class FgAbGroup:
     def generators(self):
         return [self.generator(k) for k in range(self.ngens)]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FgAbGroup)
-            and self.rank == other.rank
-            and self.torsion == other.torsion
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.torsion))
-
     def __repr__(self):
         return f"FgAbGroup({self.rank}, {self.torsion})"
 
@@ -567,7 +578,7 @@ class FgAbGroup:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
 
-class GroupElement:
+class GroupElement(_Value):
     """An element of an FgAbGroup, coordinates always reduced."""
 
     __slots__ = ("group", "coords")
@@ -575,9 +586,6 @@ class GroupElement:
     def __init__(self, group, coords):
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", group.reduce(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
 
     def _check(self, other):
         if not isinstance(other, GroupElement) or other.group != self.group:
@@ -619,21 +627,11 @@ class GroupElement:
                 n = lcm(n, d // gcd(d, c))
         return n
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupElement)
-            and self.group == other.group
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
-
     def __repr__(self):
         return f"GroupElement({self.group!r}, {self.coords})"
 
 
-class GroupHom:
+class GroupHom(_Value):
     """A homomorphism between canonical groups, as an integer matrix.
 
     Column j holds the image of the j-th source generator in target
@@ -672,9 +670,6 @@ class GroupHom:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupHom is immutable")
-
     @classmethod
     def identity(cls, g):
         return cls(g, g, IntMatrix.identity(g.ngens))
@@ -683,17 +678,6 @@ class GroupHom:
         if x.group != self.source:
             raise GroupMismatchError("element is not in the source group")
         return GroupElement(self.target, self.matrix @ x.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupHom)
-            and self.source == other.source
-            and self.target == other.target
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
 
     def __repr__(self):
         return f"GroupHom({self.source!r} -> {self.target!r}, {self.matrix!r})"

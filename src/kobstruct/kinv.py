@@ -55,7 +55,6 @@ unital quotient for it.  No state is kept from one call to the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 
 from .fgab import (
@@ -67,6 +66,7 @@ from .fgab import (
     right_inverse_exists,
     tensor,
     tor,
+    _Value,
     _cyclic_canonical,
     _dense,
     _injections,
@@ -124,17 +124,17 @@ EXTRA_Z = "ExtraZ"
 MAX_POWER = 100
 
 
-@dataclass(frozen=True)
-class KInvariant:
+class KInvariant(_Value):
     """The triple (K0, K1, unit class) of a unital algebra."""
 
-    k0: FgAbGroup
-    k1: FgAbGroup
-    unit: GroupElement
+    __slots__ = ("k0", "k1", "unit")
 
-    def __post_init__(self):
-        if self.unit.group != self.k0:
+    def __init__(self, k0: FgAbGroup, k1: FgAbGroup, unit: GroupElement):
+        if unit.group != k0:
             raise GroupMismatchError("unit class must lie in k0")
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "unit", unit)
 
     def is_torsion_invariant(self):
         """True when both K-groups are finite."""
@@ -233,22 +233,25 @@ def _json_ints(values, field):
     return [_json_int(v, f"{field} entry") for v in values]
 
 
-@dataclass(eq=True)
-class KPair:
+class KPair(_Value):
     """K0/K1 of a composite algebra with labeled summand injections.
 
     ``summands`` maps a label to the injection of that summand into k0
-    or k1.  ``extra_z`` marks the indeterminate Z summand of K1 of a
+    or k1 (a new empty dict by default).  ``unit`` is the unit class in
+    k0, or None where there is none.  ``extra_z`` marks the indeterminate Z summand of K1 of a
     unital free product of two algebras with torsion unit classes; its
     injection is recorded like the others, but no induced map is ever
     attached to it because none is determined.
     """
 
-    k0: FgAbGroup
-    k1: FgAbGroup
-    summands: dict[str, GroupHom] = field(default_factory=dict)
-    unit: GroupElement | None = None
-    extra_z: bool = False
+    __slots__ = ("k0", "k1", "summands", "unit", "extra_z")
+
+    def __init__(self, k0, k1, summands=None, unit=None, extra_z=False):
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "summands", {} if summands is None else summands)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "extra_z", extra_z)
 
     def to_json(self):
         return {

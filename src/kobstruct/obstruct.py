@@ -20,19 +20,18 @@ Case vocabulary (PossibleCaseI..III):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .fgab import (
     FgAbGroup,
     GroupElement,
-    GroupHom,
     GroupMismatchError,
     direct_sum_many,
     is_surjective,
     quotient_by,
     solve_divisibility,
+    _Value,
     _quotient_group,
 )
 from .kinv import (
@@ -87,13 +86,16 @@ NO_SECTION_1 = "NoSection1"
 _POSSIBLE = frozenset({POSSIBLE_CASE_I, POSSIBLE_CASE_II, POSSIBLE_CASE_III})
 
 
-@dataclass(frozen=True)
-class ObstructionWitness:
-    """A verifiable reason no K-level splitting exists."""
+class ObstructionWitness(_Value):
+    """A verifiable reason no K-level splitting exists: its ``clause``,
+    a ``detail`` tuple of (name, value) pairs and an ``explanation``."""
 
-    clause: str
-    detail: tuple
-    explanation: str
+    __slots__ = ("clause", "detail", "explanation")
+
+    def __init__(self, clause: str, detail: tuple, explanation: str):
+        object.__setattr__(self, "clause", clause)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "explanation", explanation)
 
     def to_json(self):
         return {
@@ -103,27 +105,27 @@ class ObstructionWitness:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Value):
     """Outcome of the classifier.
 
     Exactly one of ``parameters`` (for a Possible* outcome) and
     ``witness`` (for Obstructed) is populated.
     """
 
-    outcome: str
-    parameters: tuple | None = None
-    witness: ObstructionWitness | None = None
+    __slots__ = ("outcome", "parameters", "witness")
 
-    def __post_init__(self):
-        if self.outcome in _POSSIBLE:
-            ok = self.parameters is not None and self.witness is None
-        elif self.outcome == OBSTRUCTED:
-            ok = self.witness is not None and self.parameters is None
+    def __init__(self, outcome: str, parameters: tuple | None = None, witness: ObstructionWitness | None = None):
+        if outcome in _POSSIBLE:
+            ok = parameters is not None and witness is None
+        elif outcome == OBSTRUCTED:
+            ok = witness is not None and parameters is None
         else:
-            raise ValueError(f"unknown outcome {self.outcome!r}")
+            raise ValueError(f"unknown outcome {outcome!r}")
         if not ok:
             raise ValueError("verdict fields inconsistent with outcome")
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def possible(self):
@@ -146,12 +148,12 @@ class Verdict:
         }
 
 
-class SectionReport(NamedTuple):
-    """Named triple (deg0, deg1, extra_z_ok) from section_exists_k."""
+class SectionReport(namedtuple("SectionReport", ("deg0", "deg1", "extra_z_ok"))):
+    """Named triple (deg0, deg1, extra_z_ok) from section_exists_k: the
+    section in each degree, a GroupHom or None, and whether the extra Z
+    summand is clear."""
 
-    deg0: GroupHom | None
-    deg1: GroupHom | None
-    extra_z_ok: bool
+    __slots__ = ()
 
     @property
     def all_clear(self):

@@ -3,14 +3,29 @@
 import ast
 import importlib
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kobstruct
 import kobstruct.catalog
 import kobstruct.fgab
 import kobstruct.kinv
 import kobstruct.obstruct
+from kobstruct import (
+    FgAbGroup,
+    GroupElement,
+    GroupHom,
+    IntMatrix,
+    KInvariant,
+    KPair,
+    ObstructionWitness,
+    Verdict,
+)
+from kobstruct.catalog import Atom, FreeProd, Literal, Tensor, UnitalFreeProd
+from kobstruct.obstruct import OBSTRUCTED, TOR_NONZERO
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = (kobstruct.fgab, kobstruct.kinv, kobstruct.obstruct, kobstruct.catalog)
@@ -116,3 +131,91 @@ def test_only_presentation_lays_out_relations():
             and getattr(node.func, "attr", None) in ("hstack", "relation_matrix")
         ]
         assert not calls, (path.name, calls)
+
+
+def test_the_command_line_loads_no_introspection_modules():
+    # the value types are plain records, so importing the command line
+    # pulls in neither dataclasses nor what it imports, nor typing; -S
+    # keeps site hooks from importing any of them first
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import kobstruct.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'} & set(sys.modules))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [], out.stdout
+
+
+
+def _values():
+    """Each value type, two separately built equal instances of it and
+    the name of one of its fields."""
+
+    def group():
+        return FgAbGroup(0, (2,))
+
+    def inv():
+        return KInvariant(group(), FgAbGroup(), group().element((1,)))
+
+    def witness():
+        return ObstructionWitness(TOR_NONZERO, (("tor", "Z/2"),), "nonzero Tor")
+
+    builders = [
+        (IntMatrix, lambda: IntMatrix([[1, 2], [3, 4]]), "data"),
+        (FgAbGroup, group, "torsion"),
+        (GroupElement, lambda: group().element((3,)), "coords"),
+        (GroupHom, lambda: GroupHom(group(), group(), IntMatrix([[3]])), "matrix"),
+        (KInvariant, inv, "unit"),
+        (KPair, lambda: KPair(group(), FgAbGroup(1), {"K0A": GroupHom.identity(group())}, group().zero()), "k0"),
+        (ObstructionWitness, witness, "detail"),
+        (Verdict, lambda: Verdict(OBSTRUCTED, witness=witness()), "witness"),
+        (Atom, lambda: Atom("O", 2), "param"),
+        (Tensor, lambda: Tensor(Atom("O", 2), Atom("M", 3)), "left"),
+        (FreeProd, lambda: FreeProd(Atom("O", 2), Atom("M", 3)), "right"),
+        (UnitalFreeProd, lambda: UnitalFreeProd(Atom("C"), Literal(inv())), "right"),
+        (Literal, lambda: Literal(inv()), "invariant"),
+    ]
+    return [pytest.param(cls, build(), build(), name, id=cls.__name__) for cls, build, name in builders]
+
+
+VALUES = _values()
+
+
+def test_every_value_type_is_checked():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    public = {cls for cls in subclasses(kobstruct.fgab._Value) if not cls.__name__.startswith("_")}
+    assert public == {param.values[0] for param in VALUES}
+
+
+@pytest.mark.parametrize("cls, value, twin, name", VALUES)
+def test_values_are_immutable_records(cls, value, twin, name):
+    assert type(value) is cls and value is not twin
+    assert value == twin and not value != twin
+    if cls is not KPair:  # its summands are a dict
+        assert hash(value) == hash(twin)
+    field = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, field)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.other = field
+    assert getattr(value, name) is field and not hasattr(value, "__dict__")
+
+
+def test_value_equality_is_by_type_and_fields():
+    x, y = Atom("O", 2), Atom("M", 3)
+    assert Atom("O", 2) == Atom("O", 2) and Atom("O", 2) != Atom("O", 3)
+    assert Tensor(x, y) != FreeProd(x, y) and Tensor(x, y) != Tensor(y, x)
+    assert Tensor(x, y) != (x, y) and Atom("O", 2) != ("O", 2)
+    assert repr(Tensor(x, y)) == "Tensor(left=Atom(kind='O', param=2), right=Atom(kind='M', param=3))"
+    # a KPair's summands default to a dict of its own
+    a, b = KPair(FgAbGroup(1), FgAbGroup()), KPair(FgAbGroup(1), FgAbGroup())
+    assert a == b and a.summands == {} and a.summands is not b.summands
+    with pytest.raises(TypeError):
+        hash(a)
