@@ -31,12 +31,12 @@ writer for the shapes the commands emit, a matrix row at a time.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
+from types import SimpleNamespace
 
 from . import obstruct
 from .catalog import (
@@ -420,9 +420,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of ``_COMMANDS``, built for a command line
-    that ``_read`` leaves to it."""
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, built (and argparse loaded)
+    only for a command line that ``_read`` leaves to it."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="kobstruct",
         description=(
@@ -442,9 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(command, tokens):
-    """The namespace ``tokens`` give ``command`` (an entry of
-    ``_COMMANDS``), read off its declaration, or None for a command line
-    this reader leaves to argparse.
+    """The arguments ``tokens`` give ``command`` (an entry of
+    ``_COMMANDS``), read off its declaration into a ``SimpleNamespace``,
+    or None for a command line this reader leaves to argparse.
 
     A token is a positional unless it is exactly one of the command's
     option names, which takes the next token as its value; the last of
@@ -471,7 +472,7 @@ def _read(command, tokens):
         return None
     values.update(zip(positionals, free))
     values["func"] = func
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None, out=None, err=None) -> int:

@@ -1,6 +1,8 @@
 """Tests for the obstruction battery and the case classifier."""
 
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from math import gcd
@@ -44,6 +46,7 @@ from kobstruct.obstruct import (
     first_witness,
 )
 from conftest import injective_by_snf, random_element, random_finite_group
+from test_cli import _literal_pairs
 
 Z = FgAbGroup(1)
 TRIVIAL = FgAbGroup()
@@ -258,6 +261,32 @@ def test_witness_details_reverify(catalog):
             elif v.witness.clause in (PI1_NOT_SURJECTIVE, NO_SECTION_1):
                 rep = section_exists_k(a, b, "unital")
                 assert rep.deg1 is None
+
+
+# SHA-256 of the whole decision per pair: every structural witness, the
+# first witness and the verdict, over the 400 ordered catalog pairs and
+# the 80 seeded literal pairs of test_cli.py, recorded before the clauses
+# and the case patterns became the two tables of obstruct.  The CLI
+# digests print only the first witness; this one also pins the later
+# structural ones.
+DECISION_DIGEST = "5ffef7c032dd9569f4f9b90cf01916c3c0e3d9a6888d149526f7956f24ae7fca"
+
+
+def test_decision_pinned(catalog):
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [(KInvariant.from_json(x), KInvariant.from_json(y)) for x, y in _literal_pairs()]
+    assert len(pairs) == 480
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        an = PairAnalysis(a, b)
+        w = first_witness(an)
+        decision = (
+            [x.to_json() for x in basic_obstructions(an)],
+            w.to_json() if w is not None else None,
+            classify_analysis(an).to_json(),
+        )
+        digest.update(json.dumps(decision, sort_keys=True).encode())
+    assert digest.hexdigest() == DECISION_DIGEST
 
 
 def _census_family():

@@ -135,11 +135,12 @@ def test_only_presentation_lays_out_relations():
 
 def test_the_command_line_loads_no_introspection_modules():
     # the value types are plain records, so importing the command line
-    # pulls in neither dataclasses nor what it imports, nor typing; -S
-    # keeps site hooks from importing any of them first
+    # pulls in neither dataclasses nor what it imports, nor typing, and
+    # argparse loads only for a command line the direct reader leaves to
+    # it; -S keeps site hooks from importing any of them first
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import kobstruct.cli; "
-        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'} & set(sys.modules))))"
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing', 'argparse'} & set(sys.modules))))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code, str(ROOT / "src")], capture_output=True, text=True, check=True
