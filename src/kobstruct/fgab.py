@@ -56,8 +56,13 @@ Conventions
 * A presentation's relation matrix has one row per generator and one
   column per relation (the matrix of the map Z^relations -> Z^generators).
 * The one sparse format is the dict row, from column to nonzero entry.
-  The canonical forms give lists of them, no dict in two places;
-  ``_transpose`` turns such a list around and ``_dense`` fills it in.
+  The canonical forms give lists of them, no dict in two places, and
+  all arithmetic on them is here: ``_combine`` and ``_axpy`` add rows,
+  ``_times`` multiplies rows by the matrix of other rows and ``_apply``
+  by a vector, ``_transpose`` turns a list around, ``_dense`` fills it.
+* A lift of the cyclic path (``_cyclic_canonical``) is bounded: its
+  entry at a position of order c_k lies in [0, c_k), so to_canon @ lift
+  is the identity modulo the canonical orders, all a ``GroupHom`` reads.
 
 All values are immutable ``_Value`` records, as are those of the other
 modules; every operation is a pure function and no state is kept
@@ -758,14 +763,20 @@ def _cyclic_canonical(orders):
     with y % x by gcd g = s*x + t*y and lcm(x, y), rows r_i, r_j of
     to_canon by s*r_i + t*r_j and (x/g)*r_j - (y/g)*r_i, and columns
     c_i, c_j of lift by (x/g)*c_i + (y/g)*c_j and s*c_j - t*c_i.  Each
-    step is unimodular with its inverse applied to lift, so
-    to_canon @ lift stays the identity; no integer is ever factored.
-    Input that is already canonical takes one pass and keeps one entry
-    per row, so a free group of rank n costs n, not n^2.
+    step is unimodular with its inverse applied to lift, and each lift
+    entry it writes, at a torsion position k, is reduced into [0, c_k):
+    to_canon @ lift is the identity modulo the canonical orders, and
+    interleaved coprime orders do not grow the lifts.  No integer is
+    ever factored.  Input that is already canonical takes one pass and
+    keeps one entry per row, so a free group of rank n costs n, not n^2.
     """
     free = [k for k, c in enumerate(orders) if c == 0]
     # one [order, to_canon row, lift column] per torsion generator
     tors = [[c, {k: 1}, {k: 1}] for k, c in enumerate(orders) if c > 1]
+
+    def reduced(col):
+        return {k: r for k, e in col.items() if (r := e % orders[k])}
+
     changed = True
     while changed:
         tors.sort(key=itemgetter(0))
@@ -775,8 +786,9 @@ def _cyclic_canonical(orders):
             if y % x:
                 g, s, t = _bezout(x, y)
                 xg, yg = x // g, y // g
-                tors[i] = [g, _combine(s, ri, t, rj), _combine(xg, ci, yg, cj)]
-                tors[i + 1] = [x * yg, _combine(-yg, ri, xg, rj), _combine(-t, ci, s, cj)]
+                # a gcd of 1 is dropped after the pass, unread
+                tors[i] = [g, _combine(s, ri, t, rj), reduced(_combine(xg, ci, yg, cj))] if g > 1 else [1]
+                tors[i + 1] = [x * yg, _combine(-yg, ri, xg, rj), reduced(_combine(-t, ci, s, cj))]
                 changed = True
         tors = [e for e in tors if e[0] > 1]
     group = FgAbGroup(len(free), [c for c, _, _ in tors])
@@ -800,6 +812,25 @@ def _axpy(p, b, q):
         else:
             del p[k]
     return p
+
+
+def _times(rows, other):
+    """The product of the dict rows ``rows`` with the matrix of the dict
+    rows ``other``, as dict rows again: one step per pair of nonzero
+    entries that meet."""
+    out = []
+    for row in rows:
+        acc = {}
+        for k, c in row.items():
+            for j, y in other[k].items():
+                acc[j] = acc.get(j, 0) + c * y
+        out.append(acc)
+    return out
+
+
+def _apply(rows, v):
+    """The product of the dict rows ``rows`` with the vector ``v``."""
+    return [sum([e * v[p] for p, e in row.items()]) for row in rows]
 
 
 def direct_sum_many(groups):
@@ -944,19 +975,13 @@ def tor(g: FgAbGroup, h: FgAbGroup) -> FgAbGroup:
     return FgAbGroup(0, [gcd(d, e) for d in g.torsion for e in h.torsion])
 
 
-def _tensor_structure(g: FgAbGroup, h: FgAbGroup):
-    """Canonicalized Kronecker presentation of g (x) h.
-
-    Generator (i, j) of the presentation is u_i (x) v_j at flat index
-    i * h.ngens + j, of order gcd(c_i, c_j) for generator orders c_i of
-    g and c_j of h (0 for free); the returned dict rows (as
-    ``_cyclic_canonical`` gives them) map those Kronecker coordinates
-    onto canonical coordinates of tensor(g, h).
-    """
-    group, to_canon, _ = _cyclic_canonical(
-        [gcd(c, e) for c in _orders(g) for e in _orders(h)]
-    )
-    return group, to_canon
+def _kronecker(g: FgAbGroup, h: FgAbGroup):
+    """The orders of the Kronecker presentation of g (x) h: generator
+    (i, j), u_i (x) v_j, at flat index i * h.ngens + j, of order
+    gcd(c_i, c_j) for generator orders c_i of g and c_j of h (0 for
+    free).  ``_cyclic_canonical`` of them maps Kronecker coordinates
+    onto canonical coordinates of tensor(g, h)."""
+    return [gcd(c, e) for c in _orders(g) for e in _orders(h)]
 
 
 def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -969,11 +994,8 @@ def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
     >>> tensor_elem(z.element((2,)), z.element((3,))).coords
     (6,)
     """
-    tg, to_canon = _tensor_structure(x.group, y.group)
-    xs, ys, n = x.coords, y.coords, y.group.ngens
-    return GroupElement(
-        tg, [sum([c * xs[p // n] * ys[p % n] for p, c in row.items()]) for row in to_canon]
-    )
+    tg, to_canon, _ = _cyclic_canonical(_kronecker(x.group, y.group))
+    return GroupElement(tg, _apply(to_canon, [a * b for a in x.coords for b in y.coords]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,18 +22,20 @@ coordinates of [1_B]; so only the canonical rows of that presentation
 are read, then only the columns of the canonical sum of the Kunneth
 parts that fall in that tensor pairing, and likewise for
 [1_A] (x) e_j.  The rows that result are dict rows (dicts from column
-to nonzero entry, the one sparse format of ``fgab``); they are
-multiplied once by the lifts of the source sum, K0A + K0B or K1A + K1B
-as ``_cyclic_canonical`` gives it, and checked once as a ``GroupHom``
+to nonzero entry, the one sparse format of ``fgab``, whose ``_times``
+and ``_apply`` make every product here); they are multiplied once by
+the lifts of the source sum, K0A + K0B or K1A + K1B as
+``_cyclic_canonical`` gives it, and checked once as a ``GroupHom``
 (the map on the unital quotient is that of K0A + K0B times the lift of
 each quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
 injection or projection is built, so a map costs about the size of its
-matrix; the same rows give the unit [1_A] (x) [1_B] of the tensor
-product (``tensor_unit``).  Zero is read off generator counts: a map
-whose source has no generators (pi1 whenever K1A + K1B = 0, as for
-every pair of algebras with K1 = 0; pi0 and lifted_pi0 when their
-source is 0, as for O_2 against O_2) is the matrix with no columns
-onto the tensor K-group, and no row is built for it.
+matrix; the same rows applied to ([1_A], 0) give the unit
+[1_A] (x) [1_B] of the tensor product (``tensor_unit``).  Zero is read
+off generator counts: a map whose source has no generators (pi1
+whenever K1A + K1B = 0, as for every pair of algebras with K1 = 0; pi0
+and lifted_pi0 when their source is 0, as for O_2 against O_2) is the
+matrix with no columns onto the tensor K-group, and no row is built
+for it.
 
 The cokernels of the induced maps need no map.  With
 Q_A = K0A/<[1_A]> and Q_B = K0B/<[1_B]> (``unit_quotients``, read off
@@ -67,13 +69,15 @@ from .fgab import (
     tensor,
     tor,
     _Value,
+    _apply,
     _cyclic_canonical,
     _dense,
     _injections,
+    _kronecker,
     _orders,
     _quotient_full,
     _quotient_group,
-    _tensor_structure,
+    _times,
     _transpose,
 )
 
@@ -386,25 +390,6 @@ def _sparse_sum(g: FgAbGroup, h: FgAbGroup):
     return s, to_canon, _transpose(lift, g.ngens + h.ngens)
 
 
-def _times(rows, other):
-    """The product of the dict rows ``rows`` with the matrix of the dict
-    rows ``other``, as dict rows again: one step per pair of nonzero
-    entries that meet."""
-    out = []
-    for row in rows:
-        acc = {}
-        for k, c in row.items():
-            for j, y in other[k].items():
-                acc[j] = acc.get(j, 0) + c * y
-        out.append(acc)
-    return out
-
-
-def _apply(rows, v):
-    """The product of the dict rows ``rows`` with the vector ``v``."""
-    return [sum([e * v[p] for p, e in row.items()]) for row in rows]
-
-
 class _once:
     """A property computed on its first read and stored in the
     instance ``__dict__``, where every later read finds it first: what
@@ -494,8 +479,7 @@ class PairAnalysis:
         """[1_A] (x) [1_B] in the tensor K0: the image of [1_A] under
         x |-> x (x) [1_B], read off the dict rows of the induced maps."""
         target, rows = self._images(0)
-        ua = self.a.unit.coords
-        return target.element([sum([c * ua[i] for i, c in row.items() if i < len(ua)]) for row in rows])
+        return target.element(_apply(rows, self.a.unit.coords + (0,) * self.b.k0.ngens))
 
     @_once
     def _k0_sum(self):
@@ -546,13 +530,12 @@ class PairAnalysis:
 
         x (x) [1_B] lies in the tensor pairing (A side, K0B) and
         [1_A] (x) y in (K0A, B side); in degree 0 both are K0A (x) K0B.
-        A Kronecker coordinate (i, j) of a pairing is a product of
-        coordinates i and j, so its canonical row
-        (``_tensor_structure``) gives generator i of the A side the
+        Kronecker coordinate (i, j) of a pairing (``_kronecker``) is a
+        product of coordinates i and j, so its canonical row
+        (``_cyclic_canonical``) gives generator i of the A side the
         weight of [1_B]_j and generator j of the B side the weight of
-        [1_A]_i.  The sum of the Kunneth parts then maps those
-        coordinates onto the tensor K-group: only the columns of its
-        canonical rows that fall in these pairings are read.
+        [1_A]_i.  The canonical rows of the sum of the Kunneth parts
+        times these rows (``_times``) give the map.
         """
         a, b = self.a, self.b
         parts = self._parts(degree)
@@ -565,7 +548,7 @@ class PairAnalysis:
             if not is_tor and 0 in (da, db):  # a pairing a unit class enters
                 g, h = _group(a, da), _group(b, db)
                 n = h.ngens
-                for k, row in enumerate(_tensor_structure(g, h)[1]):
+                for k, row in enumerate(_cyclic_canonical(_kronecker(g, h))[1]):
                     acc = coords[offset + k] = {}
                     for q, c in row.items():
                         i, j = divmod(q, n)
@@ -574,14 +557,7 @@ class PairAnalysis:
                         if da == 0 and ua[i]:
                             acc[na + j] = acc.get(na + j, 0) + c * ua[i]
             offset += part.ngens
-        rows = []
-        for row in to_canon:
-            acc = {}
-            for p, c in row.items():
-                for k, e in coords.get(p, {}).items():
-                    acc[k] = acc.get(k, 0) + c * e
-            rows.append(acc)
-        return target, rows
+        return target, _times(to_canon, [coords.get(p, {}) for p in range(offset)])
 
     @_once
     def _lifted_rows0(self):
@@ -614,7 +590,7 @@ class PairAnalysis:
             return _from_zero(q, self.tensor_groups[0])
         target, rows = self._lifted_rows0
         u = self.unit_relation.coords
-        if any(target.reduce([sum([c * u[k] for k, c in row.items()]) for row in rows])):
+        if any(target.reduce(_apply(rows, u))):
             raise AssertionError("induced map does not kill the unit relation")
         return GroupHom(q, target, _dense(_times(rows, _transpose(lift, len(u))), q.ngens))
 

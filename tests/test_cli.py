@@ -1016,6 +1016,34 @@ def test_literal_outputs_pinned():
     assert digest.hexdigest() == LITERAL_DIGEST
 
 
+def _interleaved_literal(k, torsion):
+    """A literal with K0 torsion ``torsion * k`` (interleaved coprime
+    orders), K1 = 0 and an all-ones unit class."""
+    orders = [d for d in torsion for _ in range(k)]
+    return json.dumps({"k0": {"rank": 0, "torsion": orders}, "k1": {"rank": 0}, "unit": [1] * len(orders)})
+
+
+# SHA-256 of exit code, stdout and stderr of three commands on the pairs
+# A = (Z/2)^k + (Z/6)^k, B = (Z/3)^k + (Z/6)^k for k = 3, 6 and 12, whose
+# Kronecker presentations take long merge runs in _cyclic_canonical;
+# recorded before its lift entries were reduced.
+INTERLEAVED_DIGEST = "5702185780358d4feec8bee933b04e96f29ff9c2f346c7794ac675ee27822bcf"
+
+
+def test_interleaved_torsion_outputs_pinned():
+    digest = hashlib.sha256()
+    for k in (3, 6, 12):
+        a, b = _interleaved_literal(k, (2, 6)), _interleaved_literal(k, (3, 6))
+        for argv in (
+            ("kgroups", f"{a} (x) {b}"),
+            ("kgroups", f"{a} (*C) {b}"),
+            ("classify", a, b, "--mode", "unital", "--format", "json"),
+        ):
+            code, out, err = run_cli(*argv)
+            digest.update(f"{code}\n{out}\n{err}".encode())
+    assert digest.hexdigest() == INTERLEAVED_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # The JSON writer against json.dumps
 

@@ -817,20 +817,37 @@ def _diagonal_presentation(orders):
 
 def _check_cyclic_contract(orders):
     """_cyclic_canonical(orders) against the generic engine on the
-    diagonal presentation; returns the canonical group."""
+    diagonal presentation; returns the canonical group.  The lift is
+    bounded, so to_canon @ lift is the identity modulo the canonical
+    orders (exactly on the free rows), and every lift entry at a torsion
+    position k lies in [0, c_k)."""
     group, rows, cols = _cyclic_canonical(orders)
     # the sparse rows of to_canon and columns of lift, as matrices
     n = len(orders)
     to_canon = IntMatrix([[dict(row).get(p, 0) for p in range(n)] for row in rows], cols=n)
     lift = IntMatrix.from_columns([[dict(col).get(p, 0) for p in range(n)] for col in cols], n)
     assert group == _presented(*_diagonal_presentation(orders))
-    assert to_canon @ lift == IntMatrix.identity(group.ngens)
     canon_orders = [0] * group.rank + list(group.torsion)
+    product, identity = (to_canon @ lift).data, IntMatrix.identity(group.ngens).data
+    for d, row, want in zip(canon_orders, product, identity):
+        assert all((x - y) % d == 0 if d else x == y for x, y in zip(row, want))
+    _check_lift_bound(orders, cols)
     for k, c in enumerate(orders):
         # to_canon kills the relation column c * e_k
         image = [c * e for e in to_canon.column(k)]
         assert all((x % d == 0) if d else x == 0 for x, d in zip(image, canon_orders))
     return group
+
+
+def _check_lift_bound(orders, cols):
+    """Every key of a lift column is a torsion position k, or the free
+    position of its own column, and every entry lies in [0, c_k)."""
+    for col in cols:
+        for k, e in col.items():
+            if orders[k] == 0:
+                assert col == {k: 1}, (orders, col)
+            else:
+                assert 0 <= e < orders[k], (orders, col)
 
 
 def test_cyclic_path_contract():
@@ -840,6 +857,21 @@ def test_cyclic_path_contract():
     # a long run of repeated primes that must all merge
     assert _check_cyclic_contract([2] * 12 + [3] * 12 + [1, 0]) == FgAbGroup(1, (6,) * 12)
     assert _check_cyclic_contract([BIG * 2, BIG * 3, 4, 9]) == FgAbGroup(0, (6 * BIG, 36 * BIG))
+
+
+def test_cyclic_lifts_stay_bounded():
+    # Each lift entry is reduced modulo its position's order as a merge
+    # writes it; without that, interleaved coprime orders grow the
+    # entries by about 1.6 bits per (2, 3) pair.  The lists are longer
+    # than the engine oracle of test_cyclic_path_contract can take: runs
+    # of (2, 3), the Kronecker orders of (Z/2)^6 + (Z/6)^6 against
+    # (Z/3)^6 + (Z/6)^6, and seeded lists of small orders.
+    rng = random.Random(31)
+    kronecker = [gcd(c, e) for c in [2] * 6 + [6] * 6 for e in [3] * 6 + [6] * 6]
+    lists = [CYCLIC_ORDERS, [2, 3] * 60, kronecker]
+    lists += [[rng.randrange(0, 40) for _ in range(rng.randrange(0, 30))] for _ in range(100)]
+    for orders in lists:
+        _check_lift_bound(orders, _cyclic_canonical(orders)[2])
 
 
 def test_cyclic_path_direct_sum_and_tensor_identities():

@@ -1,5 +1,6 @@
 """Tests for the invariant triples and composite K-theory formulas."""
 
+import hashlib
 import io
 import json
 import random
@@ -52,6 +53,7 @@ from kobstruct.kinv import (
 )
 import oracle
 from conftest import assert_quotient_path, direct_sum_projections, integer_solution, unital_quotient_maps
+from test_cli import _literal_pairs as _cli_literal_pairs
 
 Z = FgAbGroup(1)
 TRIVIAL = FgAbGroup()
@@ -365,6 +367,27 @@ def test_pi_star_formula_against_hand_lift(catalog):
         assert tuple((f.source, f.target, f.matrix.data) for f in maps) == _reference_maps(a, b)
         _, proj_q, _ = unital_quotient_maps(an)
         assert compose(proj_q, an.pi0) == an.lifted_pi0
+
+
+# SHA-256 over the induced maps of every ordered catalog pair and of the
+# seeded literal pairs of test_cli: per pair, the matrices of
+# lifted_pi0, pi0 and pi1, the coordinates of the tensor unit and the
+# unital free product.  Recorded before the dict-row products of the
+# induced-map path moved into fgab's _times and _apply.
+MAPS_DIGEST = "df3ba57b2c5b4af12c80e413bda949fe87417c6b7f1f0bbaa51cfa42a66fd6f8"
+
+
+def test_induced_maps_pinned(catalog):
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [tuple(map(KInvariant.from_json, pair)) for pair in _cli_literal_pairs()]
+    assert len(pairs) == 480
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        an = PairAnalysis(a, b)
+        maps = [f.matrix.to_json() for f in (an.lifted_pi0, an.pi0, an.pi1)]
+        payload = [maps, list(an.tensor_unit.coords), an.unital_free_product.to_json()]
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == MAPS_DIGEST
 
 
 def test_kunneth_invariant_matches_kunneth(catalog):

@@ -306,11 +306,12 @@ def test_census_possible_iff_no_witness_iff_sections():
     # Every ordered pair of the family with at most one nontrivial K1
     # (8,000 pairs, about 5 s on a 2-vCPU VM); two nontrivial K1 groups
     # of the family meet in a nonzero K1(A) (x) K1(B).
-    # Possible <=> no witness <=> all unital sections, and the split is
-    # the same for (B, A) and with A's unit negated.
+    # Possible <=> no witness <=> all unital sections <=> all full
+    # sections (the two quotient maps agree at the K-level), and the
+    # split is the same for (B, A) and with A's unit negated.
     family = _census_family()
     assert len(family) == 120
-    split, outcomes = {}, Counter()
+    split, outcomes, decided = {}, Counter(), {}
     for (i, a), (j, b) in itertools.product(enumerate(family), repeat=2):
         if not (a.k1.is_trivial or b.k1.is_trivial):
             continue
@@ -318,12 +319,27 @@ def test_census_possible_iff_no_witness_iff_sections():
         v = classify_analysis(an)
         w = first_witness(an)
         clear = section_exists_analysis(an, "unital").all_clear
-        assert v.possible == (w is None) == clear, (a, b)
+        assert v.possible == (w is None) == clear == section_exists_analysis(an, "full").all_clear, (a, b)
         assert classify(KInvariant(a.k0, a.k1, -a.unit), b).possible == v.possible, (a, b)
         split[i, j] = v.possible
+        decided[a, b] = v.outcome, w and w.clause
         outcomes[v.outcome if v.possible else w.clause] += 1
     assert len(split) == 8000
     assert all(split[j, i] == p for (i, j), p in split.items())
+    # The automorphism e_f |-> e_f + t of a rank-one K0(A) = Z + T moves
+    # the unit (u_f, u_t) to (u_f, u_t + u_f t), another triple of the
+    # family: the outcome and the first witness clause stay.
+    shifts = 0
+    for (a, b), seen in decided.items():
+        if a.k0.rank != 1:
+            continue
+        uf, *ut = a.unit.coords
+        for t in itertools.product(*map(range, a.k0.torsion)):
+            shifted = KInvariant(a.k0, a.k1, a.k0.element((uf, *(x + uf * y for x, y in zip(ut, t)))))
+            if shifted != a:
+                assert decided[shifted, b] == seen, (a, t, b)
+                shifts += 1
+    assert shifts > 2000, shifts
     # every case and every clause but the K1 tensor one and the rank
     # count, which needs rank K0(A) * rank K0(B) > 1
     assert set(outcomes) == {
