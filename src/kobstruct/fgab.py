@@ -21,12 +21,14 @@ are sums of cyclic groups, so they skip the Smith normal form:
 ``_cyclic_canonical`` merges their orders into a divisibility chain with
 2x2 Bezout steps and never factors an integer.  Its basis changes are
 dict rows, so input that is already canonical (a free group, a sum with
-one nonzero part) costs its length, not its square.  A quotient by one
-element, as a group only, is read off gcds (``_quotient_group``).  The
-Smith normal form handles the general presentations: quotients,
-cokernels and the solvers' systems.  A quotient by one element, whose
-relations are a diagonal plus one column, carries its transforms as
-dict rows (``_quotient_full``), so it costs about its relations.
+one nonzero part) costs its length, not its square, and a caller that
+reads a few vectors of a basis change carries them through the merges
+instead of building it.  A quotient by one element, as a group only, is
+read off gcds (``_quotient_group``).  The Smith normal form handles the
+general presentations: quotients, cokernels and the solvers' systems.
+A quotient by one element, whose relations are a diagonal plus one
+column, carries its transforms as dict rows (``_quotient_full``), so it
+costs about its relations.
 
 The Smith normal form engine ``_snf_rows`` alternates Hermite
 stages (``_hnf_rows``, after Kannan and Bachem) on the columns and the
@@ -60,9 +62,12 @@ Conventions
   all arithmetic on them is here: ``_combine`` and ``_axpy`` add rows,
   ``_times`` multiplies rows by the matrix of other rows and ``_apply``
   by a vector, ``_transpose`` turns a list around, ``_dense`` fills it.
-* A lift of the cyclic path (``_cyclic_canonical``) is bounded: its
-  entry at a position of order c_k lies in [0, c_k), so to_canon @ lift
-  is the identity modulo the canonical orders, all a ``GroupHom`` reads.
+* The cyclic path (``_cyclic_canonical``) merges the rows it is given,
+  the identity unless a caller gives its own rows M, and then gives
+  to_canon @ M: it never mutates M and hands back a row of M that no
+  merge touches as it is.  Its lift is bounded: an entry at a position
+  of order c_k lies in [0, c_k), so to_canon @ lift is the identity
+  modulo the canonical orders, all a ``GroupHom`` reads.
 
 All values are immutable ``_Value`` records, as are those of the other
 modules; every operation is a pure function and no state is kept
@@ -150,6 +155,8 @@ class IntMatrix(_Value):
 
     def __init__(self, data, cols=None):
         data = tuple(tuple(map(index, row)) for row in data)  # a TypeError for floats
+        if cols is not None and index(cols) < 0:
+            raise ValueError("cols must be nonnegative")
         rows = len(data)
         if rows:
             width = len(data[0])
@@ -182,6 +189,8 @@ class IntMatrix(_Value):
     def from_columns(cls, columns, rows):
         """Build a matrix of shape (rows, len(columns)) from column vectors
         of ints."""
+        if rows < 0:
+            raise ValueError("rows must be nonnegative")
         columns = [tuple(c) for c in columns]
         if any(len(c) != rows for c in columns):
             raise ValueError("column of wrong length")
@@ -560,6 +569,8 @@ class FgAbGroup(_Value):
         return GroupElement(self, (0,) * self.ngens)
 
     def generator(self, k):
+        if not 0 <= k < self.ngens:
+            raise IndexError(f"generator {k} is not in range(0, {self.ngens})")
         coords = [0] * self.ngens
         coords[k] = 1
         return GroupElement(self, coords)
@@ -752,7 +763,7 @@ def _bezout(x, y):
     return g, s, (g - s * x) // y
 
 
-def _cyclic_canonical(orders):
+def _cyclic_canonical(orders, rows=None):
     """Canonical form of (+)_k Z/c_k, where c_k = 0 stands for Z.
 
     Returns (group, to_canon, lift) as ``_canonicalize_sparse`` does for
@@ -769,10 +780,16 @@ def _cyclic_canonical(orders):
     interleaved coprime orders do not grow the lifts.  No integer is
     ever factored.  Input that is already canonical takes one pass and
     keeps one entry per row, so a free group of rank n costs n, not n^2.
+
+    The merges start from ``rows``, one dict row per position, or from
+    the identity: each is a row operation, so with rows M the second
+    value is to_canon @ M, integer for integer, and to_canon is not built.
     """
+    if rows is None:
+        rows = [{k: 1} for k in range(len(orders))]
     free = [k for k, c in enumerate(orders) if c == 0]
     # one [order, to_canon row, lift column] per torsion generator
-    tors = [[c, {k: 1}, {k: 1}] for k, c in enumerate(orders) if c > 1]
+    tors = [[c, rows[k], {k: 1}] for k, c in enumerate(orders) if c > 1]
 
     def reduced(col):
         return {k: r for k, e in col.items() if (r := e % orders[k])}
@@ -792,7 +809,7 @@ def _cyclic_canonical(orders):
                 changed = True
         tors = [e for e in tors if e[0] > 1]
     group = FgAbGroup(len(free), [c for c, _, _ in tors])
-    to_canon = [{k: 1} for k in free] + [r for _, r, _ in tors]
+    to_canon = [rows[k] for k in free] + [r for _, r, _ in tors]
     return group, to_canon, [{k: 1} for k in free] + [c for _, _, c in tors]
 
 
@@ -987,15 +1004,17 @@ def _kronecker(g: FgAbGroup, h: FgAbGroup):
 def tensor_elem(x: GroupElement, y: GroupElement) -> GroupElement:
     """The image of x (x) y in tensor(x.group, y.group).
 
-    Computed through the Kronecker presentation, so it is bilinear and
-    consistent across calls for the same pair of groups.
+    The Kronecker vector of x (x) y, as a one-column matrix, is carried
+    through the merges of the Kronecker presentation, so the image is
+    bilinear and consistent across calls for the same pair of groups.
 
     >>> z = FgAbGroup(1)
     >>> tensor_elem(z.element((2,)), z.element((3,))).coords
     (6,)
     """
-    tg, to_canon, _ = _cyclic_canonical(_kronecker(x.group, y.group))
-    return GroupElement(tg, _apply(to_canon, [a * b for a in x.coords for b in y.coords]))
+    column = [{0: e} if (e := a * b) else {} for a in x.coords for b in y.coords]
+    tg, rows, _ = _cyclic_canonical(_kronecker(x.group, y.group), column)
+    return GroupElement(tg, [r.get(0, 0) for r in rows])
 
 
 # ---------------------------------------------------------------------------

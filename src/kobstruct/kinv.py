@@ -18,23 +18,22 @@ In both degrees an induced map is (x, y) |-> x (x) [1_B] + [1_A] (x) y,
 built by one rule, ``PairAnalysis._images``, straight from Kronecker
 coordinates.  The image of generator e_i of the A side is
 e_i (x) [1_B], block i of the Kronecker presentation filled with the
-coordinates of [1_B]; so only the canonical rows of that presentation
-are read, then only the columns of the canonical sum of the Kunneth
-parts that fall in that tensor pairing, and likewise for
-[1_A] (x) e_j.  The rows that result are dict rows (dicts from column
-to nonzero entry, the one sparse format of ``fgab``, whose ``_times``
-and ``_apply`` make every product here); they are multiplied once by
-the lifts of the source sum, K0A + K0B or K1A + K1B as
-``_cyclic_canonical`` gives it, and checked once as a ``GroupHom``
+coordinates of [1_B], and likewise for [1_A] (x) e_j.  So each Kronecker
+coordinate of a pairing that a unit class enters starts as a dict row
+over the source generators (``fgab``'s one sparse format, whose
+``_times`` and ``_apply`` make every product here), and the rows are
+carried through the merges of the pairing, then of the sum of the
+Kunneth parts (``_cyclic_canonical`` with starting rows): neither
+basis change is built.  They are multiplied once by the lifts of the
+source sum, K0A + K0B or K1A + K1B, and checked once as a ``GroupHom``
 (the map on the unital quotient is that of K0A + K0B times the lift of
 each quotient generator): no Kunneth K-pair, ``tensor_elem`` element,
-injection or projection is built, so a map costs about the size of its
-matrix; the same rows applied to ([1_A], 0) give the unit
-[1_A] (x) [1_B] of the tensor product (``tensor_unit``).  Zero is read
-off generator counts: a map whose source has no generators (pi1
-whenever K1A + K1B = 0, as for every pair of algebras with K1 = 0; pi0
-and lifted_pi0 when their source is 0, as for O_2 against O_2) is the
-matrix with no columns onto the tensor K-group, and no row is built
+injection or projection is built.  The same rows applied to ([1_A], 0)
+give the unit [1_A] (x) [1_B] of the tensor product (``tensor_unit``).
+Zero is read off generator counts: a map whose source has no generators
+(pi1 whenever K1A + K1B = 0, as for every pair of algebras with K1 = 0;
+pi0 and lifted_pi0 when their source is 0, as for O_2 against O_2) is
+the matrix with no columns onto the tensor K-group, and no row is built
 for it.
 
 The cokernels of the induced maps need no map.  With
@@ -72,7 +71,6 @@ from .fgab import (
     _apply,
     _cyclic_canonical,
     _dense,
-    _injections,
     _kronecker,
     _orders,
     _quotient_full,
@@ -314,12 +312,9 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     (FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))
     """
     an = PairAnalysis(a, b)
-    groups, summands = [], {}
-    for degree, rows in enumerate(KUNNETH):
-        k, to_canon, _ = an._tensor_sum(degree)
-        groups.append(k)
-        summands.update(zip([row[0] for row in rows], _injections(an._parts(degree), k, to_canon)))
-    return KPair(k0=groups[0], k1=groups[1], summands=summands, unit=an.tensor_unit, extra_z=False)
+    (k0, injs0), (k1, injs1) = (direct_sum_many(an._parts(degree)) for degree in (0, 1))
+    labels = [row[0] for rows in KUNNETH for row in rows]
+    return KPair(k0=k0, k1=k1, summands=dict(zip(labels, injs0 + injs1)), unit=an.tensor_unit, extra_z=False)
 
 
 def kunneth_invariant(a: KInvariant, b: KInvariant) -> KInvariant:
@@ -436,7 +431,6 @@ class PairAnalysis:
     def __init__(self, a: KInvariant, b: KInvariant):
         self.a = a
         self.b = b
-        self._sums = [None, None]
 
     @_once
     def kunneth_parts(self) -> dict[str, FgAbGroup]:
@@ -452,15 +446,6 @@ class PairAnalysis:
     def _parts(self, degree):
         """The Kunneth parts of ``degree``, in summand order."""
         return [self.kunneth_parts[row[0]] for row in KUNNETH[degree]]
-
-    def _tensor_sum(self, degree):
-        """The tensor K-group of ``degree`` as the canonical sum of its
-        Kunneth parts, (group, to_canon, lift) as ``_cyclic_canonical``
-        gives them, built once: the induced maps, the tensor unit and
-        the summand injections of ``kunneth`` read it."""
-        if self._sums[degree] is None:
-            self._sums[degree] = _cyclic_canonical([c for p in self._parts(degree) for c in _orders(p)])
-        return self._sums[degree]
 
     @_once
     def tensor_groups(self):
@@ -531,33 +516,27 @@ class PairAnalysis:
         x (x) [1_B] lies in the tensor pairing (A side, K0B) and
         [1_A] (x) y in (K0A, B side); in degree 0 both are K0A (x) K0B.
         Kronecker coordinate (i, j) of a pairing (``_kronecker``) is a
-        product of coordinates i and j, so its canonical row
-        (``_cyclic_canonical``) gives generator i of the A side the
-        weight of [1_B]_j and generator j of the B side the weight of
-        [1_A]_i.  The canonical rows of the sum of the Kunneth parts
-        times these rows (``_times``) give the map.
+        product of coordinates i and j, so its starting row weighs
+        generator i of the A side by [1_B]_j and generator j of the B
+        side by [1_A]_i.  The rows are carried through the merges of the
+        pairing, then, with empty rows for the other Kunneth parts,
+        through those of their sum, which gives the target too.
         """
         a, b = self.a, self.b
-        parts = self._parts(degree)
-        target, to_canon, _ = self._tensor_sum(degree)
         na = _group(a, degree).ngens
-        ua, ub = a.unit.coords, b.unit.coords
-        coords = {}  # sum position -> its dict row over the source
-        offset = 0
-        for (_, da, db, is_tor), part in zip(KUNNETH[degree], parts):
-            if not is_tor and 0 in (da, db):  # a pairing a unit class enters
-                g, h = _group(a, da), _group(b, db)
-                n = h.ngens
-                for k, row in enumerate(_cyclic_canonical(_kronecker(g, h))[1]):
-                    acc = coords[offset + k] = {}
-                    for q, c in row.items():
-                        i, j = divmod(q, n)
-                        if db == 0 and ub[j]:
-                            acc[i] = acc.get(i, 0) + c * ub[j]
-                        if da == 0 and ua[i]:
-                            acc[na + j] = acc.get(na + j, 0) + c * ua[i]
-            offset += part.ngens
-        return target, _times(to_canon, [coords.get(p, {}) for p in range(offset)])
+        orders, rows = [], []
+        for (_, da, db, is_tor), part in zip(KUNNETH[degree], self._parts(degree)):
+            orders += _orders(part)
+            if is_tor or 0 not in (da, db):  # a pairing no unit class enters
+                rows += [{}] * part.ngens
+                continue
+            g, h = _group(a, da), _group(b, db)
+            # the weights [1_A]_i and [1_B]_j, 0 on a side that is not K0
+            ua = a.unit.coords if da == 0 else (0,) * g.ngens
+            ub = b.unit.coords if db == 0 else (0,) * h.ngens
+            start = [{p: e for p, e in ((i, y), (na + j, x)) if e} for i, x in enumerate(ua) for j, y in enumerate(ub)]
+            rows += _cyclic_canonical(_kronecker(g, h), start)[1]
+        return _cyclic_canonical(orders, rows)[:2]
 
     @_once
     def _lifted_rows0(self):

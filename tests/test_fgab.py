@@ -528,6 +528,31 @@ def test_constructors_refuse_floats():
     assert IntMatrix([], cols=True).cols == 1
 
 
+def test_constructors_refuse_negative_sizes():
+    # IntMatrix([], cols=-2) had -2 columns, from_columns([], -1) had no
+    # rows and identity(-3) was the empty matrix
+    with pytest.raises(ValueError, match="cols must be nonnegative"):
+        IntMatrix([], cols=-2)
+    with pytest.raises(ValueError, match="rows must be nonnegative"):
+        IntMatrix.from_columns([], -1)
+    with pytest.raises(ValueError):
+        IntMatrix.identity(-3)
+    assert IntMatrix.from_columns([], 2).data == ((), ())
+    assert IntMatrix.identity(0) == IntMatrix([], cols=0)
+
+
+def test_generator_refuses_an_index_out_of_range():
+    # generator(-1) wrapped around to the last generator, and generator(2)
+    # of a group of two raised a bare list-assignment IndexError
+    g = FgAbGroup(1, (2,))
+    assert g.generator(1).coords == (0, 1)
+    for k in (-1, -3, 2, 5):
+        with pytest.raises(IndexError, match=r"not in range\(0, 2\)"):
+            g.generator(k)
+    with pytest.raises(IndexError, match=r"range\(0, 0\)"):
+        FgAbGroup().generator(0)
+
+
 def _merged_factors(factors):
     """The invariant factors of (+) Z/d by the sort-and-merge loop run
     to a fixed point, whether or not its input is already a chain."""
@@ -820,7 +845,8 @@ def _check_cyclic_contract(orders):
     diagonal presentation; returns the canonical group.  The lift is
     bounded, so to_canon @ lift is the identity modulo the canonical
     orders (exactly on the free rows), and every lift entry at a torsion
-    position k lies in [0, c_k)."""
+    position k lies in [0, c_k).  Started from rows M, the merges carry
+    exactly to_canon @ M."""
     group, rows, cols = _cyclic_canonical(orders)
     # the sparse rows of to_canon and columns of lift, as matrices
     n = len(orders)
@@ -836,6 +862,16 @@ def _check_cyclic_contract(orders):
         # to_canon kills the relation column c * e_k
         image = [c * e for e in to_canon.column(k)]
         assert all((x % d == 0) if d else x == 0 for x, d in zip(image, canon_orders))
+    # the same merges started from seeded rows M: the same group and
+    # lift, and to_canon @ M without zero entries, with M left as it was
+    rng = random.Random(len(orders))
+    start = [{q: e for q in range(3) if (e := rng.choice((0, 0, 1, -1, 2, -5, BIG)))} for _ in orders]
+    kept = [dict(row) for row in start]
+    carried_group, carried, carried_cols = _cyclic_canonical(orders, start)
+    assert (carried_group, carried_cols) == (group, cols)
+    product = to_canon @ IntMatrix([[row.get(q, 0) for q in range(3)] for row in start], cols=3)
+    assert carried == [{q: e for q, e in enumerate(row) if e} for row in product.data]
+    assert start == kept
     return group
 
 

@@ -53,7 +53,7 @@ from kobstruct.kinv import (
 )
 import oracle
 from conftest import assert_quotient_path, direct_sum_projections, integer_solution, unital_quotient_maps
-from test_cli import _literal_pairs as _cli_literal_pairs
+from test_cli import _interleaved_literal as _cli_interleaved_literal, _literal_pairs as _cli_literal_pairs
 
 Z = FgAbGroup(1)
 TRIVIAL = FgAbGroup()
@@ -701,23 +701,35 @@ def test_quotient_path_on_the_unit_relations(catalog):
         assert_quotient_path(an.unit_relation.group, an.unit_relation)
 
 
-def test_kunneth_canonicalizes_each_degree_once(monkeypatch):
-    # The unit [1_A] (x) [1_B] and the summand injections read one
-    # canonical sum per degree.  Here K0A (x) K0B = (Z/2)^6, so two
-    # calls see six orders 2: its Kronecker presentation and the sum.
-    a, b = evaluate("C^3"), evaluate("O_3 (x) C^2")
-    calls = []
-    real = fgab._cyclic_canonical
+def test_tensor_paths_build_no_kronecker_basis_change(monkeypatch):
+    # The tensor unit, the induced maps and tensor_elem carry their
+    # vectors through the merges of each Kronecker presentation
+    # (_cyclic_canonical with starting rows), so none of them builds the
+    # presentation's full basis change: no Kronecker order list is ever
+    # canonicalized without starting rows.
+    kronecker, bare = [], []
+    real_kronecker, real = fgab._kronecker, fgab._cyclic_canonical
 
-    def counting(orders):
-        calls.append(list(orders))
-        return real(orders)
+    def recording(g, h):
+        kronecker.append(real_kronecker(g, h))
+        return kronecker[-1]
 
-    monkeypatch.setattr(fgab, "_cyclic_canonical", counting)
-    monkeypatch.setattr(kinv, "_cyclic_canonical", counting)
-    kp = kunneth(a, b)
-    assert kp.k0 == FgAbGroup(0, (2,) * 6) and kp.unit is not None
-    assert calls.count([2] * 6) == 2, calls
+    def counting(orders, rows=None):
+        if rows is None:
+            bare.append(orders)
+        return real(orders, rows)
+
+    for module in (fgab, kinv):
+        monkeypatch.setattr(module, "_kronecker", recording)
+        monkeypatch.setattr(module, "_cyclic_canonical", counting)
+    interleaved = _cli_interleaved_literal(3, (2, 6)), _cli_interleaved_literal(3, (3, 6))
+    for x, y in (("C^3", "O_3 (x) C^2"), ("CT", "M_2 (x) CT"), interleaved):
+        for argv in (["kgroups", f"{x} (x) {y}"], ["classify", x, y, "--format", "json"]):
+            assert cli.main(argv, out=io.StringIO(), err=io.StringIO()) in (cli.EXIT_OK, cli.EXIT_OBSTRUCTED)
+    g, h = FgAbGroup(1, (4, 12)), FgAbGroup(2, (6,))
+    assert tensor_elem(g.element((1, 1, 1)), h.element((1, 2, 3))).group == fgab.tensor(g, h)
+    assert len(kronecker) > 10 and bare
+    assert not any(orders is k for orders in bare for k in kronecker)
 
 
 def test_unital_free_product_of_zero_k1_sums_no_empty_group(monkeypatch):
@@ -726,9 +738,9 @@ def test_unital_free_product_of_zero_k1_sums_no_empty_group(monkeypatch):
     calls = []
     real = fgab._cyclic_canonical
 
-    def counting(orders):
+    def counting(orders, rows=None):
         calls.append(list(orders))
-        return real(orders)
+        return real(orders, rows)
 
     monkeypatch.setattr(fgab, "_cyclic_canonical", counting)
     monkeypatch.setattr(kinv, "_cyclic_canonical", counting)
