@@ -216,7 +216,7 @@ def _cmd_classify(args, out) -> int:
             f"verdict: {verdict.outcome}",
         ]
         if verdict.parameters is not None:
-            params = ", ".join(f"{k}={v}" for k, v in verdict.parameters)
+            params = ", ".join(f"{k}={v}" for k, v in verdict.parameters_dict().items())
             lines.append(f"case parameters: {params}")
         if verdict.witness is not None:
             lines.append(f"witness: {verdict.witness.clause}")

@@ -68,6 +68,13 @@ Conventions
   merge touches as it is.  Its lift is bounded: an entry at a position
   of order c_k lies in [0, c_k), so to_canon @ lift is the identity
   modulo the canonical orders, all a ``GroupHom`` reads.
+* Costs are counted, not timed, for tests: ``with _counting() as c``
+  sets a ``Counter`` in a ``ContextVar`` (PEP 567) for the block, and
+  five sites add to it: ``basis`` (``_cyclic_canonical`` without
+  starting rows), ``merge`` (one of its merges), ``smith:<mode>`` (one
+  ``_snf_rows`` run), ``solve`` (``right_inverse_exists``) and
+  ``map<d>`` (``kinv.PairAnalysis._images(d)``).  Outside a block each
+  site reads the variable once.
 
 All values are immutable ``_Value`` records, as are those of the other
 modules; every operation is a pure function and no state is kept
@@ -80,6 +87,9 @@ none, as ``kinv.KInvariant.from_json`` reads every literal.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from math import gcd, inf, lcm
 from operator import add, attrgetter, index, itemgetter, mul
 
@@ -101,6 +111,26 @@ __all__ = [
     "right_inverse_exists",
     "solve_divisibility",
 ]
+
+_COUNTS = ContextVar("kobstruct.fgab.counts", default=None)
+
+
+@contextmanager
+def _counting():
+    """Count the costs of the calls made in the block, as a Counter of
+    events (see Conventions), visible in this context alone."""
+    counts = Counter()
+    token = _COUNTS.set(counts)
+    try:
+        yield counts
+    finally:
+        _COUNTS.reset(token)
+
+
+def _count(event, n=1):
+    """Add ``n`` to ``event`` in the active collector, if there is one."""
+    if (counts := _COUNTS.get()) is not None:
+        counts[event] += n
 
 
 class GroupMismatchError(ValueError):
@@ -355,6 +385,7 @@ def _snf_rows(rows, ncols, track=None):
     """
     if track not in (None, "uinv", "v"):
         raise ValueError(f"unknown tracking mode {track!r}")
+    _count(f"smith:{track or 'none'}")
     n = len(rows)
     sparse = track == "uinv"
     u = ([{i: 1} for i in range(n)] if sparse else _identity_rows(n)) if track else None
@@ -786,6 +817,7 @@ def _cyclic_canonical(orders, rows=None):
     value is to_canon @ M, integer for integer, and to_canon is not built.
     """
     if rows is None:
+        _count("basis")
         rows = [{k: 1} for k in range(len(orders))]
     free = [k for k, c in enumerate(orders) if c == 0]
     # one [order, to_canon row, lift column] per torsion generator
@@ -794,13 +826,14 @@ def _cyclic_canonical(orders, rows=None):
     def reduced(col):
         return {k: r for k, e in col.items() if (r := e % orders[k])}
 
-    changed = True
+    changed, merges = True, 0
     while changed:
         tors.sort(key=itemgetter(0))
         changed = False
         for i in range(len(tors) - 1):
             (x, ri, ci), (y, rj, cj) = tors[i], tors[i + 1]
             if y % x:
+                merges += 1
                 g, s, t = _bezout(x, y)
                 xg, yg = x // g, y // g
                 # a gcd of 1 is dropped after the pass, unread
@@ -808,6 +841,7 @@ def _cyclic_canonical(orders, rows=None):
                 tors[i + 1] = [x * yg, _combine(-yg, ri, xg, rj), reduced(_combine(-t, ci, s, cj))]
                 changed = True
         tors = [e for e in tors if e[0] > 1]
+    _count("merge", merges)
     group = FgAbGroup(len(free), [c for c, _, _ in tors])
     to_canon = [rows[k] for k in free] + [r for _, r, _ in tors]
     return group, to_canon, [{k: 1} for k in free] + [c for _, _, c in tors]
@@ -1066,6 +1100,7 @@ def right_inverse_exists(f: GroupHom):
     >>> right_inverse_exists(GroupHom(g, g, IntMatrix([[-1, 0], [1, 3]]))).matrix
     IntMatrix([[-1, 0], [3, 3]])
     """
+    _count("solve")
     g, h = f.source, f.target
     sg, hg = g.ngens, h.ngens
     # in invariant-factor form ngens is the fewest elements that

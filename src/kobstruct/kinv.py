@@ -66,9 +66,11 @@ from .fgab import (
     direct_sum_many,
     right_inverse_exists,
     tensor,
+    tensor_elem,
     tor,
     _Value,
     _apply,
+    _count,
     _cyclic_canonical,
     _dense,
     _kronecker,
@@ -302,7 +304,8 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     Degree 0 is (K0A (x) K0B) + (K1A (x) K1B) + Tor(K0A, K1B)
     + Tor(K1A, K0B); degree 1 swaps the tensor pairings and collects
     Tor(K0A, K0B) + Tor(K1A, K1B) (the table ``KUNNETH``).  The unit is
-    [1_A] (x) [1_B] inside the first summand.
+    [1_A] (x) [1_B] inside the first summand, carried there by that
+    summand's injection, so no induced map is built.
 
     >>> from .fgab import FgAbGroup
     >>> z2 = FgAbGroup(0, (2,))
@@ -314,7 +317,8 @@ def kunneth(a: KInvariant, b: KInvariant) -> KPair:
     an = PairAnalysis(a, b)
     (k0, injs0), (k1, injs1) = (direct_sum_many(an._parts(degree)) for degree in (0, 1))
     labels = [row[0] for rows in KUNNETH for row in rows]
-    return KPair(k0=k0, k1=k1, summands=dict(zip(labels, injs0 + injs1)), unit=an.tensor_unit, extra_z=False)
+    unit = injs0[0](tensor_elem(a.unit, b.unit))
+    return KPair(k0=k0, k1=k1, summands=dict(zip(labels, injs0 + injs1)), unit=unit, extra_z=False)
 
 
 def kunneth_invariant(a: KInvariant, b: KInvariant) -> KInvariant:
@@ -522,6 +526,7 @@ class PairAnalysis:
         pairing, then, with empty rows for the other Kunneth parts,
         through those of their sum, which gives the target too.
         """
+        _count(f"map{degree}")
         a, b = self.a, self.b
         na = _group(a, degree).ngens
         orders, rows = [], []

@@ -28,6 +28,7 @@ from .fgab import (
     FgAbGroup,
     GroupElement,
     GroupMismatchError,
+    IntMatrix,
     direct_sum_many,
     quotient_by,
     solve_divisibility,
@@ -86,9 +87,19 @@ NO_SECTION_1 = "NoSection1"
 _POSSIBLE = frozenset({POSSIBLE_CASE_I, POSSIBLE_CASE_II, POSSIBLE_CASE_III})
 
 
+def _json_value(value):
+    """A witness detail or case parameter as JSON writes it: a matrix as
+    its rows and a tuple as a list.  The fields keep the hashable form."""
+    if isinstance(value, IntMatrix):
+        return value.to_json()
+    return list(value) if isinstance(value, tuple) else value
+
+
 class ObstructionWitness(_Value):
     """A verifiable reason no K-level splitting exists: its ``clause``,
-    a ``detail`` tuple of (name, value) pairs and an ``explanation``."""
+    a ``detail`` tuple of (name, value) pairs and an ``explanation``.
+    A value is a str, an int, a tuple or an ``IntMatrix``, so a witness
+    hashes."""
 
     __slots__ = ("clause", "detail", "explanation")
 
@@ -100,7 +111,7 @@ class ObstructionWitness(_Value):
     def to_json(self):
         return {
             "clause": self.clause,
-            "detail": dict(self.detail),
+            "detail": {name: _json_value(v) for name, v in self.detail},
             "explanation": self.explanation,
         }
 
@@ -132,7 +143,9 @@ class Verdict(_Value):
         return self.outcome in _POSSIBLE
 
     def parameters_dict(self):
-        return dict(self.parameters) if self.parameters is not None else None
+        if self.parameters is None:
+            return None
+        return {name: _json_value(v) for name, v in self.parameters}
 
     def to_json(self):
         case = None
@@ -215,7 +228,7 @@ def _not_surjective(an: PairAnalysis, degree: int):
     if coker.is_trivial:
         return None
     return (
-        (("cokernel", str(coker)), ("matrix", getattr(an, f"pi{degree}").matrix.to_json())),
+        (("cokernel", str(coker)), ("matrix", getattr(an, f"pi{degree}").matrix)),
         f"the induced map on K{degree} has cokernel {coker}, so it is "
         "not surjective and admits no section.",
     )
@@ -225,7 +238,7 @@ def _no_section(an: PairAnalysis, degree: int):
     if getattr(an, f"section{degree}") is not None:
         return None
     return (
-        (("matrix", getattr(an, f"pi{degree}").matrix.to_json()),),
+        (("matrix", getattr(an, f"pi{degree}").matrix),),
         f"the induced map on K{degree} is surjective but has no "
         "group-theoretic right inverse.",
     )
@@ -272,7 +285,7 @@ def _group_params(a: KInvariant, b: KInvariant):
 
 
 def _case_ii(a: KInvariant, b: KInvariant, role_a: str, variant: str):
-    units = (("r", list(a.unit.coords)), ("s", list(b.unit.coords)))
+    units = (("r", a.unit.coords), ("s", b.unit.coords))
     return _group_params(a, b) + units + (("role_a", role_a), ("variant", variant))
 
 
@@ -445,8 +458,8 @@ def ex4_no_scaled_section() -> ObstructionWitness:
     return ObstructionWitness(
         NO_SECTION_0,
         (
-            ("relation", [1, 1, -1, -1]),
-            ("forced_images", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            ("relation", relation.coords),
+            ("forced_images", IntMatrix.identity(4)),
         ),
         "a section fixing all four coordinate classes would send the zero "
         "class of (1, 1, -1, -1) to the nonzero vector (1, 1, -1, -1); no "

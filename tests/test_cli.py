@@ -30,7 +30,7 @@ from kobstruct import (
     unital_free_product_k,
 )
 import kobstruct
-from kobstruct import cli, fgab, kinv, obstruct
+from kobstruct import cli, fgab, kinv
 from kobstruct.catalog import MAX_ENTRIES, MAX_GENERATORS, MAX_INDEX_DIGITS, MAX_NESTING, MAX_POWER, ParseError
 from kobstruct.cli import (
     EXIT_CLOSED_PIPE,
@@ -49,6 +49,15 @@ def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def cli_counts(*argv):
+    """The cost counts (``fgab._counting``) of one command line, which
+    must exit 0 or 1 with output and nothing on stderr."""
+    with fgab._counting() as counts:
+        code, out, err = run_cli(*argv)
+    assert code in (EXIT_OK, EXIT_OBSTRUCTED) and out and not err, argv
+    return counts
 
 
 def test_kgroups_text():
@@ -119,24 +128,18 @@ def test_classify_json_schema():
     assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def test_classify_text_builds_no_map_it_does_not_print(monkeypatch):
+def test_classify_text_builds_no_map_it_does_not_print():
     # The rank clause decides C^24 against C^24, and text output never
     # prints pi0 or pi1, so neither map is built; JSON still carries both,
     # but K1 of C^2 is 0, so pi1 is the matrix with no columns, built
     # without the images of any generator.
-    built = []
-    images = kinv.PairAnalysis._images
-
-    def counting(self, *args):
-        built.append(args)
-        return images(self, *args)
-
-    monkeypatch.setattr(kinv.PairAnalysis, "_images", counting)
-    code, out, _ = run_cli("classify", "C^24", "C^24")
+    with fgab._counting() as counts:
+        code, out, _ = run_cli("classify", "C^24", "C^24")
     assert code == EXIT_OBSTRUCTED and "RankInequality" in out
-    assert built == []
-    code, out, _ = run_cli("classify", "C^2", "C^2", "--format", "json")
-    assert code == EXIT_OBSTRUCTED and built == [(0,)]
+    assert (counts["map0"], counts["map1"]) == (0, 0)
+    with fgab._counting() as counts:
+        code, out, _ = run_cli("classify", "C^2", "C^2", "--format", "json")
+    assert code == EXIT_OBSTRUCTED and (counts["map0"], counts["map1"]) == (1, 0)
     assert set(json.loads(out)["maps"]) == {"pi0", "pi1"}
     pi1 = kinv.PairAnalysis(kobstruct.evaluate("C^2"), kobstruct.evaluate("C^2")).pi1
     assert (pi1.source, pi1.matrix.cols, pi1.matrix.rows) == (FgAbGroup(), 0, pi1.target.ngens)
@@ -814,31 +817,28 @@ def test_section_full_payload_matches_separate_public_calls(catalog):
                     assert compose(s, f) == GroupHom.identity(f.target), (name_a, name_b)
 
 
+def _onto(an, degree):
+    """Whether the induced maps of ``degree`` reach the solver: onto a
+    tensor K-group with generators."""
+    return an.tensor_groups[degree].ngens > 0 and getattr(an, f"cokernel{degree}").is_trivial
+
+
 @pytest.mark.parametrize("mode", ["unital", "full"])
-def test_classify_solves_each_induced_map_once(catalog, mode, monkeypatch):
+def test_classify_solves_each_induced_map_once(catalog, mode):
     # classify's map-level checks and the section report read the same
     # sections, so no induced map of a command reaches the solver twice;
     # and a section decided by a nontrivial cokernel never reaches it at
-    # all
-    solve = fgab.right_inverse_exists
-    solved = []
-
-    def counting(f):
-        solved.append(f)
-        return solve(f)
-
-    for module in (fgab, kinv, obstruct):
-        if hasattr(module, "right_inverse_exists"):
-            monkeypatch.setattr(module, "right_inverse_exists", counting)
+    # all.  The report solves one map per degree that is onto; in full
+    # mode the verdict may solve pi0 besides the report's lifted_pi0.
     total = 0
-    for name_a, _ in catalog:
-        for name_b, _ in catalog:
-            solved.clear()
-            run_cli("classify", name_a, name_b, "--mode", mode)
-            assert len({id(f) for f in solved}) == len(solved), (name_a, name_b)
-            for f in solved:
-                assert fgab.cokernel(f).is_trivial, (name_a, name_b)
-            total += len(solved)
+    for name_a, a in catalog:
+        for name_b, b in catalog:
+            an = kinv.PairAnalysis(a, b)
+            onto = _onto(an, 0) + _onto(an, 1)
+            solved = cli_counts("classify", name_a, name_b, "--mode", mode)["solve"]
+            extra = _onto(an, 0) if mode == "full" else 0
+            assert onto <= solved <= onto + extra, (name_a, name_b)
+            total += solved
     assert total, "no classify command reached the solver"
 
 
@@ -853,31 +853,15 @@ _Z_Z3 = '{"k0": {"rank": 1, "torsion": [3]}, "k1": {"rank": 0, "torsion": []}, "
     [("M_2", "M_3", False), (_Z_Z2, _Z_Z3, False), ("CT", "CT", True)],
     ids=["M_2-M_3", "literals", "CT-CT"],
 )
-def test_degree_one_costs_nothing_when_k1_is_zero(command, mode, expr_a, expr_b, k1, monkeypatch):
+def test_degree_one_costs_nothing_when_k1_is_zero(command, mode, expr_a, expr_b, k1):
     # With K1A + K1B = 0, pi1 is the matrix with no columns and its
     # section the hom from a tensor K1 of 0: neither reads the images of
     # a generator nor reaches the solver.  CT against CT, with K1 = Z,
     # still builds pi1 and solves its section.
-    pi1 = kinv.PairAnalysis(kobstruct.evaluate(expr_a), kobstruct.evaluate(expr_b)).pi1
-    images, solve = kinv.PairAnalysis._images, fgab.right_inverse_exists
-    built, solved = [], []
-
-    def counting_images(self, degree):
-        built.append(degree)
-        return images(self, degree)
-
-    def counting_solve(f):
-        solved.append(f)
-        return solve(f)
-
-    monkeypatch.setattr(kinv.PairAnalysis, "_images", counting_images)
-    for module in (fgab, kinv, obstruct):
-        if hasattr(module, "right_inverse_exists"):
-            monkeypatch.setattr(module, "right_inverse_exists", counting_solve)
-    code, out, err = run_cli(command, expr_a, expr_b, "--mode", mode, "--format", "json")
-    assert code in (EXIT_OK, EXIT_OBSTRUCTED) and out and not err
-    assert (1 in built) == k1
-    assert (pi1 in solved) == k1
+    an = kinv.PairAnalysis(kobstruct.evaluate(expr_a), kobstruct.evaluate(expr_b))
+    counts = cli_counts(command, expr_a, expr_b, "--mode", mode, "--format", "json")
+    assert counts["map1"] == k1
+    assert counts["solve"] == _onto(an, 0) + k1
 
 
 def test_json_commands_build_no_text_lines(monkeypatch):
@@ -1042,6 +1026,22 @@ def test_interleaved_torsion_outputs_pinned():
             code, out, err = run_cli(*argv)
             digest.update(f"{code}\n{out}\n{err}".encode())
     assert digest.hexdigest() == INTERLEAVED_DIGEST
+
+
+def test_interleaved_torsion_costs_by_count():
+    # The cost of the pairs above as counts, which do not depend on the
+    # machine.  kgroups of the tensor product carries the unit's rows
+    # through the merges and builds no full basis change; classify builds
+    # those of K0A + K0B and of K1 of the unital free product, and one
+    # quotient by the unit relation.  The bounds are the counts when
+    # they were recorded.
+    for k, merges in ((6, 666), (12, 10_440)):
+        a, b = _interleaved_literal(k, (2, 6)), _interleaved_literal(k, (3, 6))
+        counts = cli_counts("kgroups", f"{a} (x) {b}", "--format", "json")
+        assert not counts["basis"] and 0 < counts["merge"] <= merges, k
+    a, b = _interleaved_literal(6, (2, 6)), _interleaved_literal(6, (3, 6))
+    counts = cli_counts("classify", a, b, "--mode", "unital", "--format", "json")
+    assert counts["basis"] <= 2 and counts["smith:uinv"] <= 1 and counts["merge"] <= 687, counts
 
 
 # ---------------------------------------------------------------------------

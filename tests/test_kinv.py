@@ -1,7 +1,6 @@
 """Tests for the invariant triples and composite K-theory formulas."""
 
 import hashlib
-import io
 import json
 import random
 import sys
@@ -53,7 +52,7 @@ from kobstruct.kinv import (
 )
 import oracle
 from conftest import assert_quotient_path, direct_sum_projections, integer_solution, unital_quotient_maps
-from test_cli import _interleaved_literal as _cli_interleaved_literal, _literal_pairs as _cli_literal_pairs
+from test_cli import _interleaved_literal as _cli_interleaved_literal, _literal_pairs as _cli_literal_pairs, cli_counts
 
 Z = FgAbGroup(1)
 TRIVIAL = FgAbGroup()
@@ -390,6 +389,34 @@ def test_induced_maps_pinned(catalog):
     assert digest.hexdigest() == MAPS_DIGEST
 
 
+# SHA-256 over what the pairs of MAPS_DIGEST and the interleaved-torsion
+# pairs at k = 3 and 6 decide, in no particular basis: per pair, source,
+# target and cokernel of lifted_pi0, pi0 and pi1, the order of the
+# tensor unit, the verdict and its witness clause, and which sections
+# exist in both modes.  A change of canonical basis leaves it equal.
+# Recorded before the cost counter was added to fgab.
+BASIS_FREE_DIGEST = "edcef6479d9e5014a6cad589b7488ed00e33e0bf94d59b1977147e21c34d218e"
+
+
+def test_basis_free_facts_pinned(catalog):
+    pairs = [(a, b) for _, a in catalog for _, b in catalog]
+    pairs += [tuple(map(KInvariant.from_json, pair)) for pair in _cli_literal_pairs()]
+    for k in (3, 6):
+        literals = _cli_interleaved_literal(k, (2, 6)), _cli_interleaved_literal(k, (3, 6))
+        pairs.append(tuple(KInvariant.from_json(json.loads(s)) for s in literals))
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        an = PairAnalysis(a, b)
+        maps = [[g.to_json() for g in (f.source, f.target, cokernel(f))] for f in (an.lifted_pi0, an.pi0, an.pi1)]
+        verdict = classify_analysis(an)
+        reports = [section_exists_analysis(an, mode) for mode in ("unital", "full")]
+        sections = [[r.deg0 is not None, r.deg1 is not None, r.extra_z_ok] for r in reports]
+        clause = verdict.witness.clause if verdict.witness else None
+        payload = [maps, str(an.tensor_unit.order()), verdict.outcome, clause, sections]
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == BASIS_FREE_DIGEST
+
+
 def test_kunneth_invariant_matches_kunneth(catalog):
     # the nesting triple reads its unit off the induced-map rows, not
     # through kunneth's injections; both must give the same coordinates
@@ -402,6 +429,17 @@ def test_kunneth_invariant_matches_kunneth(catalog):
         unit = kp.summands[K0A_K0B](tensor_elem(a.unit, b.unit))
         assert kp.unit == unit
         assert kunneth_invariant(a, b) == KInvariant(kp.k0, kp.k1, unit)
+
+
+def test_kunneth_builds_no_induced_map(catalog):
+    # kunneth carries [1_A] (x) [1_B] through the injection of the first
+    # summand, which it builds anyway, so it reads the images of no
+    # generator: the paper's absorption examples call it on every pair
+    for _, a in catalog:
+        for _, b in catalog:
+            with fgab._counting() as counts:
+                kunneth(a, b)
+            assert not counts["map0"] and not counts["map1"]
 
 
 def _oracle_group(g):
@@ -701,52 +739,28 @@ def test_quotient_path_on_the_unit_relations(catalog):
         assert_quotient_path(an.unit_relation.group, an.unit_relation)
 
 
-def test_tensor_paths_build_no_kronecker_basis_change(monkeypatch):
+def test_tensor_paths_build_no_kronecker_basis_change():
     # The tensor unit, the induced maps and tensor_elem carry their
     # vectors through the merges of each Kronecker presentation
-    # (_cyclic_canonical with starting rows), so none of them builds the
-    # presentation's full basis change: no Kronecker order list is ever
-    # canonicalized without starting rows.
-    kronecker, bare = [], []
-    real_kronecker, real = fgab._kronecker, fgab._cyclic_canonical
-
-    def recording(g, h):
-        kronecker.append(real_kronecker(g, h))
-        return kronecker[-1]
-
-    def counting(orders, rows=None):
-        if rows is None:
-            bare.append(orders)
-        return real(orders, rows)
-
-    for module in (fgab, kinv):
-        monkeypatch.setattr(module, "_kronecker", recording)
-        monkeypatch.setattr(module, "_cyclic_canonical", counting)
+    # (_cyclic_canonical with starting rows), so none of them builds a
+    # full basis change: a tensor product builds none, and classify only
+    # those of K0A + K0B, K1A + K1B and K1 of the unital free product.
     interleaved = _cli_interleaved_literal(3, (2, 6)), _cli_interleaved_literal(3, (3, 6))
     for x, y in (("C^3", "O_3 (x) C^2"), ("CT", "M_2 (x) CT"), interleaved):
-        for argv in (["kgroups", f"{x} (x) {y}"], ["classify", x, y, "--format", "json"]):
-            assert cli.main(argv, out=io.StringIO(), err=io.StringIO()) in (cli.EXIT_OK, cli.EXIT_OBSTRUCTED)
+        counts = cli_counts("kgroups", f"{x} (x) {y}")
+        assert counts["map0"] and not counts["basis"], (x, y)
+        assert cli_counts("classify", x, y, "--format", "json")["basis"] <= 3, (x, y)
     g, h = FgAbGroup(1, (4, 12)), FgAbGroup(2, (6,))
-    assert tensor_elem(g.element((1, 1, 1)), h.element((1, 2, 3))).group == fgab.tensor(g, h)
-    assert len(kronecker) > 10 and bare
-    assert not any(orders is k for orders in bare for k in kronecker)
+    with fgab._counting() as counts:
+        assert tensor_elem(g.element((1, 1, 1)), h.element((1, 2, 3))).group == fgab.tensor(g, h)
+    assert counts["merge"] and not counts["basis"]
 
 
-def test_unital_free_product_of_zero_k1_sums_no_empty_group(monkeypatch):
+def test_unital_free_product_of_zero_k1_sums_no_empty_group():
     # K1A + K1B = 0 for M_2 against M_3: the sum is read off the counts,
-    # with no canonical form of an empty list of orders
-    calls = []
-    real = fgab._cyclic_canonical
-
-    def counting(orders, rows=None):
-        calls.append(list(orders))
-        return real(orders, rows)
-
-    monkeypatch.setattr(fgab, "_cyclic_canonical", counting)
-    monkeypatch.setattr(kinv, "_cyclic_canonical", counting)
-    code = cli.main(["kgroups", "M_2 (*C) M_3", "--format", "json"], out=io.StringIO(), err=io.StringIO())
-    assert code == cli.EXIT_OK and calls
-    assert [] not in calls, calls
+    # with no canonical form of an empty list of orders, so the one basis
+    # change built is that of K0A + K0B
+    assert cli_counts("kgroups", "M_2 (*C) M_3", "--format", "json")["basis"] == 1
 
 
 def test_each_analysis_piece_is_computed_once_and_kept_without_a_lock(monkeypatch):

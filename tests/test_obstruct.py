@@ -460,11 +460,23 @@ def test_case_ii_preconditions():
         case_ii_k_check(Z, TRIVIAL, z4, TRIVIAL, Z.zero(), z4.zero())
 
 
+def test_verdicts_and_witnesses_hash(catalog):
+    # a value hashes as its fields: case parameters and witness details
+    # hold tuples and matrices, not lists, so every catalog verdict and
+    # ex4's witness hash, equal values hash equal, and the verdicts that
+    # are equal are those with equal JSON
+    verdicts = [classify(a, b) for _, a in catalog for _, b in catalog]
+    again = [classify(a, b) for _, a in catalog for _, b in catalog]
+    assert verdicts == again and list(map(hash, verdicts)) == list(map(hash, again))
+    assert len(set(verdicts)) == len({json.dumps(v.to_json(), sort_keys=True) for v in verdicts})
+    assert hash(ex4_no_scaled_section()) == hash(ex4_no_scaled_section())
+
+
 def test_ex4_witness():
     w = ex4_no_scaled_section()
     assert w.clause == NO_SECTION_0
     assert "(1, 1, -1, -1)" in w.explanation
-    assert dict(w.detail)["relation"] == [1, 1, -1, -1]
+    assert w.to_json()["detail"]["relation"] == [1, 1, -1, -1]
 
 
 def test_m_oo_unit_divisibility():
